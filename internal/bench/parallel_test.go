@@ -45,35 +45,6 @@ func TestParallelFindDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelFindChunkedDeterminism asserts the same guarantee for the
-// chunked pipeline on a synthetic trace large enough to span many windows.
-func TestParallelFindChunkedDeterminism(t *testing.T) {
-	tr := SyntheticTrace(6000, 7)
-	seqChunks, err := hb.BuildChunked(tr, hb.ChunkConfig{
-		Base: hb.Config{Parallelism: 1}, ChunkSize: 800,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parChunks, err := hb.BuildChunked(tr, hb.ChunkConfig{
-		Base: hb.Config{Parallelism: 8}, ChunkSize: 800,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqChunks) != len(parChunks) {
-		t.Fatalf("chunk counts diverged: %d vs %d", len(seqChunks), len(parChunks))
-	}
-	seq := detect.FindChunked(seqChunks, detect.Options{Parallelism: 1})
-	par := detect.FindChunked(parChunks, detect.Options{Parallelism: 8})
-	if len(seq.Pairs) == 0 {
-		t.Fatal("synthetic trace produced no candidates; benchmark is vacuous")
-	}
-	if s, p := seq.Format(nil), par.Format(nil); s != p {
-		t.Errorf("chunked parallel report diverged\nsequential:\n%s\nparallel:\n%s", s, p)
-	}
-}
-
 // TestPipelineBenchRuns sanity-checks the -bench-json measurement path.
 func TestPipelineBenchRuns(t *testing.T) {
 	res, err := RunPipelineBench(4000, 800, 4, 1)

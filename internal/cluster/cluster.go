@@ -1,14 +1,13 @@
 // Package cluster shards one trace-analysis job across a set of
 // dcatch-serve worker instances, window by window.
 //
-// The unit of distribution is the chunk window — the same [start, end)
-// decomposition hb.ChunkWindows gives every chunked code path. The
-// coordinator slices the trace at record boundaries (trace.Trace.Window),
-// ships each window's binary encoding to a worker over a typed HTTP RPC
-// (POST /v1/cluster/scan), and folds the returned detect.WindowScan wire
-// payloads through detect.ChunkMerger.Merge in strict window-index order.
-// Because the window list, the per-window scan, and the merge are the exact
-// functions the single-node chunked path runs, the rendered report is
+// The unit of distribution is the chunk window — the [start, end) list
+// hb.WindowCutter gives every windowed topology. The coordinator slices the
+// trace at record boundaries (trace.Trace.Window), ships each window's
+// binary encoding to a worker over a typed HTTP RPC (POST /v1/cluster/scan),
+// and folds the returned detect.WindowScan wire payloads in strict
+// window-index order (window.Fold). A worker scans its window with the same
+// window.Engine the single-node replay calls, so the rendered report is
 // byte-identical to that path — regardless of how replies race back.
 //
 // The peer protocol follows the request/response node shape common to
@@ -41,9 +40,8 @@ const ScanPath = "/v1/cluster/scan"
 //
 // The request carries only the option subset that changes the scan's bytes:
 // reachability backend, scan mode, per-location subsampling cap and the
-// per-window memory budget. Per-window scan parallelism is pinned to 1 on
-// the worker — window-level sharding across the cluster subsumes it, the
-// same choice detect.FindChunked makes for its window workers — and the HB
+// per-window memory budget. Per-window scan parallelism is 1, as everywhere
+// the window engine runs — sharding by window subsumes it — and the HB
 // rule-ablation switches (Table 9) do not travel: they are a local
 // experiment knob, not a job option, and the coordinator refuses configs
 // that set them so remote and local-fallback scans can never diverge.

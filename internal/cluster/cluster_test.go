@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"dcatch/internal/hb"
 	"dcatch/internal/lifecycle"
 	"dcatch/internal/obs"
+	"dcatch/internal/scancache"
 	"dcatch/internal/trace"
 )
 
@@ -262,7 +264,9 @@ func TestBusyRetrySucceeds(t *testing.T) {
 	const chunk = 500
 	want := oracle(t, tr, chunk)
 
-	real := NewWorker(WorkerConfig{})
+	// Two slots for the coordinator's two in-flight requests, so the only
+	// 429s are the injected ones.
+	real := NewWorker(WorkerConfig{Scans: 2})
 	var n atomic.Int32
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+ScanPath, func(rw http.ResponseWriter, r *http.Request) {
@@ -453,5 +457,153 @@ func TestClusterOOMMatchesChunked(t *testing.T) {
 	}
 	if res.Report != nil {
 		t.Fatal("OOM result carries a report")
+	}
+}
+
+// TestCoordinatorFinishCloseIdempotent pins the lifecycle contract: Finish
+// twice returns the first Result, Close after Finish and Close twice are
+// no-ops.
+func TestCoordinatorFinishCloseIdempotent(t *testing.T) {
+	tr := racyTrace(1300)
+	const chunk = 500
+	want := oracle(t, tr, chunk)
+	ts := newWorkerServer(t, WorkerConfig{Scans: 2})
+	newCoord := func() *Coordinator {
+		t.Helper()
+		coord, err := NewCoordinator(Config{Peers: []string{ts.URL}, ChunkSize: chunk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coord
+	}
+
+	coord := newCoord()
+	coord.Notify(tr)
+	first := coord.Finish(tr)
+	if first.OOM || first.Report.Format(nil) != want {
+		t.Fatalf("first Finish: %+v", first)
+	}
+	if again := coord.Finish(tr); again != first {
+		t.Errorf("second Finish returned %+v, want the first Result", again)
+	}
+	coord.Close()
+	coord.Close()
+	if again := coord.Finish(tr); again != first || again.Report.Format(nil) != want {
+		t.Error("Close after Finish disturbed the Result")
+	}
+
+	abandoned := newCoord()
+	abandoned.Notify(tr)
+	abandoned.Close()
+	abandoned.Close()
+}
+
+// postScan posts one scan request and returns the status and reply body.
+func postScan(t *testing.T, base string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+ScanPath+"?window=0&start=0&reach=chain", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, reply
+}
+
+// holdSlot occupies the worker's only scan slot with a request parked in the
+// admission gate, and returns how many admissions were asked for so far and
+// a func releasing the parked request.
+func holdSlot(t *testing.T, cfg WorkerConfig) (base string, admissions *atomic.Int32, release func()) {
+	t.Helper()
+	admissions = new(atomic.Int32)
+	park, parked := make(chan struct{}), make(chan struct{}, 1)
+	cfg.Scans = 1
+	cfg.Admit = func(ctx context.Context, need int64) (func(), error) {
+		if admissions.Add(1) == 2 { // the second admission is the one that parks
+			parked <- struct{}{}
+			<-park
+		}
+		return func() {}, nil
+	}
+	ts := newWorkerServer(t, cfg)
+	if st, _ := postScan(t, ts.URL, racyTrace(200).Encode()); st != http.StatusOK {
+		t.Fatalf("warm-up scan: status %d", st)
+	}
+	done := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+ScanPath+"?reach=chain", "application/octet-stream", bytes.NewReader(racyTrace(150).Encode()))
+		if err != nil {
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	<-parked
+	return ts.URL, admissions, func() {
+		close(park)
+		if st := <-done; st != http.StatusOK {
+			t.Errorf("parked scan finished with status %d", st)
+		}
+	}
+}
+
+// TestWorkerCacheHitNeedsNoSlot: with every scan slot busy, a worker with a
+// cache still answers a window it holds — 200, the cached bytes, no slot and
+// no admission — refuses one it does not hold with 429, and, having decoded
+// the body to find that out, rejects garbage with 400.
+func TestWorkerCacheHitNeedsNoSlot(t *testing.T) {
+	cache, err := scancache.New(scancache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	base, admissions, release := holdSlot(t, WorkerConfig{Cache: cache, Obs: rec})
+	defer release()
+
+	held := racyTrace(200) // the warm-up window
+	g, err := hb.Build(held, hb.Config{ReachBackend: hb.BackendChain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := detect.ScanGraph(g, detect.Options{}).Encode()
+	st, reply := postScan(t, base, held.Encode())
+	if st != http.StatusOK || !bytes.Equal(reply, want) {
+		t.Errorf("cached window on a busy worker: status %d, reply matches oracle: %v", st, bytes.Equal(reply, want))
+	}
+	if got := admissions.Load(); got != 2 {
+		t.Errorf("%d admissions, want 2 (warm-up and the parked scan): a hit must not ask for one", got)
+	}
+	if hits := rec.Counters()["cluster.worker.cache_hits"]; hits != 1 {
+		t.Errorf("cluster.worker.cache_hits = %d, want 1", hits)
+	}
+	if st, _ := postScan(t, base, racyTrace(120).Encode()); st != http.StatusTooManyRequests {
+		t.Errorf("uncached window on a busy worker: status %d, want 429", st)
+	}
+	if st, _ := postScan(t, base, []byte("not a trace")); st != http.StatusBadRequest {
+		t.Errorf("garbage body on a busy caching worker: status %d, want 400", st)
+	}
+}
+
+// TestWorkerWithoutCacheRefusesBeforeBody: a worker with no cache has
+// nothing to answer for free, so with every slot busy it answers 429 without
+// decoding the body — even a body it would otherwise reject with 400.
+func TestWorkerWithoutCacheRefusesBeforeBody(t *testing.T) {
+	base, _, release := holdSlot(t, WorkerConfig{})
+	if st, _ := postScan(t, base, []byte("not a trace")); st != http.StatusTooManyRequests {
+		t.Errorf("garbage body on a busy worker: status %d, want 429", st)
+	}
+	release()
+	// The parked handler frees its slot just after its reply is visible.
+	st, _ := postScan(t, base, []byte("not a trace"))
+	for deadline := time.Now().Add(5 * time.Second); st == http.StatusTooManyRequests && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		st, _ = postScan(t, base, []byte("not a trace"))
+	}
+	if st != http.StatusBadRequest {
+		t.Errorf("garbage body on an idle worker: status %d, want 400", st)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
 	"dcatch/internal/trace"
+	"dcatch/internal/window"
 )
 
 // Config configures one coordinated trace job.
@@ -113,17 +114,13 @@ type task struct {
 	start, end int
 	body       []byte
 	key        scancache.Key
-	useCache   bool
 	out        chan scanOut
 }
 
 type scanOut struct {
-	ws      detect.WindowScan
-	mem     int64
-	backend string
-	remote  bool
-	cached  bool
-	err     error
+	res    window.Result
+	remote bool
+	err    error
 }
 
 type peer struct {
@@ -202,20 +199,20 @@ type Coordinator struct {
 	rec  *obs.Recorder
 	logf func(string, ...any)
 
-	size, overlap int
-	peers         []*peer
-	wg            sync.WaitGroup
-	closeOnce     sync.Once
-	aborted       atomic.Bool
+	// eng answers windows the cache already holds, files peers' replies
+	// and re-runs failed windows locally; the scans themselves happen on
+	// the peers.
+	eng       *window.Engine
+	cut       *hb.WindowCutter
+	peers     []*peer
+	wg        sync.WaitGroup
+	closeOnce sync.Once
+	aborted   atomic.Bool
 
-	start    int // open window's start
-	windows  [][2]int
-	outs     []chan scanOut
-	keys     []scancache.Key // per-window cache keys (zero when !cached)
-	finished bool
-
-	spec   scancache.Spec
-	cached bool
+	windows [][2]int
+	outs    []chan scanOut
+	keys    []scancache.Key // per-window cache keys (zero without a cache)
+	result  *Result         // set by the first Finish
 }
 
 // NewCoordinator validates the config and starts the per-peer senders.
@@ -255,13 +252,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
-	overlap := cfg.ChunkOverlap
-	if overlap <= 0 {
-		overlap = cfg.ChunkSize / 4
-	}
-	if overlap >= cfg.ChunkSize {
-		overlap = cfg.ChunkSize - 1
-	}
 	c := &Coordinator{
 		cfg: cfg,
 		req: ScanRequest{
@@ -270,18 +260,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			MaxGroup:  cfg.Detect.MaxGroup,
 			MemBudget: cfg.HB.MemBudget,
 		},
-		rec:     cfg.Obs,
-		logf:    cfg.Logf,
-		size:    cfg.ChunkSize,
-		overlap: overlap,
+		rec:  cfg.Obs,
+		logf: cfg.Logf,
+		eng:  window.New(cfg.HB, cfg.Detect, cfg.Cache),
+		cut:  hb.NewWindowCutter(cfg.ChunkSize, cfg.ChunkOverlap),
 	}
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
-	}
-	if cfg.Cache != nil {
-		// The rejections above guarantee the options are wire-expressible,
-		// so SpecFor cannot fail here; the check is defensive.
-		c.spec, c.cached = scancache.SpecFor(cfg.HB, cfg.Detect)
 	}
 	for _, p := range cfg.Peers {
 		base := strings.TrimRight(strings.TrimSpace(p), "/")
@@ -299,50 +284,39 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Notify dispatches every window that has filled within the first n records
-// of tr — the streaming restatement of hb.ChunkWindows' loop, called from
-// the ingest path as segments arrive. tr may still be growing: only the
-// decoded prefix is touched, and each window's segment is keyed and (on a
-// cache miss) encoded before Notify returns, so later appends (or
-// backing-array reallocation) cannot race the dispatch. Enqueueing blocks once the assigned peer's bounded
-// queue is full, which backpressures ingest instead of buffering the whole
-// trace in flight.
+// Notify dispatches every window that has filled within the decoded prefix
+// of tr, called from the ingest path as segments arrive. tr may still be
+// growing: only that prefix is touched, and each window's segment is keyed
+// and (on a cache miss) encoded before Notify returns, so later appends (or
+// backing-array reallocation) cannot race the dispatch. Enqueueing blocks
+// once the assigned peer's bounded queue is full, which backpressures ingest
+// instead of buffering the whole trace in flight.
 func (c *Coordinator) Notify(tr *trace.Trace) {
-	for c.start+c.size <= len(tr.Recs) {
-		end := c.start + c.size
-		c.dispatch(tr, c.start, end)
-		c.start = end - c.overlap
+	for wn, ok := c.cut.Next(len(tr.Recs)); ok; wn, ok = c.cut.Next(len(tr.Recs)) {
+		c.dispatch(tr, wn)
 	}
 }
 
-func (c *Coordinator) dispatch(tr *trace.Trace, start, end int) {
+func (c *Coordinator) dispatch(tr *trace.Trace, wn [2]int) {
 	i := len(c.windows)
 	out := make(chan scanOut, 1)
-	c.windows = append(c.windows, [2]int{start, end})
+	view := tr.Window(wn[0], wn[1])
+	// The key is a field hash over the window's records, so the lookup
+	// skips segment encoding entirely. A hit answers the window right here:
+	// nothing ships to a peer, and a resubmitted trace with 1% changed
+	// records sends only its dirty windows over the wire.
+	key, res, hit := c.eng.Lookup(view)
+	c.windows = append(c.windows, wn)
 	c.outs = append(c.outs, out)
-	var key scancache.Key
-	if c.cached {
-		key = c.spec.KeyTrace(tr.Window(start, end))
-	}
 	c.keys = append(c.keys, key)
-	if c.cached {
-		// The key is a field hash over the window's records, so the lookup
-		// skips segment encoding entirely. A hit answers the window right
-		// here: nothing ships to a peer, and a resubmitted trace with 1%
-		// changed records sends only its dirty windows over the wire.
-		if ent, ok := c.cfg.Cache.Get(key); ok {
-			if ws, err := detect.DecodeWindowScan(ent.Payload); err == nil {
-				c.rec.Count("cluster.windows.cached", 1)
-				out <- scanOut{ws: ws, mem: ent.MemBytes, backend: ent.Backend, cached: true}
-				return
-			}
-			c.cfg.Cache.Discard(key)
-		}
+	if hit {
+		c.rec.Count("cluster.windows.cached", 1)
+		out <- scanOut{res: res}
+		return
 	}
 	c.rec.Count("cluster.windows.dispatched", 1)
-	body := tr.Window(start, end).Encode()
-	c.peers[i%len(c.peers)].queue <- task{index: i, start: start, end: end, body: body,
-		key: key, useCache: c.cached, out: out}
+	c.peers[i%len(c.peers)].queue <- task{index: i, start: wn[0], end: wn[1], body: view.Encode(),
+		key: key, out: out}
 }
 
 func (c *Coordinator) closeQueues() {
@@ -363,16 +337,15 @@ func (c *Coordinator) Close() {
 }
 
 // Finish dispatches the tail window, waits for every reply in window-index
-// order — re-running any failed window locally — and folds them through
-// ChunkMerger.Merge. tr must be the complete trace Notify was fed.
+// order — re-running any failed window locally — and folds them in that
+// order. tr must be the complete trace Notify was fed. Finish is idempotent:
+// a second call returns the first call's Result.
 func (c *Coordinator) Finish(tr *trace.Trace) *Result {
-	if c.finished {
-		return &Result{OOM: true, Err: fmt.Errorf("cluster: Finish called twice")}
+	if c.result != nil {
+		return c.result
 	}
-	c.finished = true
-	n := len(tr.Recs)
-	if len(c.windows) == 0 || c.windows[len(c.windows)-1][1] < n {
-		c.dispatch(tr, c.start, n)
+	if wn, ok := c.cut.Finish(len(tr.Recs)); ok {
+		c.dispatch(tr, wn)
 	}
 	c.closeQueues()
 
@@ -381,81 +354,50 @@ func (c *Coordinator) Finish(tr *trace.Trace) *Result {
 	sp.Attr("peers", len(c.peers))
 	dopts := c.cfg.Detect
 	dopts.Obs = sp
-	merger := detect.NewChunkMerger(dopts)
+	fold := window.NewFold(dopts)
 	res := &Result{Windows: len(c.windows)}
+	c.result = res
 	for i, wn := range c.windows {
 		out := <-c.outs[i]
-		if out.err != nil && res.Err == nil {
+		if out.err != nil && fold.Err == nil {
+			// The fallback that makes a dead or saturated worker degrade the
+			// job to slower, never wrong; an over-budget window fails here
+			// with the single-node replay's exact error.
 			c.rec.Count("cluster.windows.local", 1)
 			c.logf("cluster: window %d [%d,%d): remote scan failed (%v); re-running locally",
 				i, wn[0], wn[1], out.err)
-			out = c.scanLocal(tr, wn, sp)
-			if out.err == nil && c.cached {
-				// Encode before Merge below rebases the scan in place.
-				c.cfg.Cache.Put(c.keys[i], scancache.Entry{
-					Payload:  out.ws.Encode(),
-					Backend:  out.backend,
-					MemBytes: out.mem,
-					Records:  wn[1] - wn[0],
-				})
+			lsp := sp.Child("cluster.local_scan")
+			lsp.Attr("window_start", wn[0])
+			out.res, out.err = c.eng.Under(lsp).Fresh(c.keys[i], tr.Window(wn[0], wn[1]), wn[0], wn[1])
+			lsp.End()
+		}
+		if out.err == nil && fold.Err == nil {
+			switch {
+			case out.res.Cached:
+				res.Cached++
+			case out.remote:
+				res.Remote++
+				c.rec.Count("cluster.windows.remote", 1)
+			default:
+				res.Local++
 			}
 		}
-		if out.err != nil {
-			// First failure wins and later windows are skipped — the same
-			// shape the single-node chunked replay reports, and the local
-			// error for an over-budget window is that path's exact error.
-			if res.Err == nil {
-				res.OOM, res.Err = true, out.err
-			}
-			continue
-		}
-		switch {
-		case out.cached:
-			res.Cached++
-		case out.remote:
-			res.Remote++
-			c.rec.Count("cluster.windows.remote", 1)
-		default:
-			res.Local++
-		}
-		if res.Backend == "" {
-			res.Backend = out.backend
-		}
-		if out.mem > res.PeakMemBytes {
-			res.PeakMemBytes = out.mem
-		}
-		merger.Merge(out.ws, wn[0])
+		fold.Add(out.res, out.err, wn[0])
 	}
 	c.wg.Wait()
-	if res.OOM {
+	res.Backend, res.PeakMemBytes = fold.Backend, fold.PeakBytes
+	if fold.Err != nil {
+		res.OOM, res.Err = true, fold.Err
 		sp.Attr("oom", true)
 		sp.End()
 		return res
 	}
-	res.Report = merger.Report()
+	res.Report = fold.Report()
 	sp.Attr("remote_windows", res.Remote)
 	sp.Attr("local_windows", res.Local)
 	sp.Attr("cached_windows", res.Cached)
 	sp.End()
 	return res
-}
-
-// scanLocal re-runs one window on the coordinator — the fallback that makes
-// a dead or saturated worker degrade the job to slower, never wrong.
-func (c *Coordinator) scanLocal(tr *trace.Trace, wn [2]int, parent *obs.Span) scanOut {
-	sp := parent.Child("cluster.local_scan")
-	sp.Attr("window_start", wn[0])
-	defer sp.End()
-	hcfg := c.cfg.HB
-	hcfg.Parallelism = 1
-	hcfg.Obs = sp
-	g, err := hb.Build(tr.Window(wn[0], wn[1]), hcfg)
-	if err != nil {
-		return scanOut{err: fmt.Errorf("hb: chunk [%d,%d): %w", wn[0], wn[1], err)}
-	}
-	dopts := c.cfg.Detect
-	dopts.Obs = sp
-	return scanOut{ws: detect.ScanGraph(g, dopts), mem: g.MemBytes(), backend: g.Backend().String()}
 }
 
 func (c *Coordinator) peerLoop(p *peer) {
@@ -586,18 +528,12 @@ func (c *Coordinator) attempt(u string, t task) (scanOut, bool, error) {
 		return scanOut{}, false, err
 	}
 	mem, _ := strconv.ParseInt(resp.Header.Get(headerMemBytes), 10, 64)
-	if t.useCache {
-		// The reply body IS the canonical DCWS payload — store it verbatim
-		// so the next job with this segment skips the wire entirely.
-		c.cfg.Cache.Put(t.key, scancache.Entry{
-			Payload:  body,
-			Backend:  resp.Header.Get(headerBackend),
-			MemBytes: mem,
-			Records:  t.end - t.start,
-		})
-	}
+	// The reply body IS the canonical DCWS payload — stored verbatim, so the
+	// next job with this segment skips the wire entirely.
+	res := window.Result{Scan: ws, Payload: body, MemBytes: mem, Backend: resp.Header.Get(headerBackend)}
+	c.eng.Store(t.key, &res, t.end-t.start)
 	c.rec.Observe("cluster.scan_rtt_us", time.Since(t0).Microseconds())
-	return scanOut{ws: ws, mem: mem, backend: resp.Header.Get(headerBackend), remote: true}, false, nil
+	return scanOut{res: res, remote: true}, false, nil
 }
 
 // CoreResult lifts a cluster Result into the *core.Result shape the shared
@@ -605,22 +541,7 @@ func (c *Coordinator) attempt(u string, t task) (scanOut, bool, error) {
 // single-node chunked path (serve.RenderTrace renders only the summary
 // counts and the final report, both of which the merged report determines).
 func CoreResult(tr *trace.Trace, cres *Result, analysis time.Duration) *core.Result {
-	res := &core.Result{Trace: tr, Chunked: true}
-	res.Stats.TraceRecords = len(tr.Recs)
-	res.Stats.TraceBytes = tr.EncodedSize()
+	res := core.TraceResult(tr, cres.Report, cres.PeakMemBytes, cres.Backend, true)
 	res.Stats.AnalysisTime = analysis
-	if cres.OOM {
-		res.OOM = true
-		return res
-	}
-	rep := cres.Report
-	res.TA, res.SP, res.Final = rep, rep, rep
-	res.Stats.HBVertices = len(tr.Recs)
-	res.Stats.HBMemBytes = cres.PeakMemBytes
-	res.Stats.ReachBackend = cres.Backend
-	res.Stats.TAStatic = rep.StaticCount()
-	res.Stats.TACallstack = rep.CallstackCount()
-	res.Stats.SPStatic, res.Stats.SPCallstack = res.Stats.TAStatic, res.Stats.TACallstack
-	res.Stats.LPStatic, res.Stats.LPCallstack = res.Stats.TAStatic, res.Stats.TACallstack
 	return res
 }

@@ -6,12 +6,11 @@ import (
 	"net/http"
 	"time"
 
-	"dcatch/internal/detect"
-	"dcatch/internal/hb"
 	"dcatch/internal/lifecycle"
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
 	"dcatch/internal/trace"
+	"dcatch/internal/window"
 )
 
 // WorkerConfig configures the worker side of the window-scan RPC.
@@ -51,8 +50,8 @@ type WorkerConfig struct {
 }
 
 // Worker is the http.Handler serving ScanPath: it decodes its assigned
-// segment, builds the window's HB graph, runs the configured detection
-// scan, and returns the serialized detect.WindowScan.
+// segment, scans it with the window engine, and returns the serialized
+// detect.WindowScan.
 type Worker struct {
 	cfg WorkerConfig
 	sem chan struct{}
@@ -78,6 +77,37 @@ func (w *Worker) busy(rw http.ResponseWriter, counter string) {
 	http.Error(rw, "cluster: worker busy", http.StatusTooManyRequests)
 }
 
+// acquire takes a scan slot and the host's admission grant for one scan, or
+// answers 429 and returns ok false. release gives both back.
+func (w *Worker) acquire(rw http.ResponseWriter, r *http.Request, need int64) (release func(), ok bool) {
+	select {
+	case w.sem <- struct{}{}:
+	default:
+		w.busy(rw, "cluster.worker.rejected_busy")
+		return nil, false
+	}
+	admitted := func() {}
+	if w.cfg.Admit != nil {
+		ctx, cancel := context.WithTimeout(r.Context(), w.cfg.AdmitTimeout)
+		rel, err := w.cfg.Admit(ctx, need)
+		cancel()
+		if err != nil {
+			<-w.sem
+			w.busy(rw, "cluster.worker.rejected_admission")
+			return nil, false
+		}
+		admitted = rel
+	}
+	return func() { admitted(); <-w.sem }, true
+}
+
+// ServeHTTP answers one window-scan request. A scan needs a slot and an
+// admission grant; a cache hit needs neither. So a worker with a cache
+// decodes the body first — the key is a field hash of the window's records,
+// the same key the coordinator derives from its window view — and answers a
+// hit even when every slot is busy, while a worker without one has nothing
+// to answer for free and refuses a request it has no slot for before reading
+// its body.
 func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	if w.cfg.Drain != nil {
 		if !w.cfg.Drain.Enter() {
@@ -87,17 +117,6 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		}
 		defer w.cfg.Drain.Exit()
 	}
-	if w.cfg.Cache != nil {
-		w.serveCached(rw, r)
-		return
-	}
-	select {
-	case w.sem <- struct{}{}:
-		defer func() { <-w.sem }()
-	default:
-		w.busy(rw, "cluster.worker.rejected_busy")
-		return
-	}
 	req, err := parseScanRequest(r.URL.Query())
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
@@ -108,12 +127,11 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if w.cfg.Admit != nil {
-		ctx, cancel := context.WithTimeout(r.Context(), w.cfg.AdmitTimeout)
-		release, err := w.cfg.Admit(ctx, req.MemBudget)
-		cancel()
-		if err != nil {
-			w.busy(rw, "cluster.worker.rejected_admission")
+	eng := window.New(hcfg, dopts, w.cfg.Cache)
+	slotFirst := !eng.Caching()
+	if slotFirst {
+		release, ok := w.acquire(rw, r, req.MemBudget)
+		if !ok {
 			return
 		}
 		defer release()
@@ -123,112 +141,49 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, fmt.Sprintf("cluster: bad segment: %v", err), http.StatusBadRequest)
 		return
 	}
-	w.scanReply(rw, req, hcfg, dopts, tr)
-}
-
-// serveCached is the scan path when a window-scan cache is configured. The
-// request body is decoded up front so the cache key — a field hash of the
-// window's records, the same key the coordinator derives from its window
-// sub-trace — can be computed before any scan slot is charged: a hit
-// replies immediately even on a fully busy worker, and a miss proceeds
-// through the same slot/admission/build/scan flow as the uncached path,
-// populating the cache on the way out. A cached payload the decoder
-// rejects is discarded, never shipped.
-func (w *Worker) serveCached(rw http.ResponseWriter, r *http.Request) {
-	req, err := parseScanRequest(r.URL.Query())
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	hcfg, dopts, err := req.scanConfigs()
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	tr, err := trace.Decode(http.MaxBytesReader(rw, r.Body, w.cfg.MaxBodyBytes))
-	if err != nil {
-		http.Error(rw, fmt.Sprintf("cluster: bad segment: %v", err), http.StatusBadRequest)
-		return
-	}
-	spec, cacheable := scancache.SpecFor(hcfg, dopts)
-	var key scancache.Key
-	if cacheable {
-		key = spec.KeyTrace(tr)
-		if ent, hit := w.cfg.Cache.Get(key); hit {
-			if _, derr := detect.DecodeWindowScan(ent.Payload); derr != nil {
-				w.cfg.Cache.Discard(key)
-			} else {
-				w.cfg.Obs.Count("cluster.worker.cache_hits", 1)
-				rw.Header().Set("Content-Type", "application/octet-stream")
-				rw.Header().Set(headerBackend, ent.Backend)
-				rw.Header().Set(headerMemBytes, fmt.Sprint(ent.MemBytes))
-				rw.Header().Set(headerRecords, fmt.Sprint(ent.Records))
-				rw.Write(ent.Payload)
+	key, res, hit := eng.Lookup(tr)
+	if hit {
+		w.cfg.Obs.Count("cluster.worker.cache_hits", 1)
+	} else {
+		if !slotFirst {
+			release, ok := w.acquire(rw, r, req.MemBudget)
+			if !ok {
 				return
 			}
+			defer release()
 		}
-	}
-	select {
-	case w.sem <- struct{}{}:
-		defer func() { <-w.sem }()
-	default:
-		w.busy(rw, "cluster.worker.rejected_busy")
-		return
-	}
-	if w.cfg.Admit != nil {
-		ctx, cancel := context.WithTimeout(r.Context(), w.cfg.AdmitTimeout)
-		release, err := w.cfg.Admit(ctx, req.MemBudget)
-		cancel()
-		if err != nil {
-			w.busy(rw, "cluster.worker.rejected_admission")
+		if res, err = w.scan(eng, key, tr, req); err != nil {
+			// The coordinator re-runs failed windows locally; a
+			// budget-exceeded window will fail there too and surface as the
+			// job's OOM result, exactly as the single-node replay reports it.
+			http.Error(rw, fmt.Sprintf("cluster: window scan failed: %v", err), http.StatusInternalServerError)
 			return
 		}
-		defer release()
 	}
-	enc, g := w.scanReply(rw, req, hcfg, dopts, tr)
-	if cacheable && enc != nil {
-		w.cfg.Cache.Put(key, scancache.Entry{
-			Payload:  enc,
-			Backend:  g.Backend().String(),
-			MemBytes: g.MemBytes(),
-			Records:  len(tr.Recs),
-		})
-	}
+	rw.Header().Set("Content-Type", "application/octet-stream")
+	rw.Header().Set(headerBackend, res.Backend)
+	rw.Header().Set(headerMemBytes, fmt.Sprint(res.MemBytes))
+	rw.Header().Set(headerRecords, fmt.Sprint(len(tr.Recs)))
+	rw.Write(res.Encoded())
 }
 
-// scanReply builds the window's HB graph, runs the detection scan, and
-// replies with the canonical encoded scan. It returns the encoding and the
-// graph (nil, nil when the build failed and the error reply was sent).
-func (w *Worker) scanReply(rw http.ResponseWriter, req ScanRequest, hcfg hb.Config, dopts detect.Options, tr *trace.Trace) ([]byte, *hb.Graph) {
+// scan runs the engine on a window the cache did not hold, under the
+// worker's own span and counters.
+func (w *Worker) scan(eng *window.Engine, key scancache.Key, tr *trace.Trace, req ScanRequest) (window.Result, error) {
 	t0 := time.Now()
 	sp := w.cfg.Obs.Span("cluster.worker.scan")
+	defer sp.End()
 	sp.Attr("window", req.Window)
 	sp.Attr("start", req.Start)
 	sp.Attr("records", len(tr.Recs))
-	hcfg.Obs = sp
-	dopts.Obs = sp
-	g, err := hb.Build(tr, hcfg)
+	res, err := eng.Under(sp).Fresh(key, tr, req.Start, req.Start+len(tr.Recs))
 	if err != nil {
-		sp.End()
-		// The coordinator re-runs failed windows locally; a budget-exceeded
-		// window will fail there too and surface as the job's OOM result,
-		// exactly as the single-node chunked path reports it.
-		http.Error(rw, fmt.Sprintf("cluster: window scan failed: %v", err), http.StatusInternalServerError)
-		return nil, nil
+		return res, err
 	}
-	ws := detect.ScanGraph(g, dopts)
-	sp.Attr("backend", g.Backend().String())
-	sp.Attr("candidates", ws.Candidates())
-	sp.End()
+	sp.Attr("backend", res.Backend)
+	sp.Attr("candidates", res.Scan.Candidates())
 	w.cfg.Obs.Count("cluster.worker.scans", 1)
 	w.cfg.Obs.Count("cluster.worker.records", int64(len(tr.Recs)))
 	w.cfg.Obs.Observe("cluster.worker.scan_us", time.Since(t0).Microseconds())
-
-	enc := ws.Encode()
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Header().Set(headerBackend, g.Backend().String())
-	rw.Header().Set(headerMemBytes, fmt.Sprint(g.MemBytes()))
-	rw.Header().Set(headerRecords, fmt.Sprint(len(tr.Recs)))
-	rw.Write(enc)
-	return enc, g
+	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dcatch/internal/detect"
 	"dcatch/internal/stream"
 	"dcatch/internal/trace"
 )
@@ -25,10 +26,8 @@ func AnalyzeTrace(tr *trace.Trace, opts Options) (*Result, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("core: AnalyzeTrace: nil trace")
 	}
-	// The whole stage runs on the streaming engine's batch mode: the full
-	// build, and — when the closure exceeds the budget — the windowed replay
-	// that supersedes the old BuildChunked+FindChunked fallback with the
-	// same bytes at a bounded transient footprint.
+	// The whole stage runs on the streaming analyzer's batch mode: the full
+	// build, and — when the closure exceeds the budget — the windowed replay.
 	an := stream.New(stream.Options{
 		HB: opts.HB, Detect: opts.Detect, ChunkSize: opts.ChunkSize,
 		Logf: opts.Obs.Logf, Cache: opts.ScanCache,
@@ -50,19 +49,18 @@ func AnalyzeStreamed(an *stream.Analyzer, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("core: AnalyzeStreamed: analyzer holds %d of %d records (eager mode, or Ingest without AppendTrace)",
 			len(tr.Recs), an.Records())
 	}
-	res := &Result{Trace: tr, seed: opts.Seed}
 	rec := opts.Obs
-	res.Stats.TraceRecords = len(tr.Recs)
-	res.Stats.TraceBytes = tr.EncodedSize()
 	rec.Logf("analyze trace %s: %d records", tr.Program, len(tr.Recs))
 
 	sp := rec.Span("core.trace_analysis")
 	t0 := time.Now()
 	an.SetSpans(sp)
 	sr := an.Finish()
-	res.Stats.AnalysisTime = time.Since(t0)
-	if sr.OOM {
-		res.OOM = true
+	elapsed := time.Since(t0)
+	res := TraceResult(tr, sr.Report, sr.HBMemBytes, sr.Backend, sr.Chunked)
+	res.seed = opts.Seed
+	res.Stats.AnalysisTime = elapsed
+	if res.OOM {
 		sp.Attr("oom", true)
 		sp.End()
 		if sr.Chunked {
@@ -72,28 +70,40 @@ func AnalyzeStreamed(an *stream.Analyzer, opts Options) (*Result, error) {
 		}
 		return res, nil
 	}
-	res.TA = sr.Report
-	res.Stats.HBVertices = sr.HBVertices
-	res.Stats.HBEdges = sr.HBEdges
-	res.Stats.HBMemBytes = sr.HBMemBytes
-	res.Stats.ReachBackend = sr.Backend
 	if sr.Chunked {
-		res.Chunked = true
 		sp.Attr("chunked", true)
 	} else {
+		res.Stats.HBEdges = sr.HBEdges
 		res.Graph = sr.Graph
 	}
 	sp.End()
-
-	res.SP = res.TA
-	res.Final = res.TA
-	res.Stats.TAStatic = res.TA.StaticCount()
-	res.Stats.TACallstack = res.TA.CallstackCount()
-	res.Stats.SPStatic, res.Stats.SPCallstack = res.Stats.TAStatic, res.Stats.TACallstack
-	res.Stats.LPStatic, res.Stats.LPCallstack = res.Stats.TAStatic, res.Stats.TACallstack
 	res.countStage(rec, "ta", res.TA)
 	res.countStage(rec, "final", res.Final)
 	rec.Logf("trace analysis: %d/%d candidates in %v",
 		res.Stats.TAStatic, res.Stats.TACallstack, res.Stats.AnalysisTime)
 	return res, nil
+}
+
+// TraceResult is the Result of a trace-analysis-only job — no workload and
+// no IR, so TA, SP and Final all hold rep — filled from what the analysis
+// produced: the merged or full-graph report (nil: the analysis ran out of
+// memory), the peak reachability footprint and the resolved backend. Every
+// topology that analyzes a bare trace (AnalyzeStreamed, the cluster
+// coordinator) builds its Result here, so their stats cannot drift apart.
+func TraceResult(tr *trace.Trace, rep *detect.Report, peakBytes int64, backend string, chunked bool) *Result {
+	res := &Result{Trace: tr, Chunked: chunked, OOM: rep == nil}
+	res.Stats.TraceRecords = len(tr.Recs)
+	res.Stats.TraceBytes = tr.EncodedSize()
+	if rep == nil {
+		return res
+	}
+	res.TA, res.SP, res.Final = rep, rep, rep
+	res.Stats.HBVertices = len(tr.Recs)
+	res.Stats.HBMemBytes = peakBytes
+	res.Stats.ReachBackend = backend
+	res.Stats.TAStatic = rep.StaticCount()
+	res.Stats.TACallstack = rep.CallstackCount()
+	res.Stats.SPStatic, res.Stats.SPCallstack = res.Stats.TAStatic, res.Stats.TACallstack
+	res.Stats.LPStatic, res.Stats.LPCallstack = res.Stats.TAStatic, res.Stats.TACallstack
+	return res
 }

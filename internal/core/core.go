@@ -229,11 +229,8 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 			return res, nil
 		}
 		// Chunked fallback (§7.2): analyze window by window through the
-		// shared stream window engine — the same build/scan/merge code the
-		// streaming and cluster paths run (byte-identical to the old
-		// hb.BuildChunked + detect.FindChunked by its documented
-		// contract), with the scan cache consulted per window when
-		// configured.
+		// stream layer's replay of the one window engine, with the scan
+		// cache consulted per window when configured.
 		rec.Logf("trace analysis: budget exceeded, falling back to %d-record windows", opts.ChunkSize)
 		wan := stream.New(stream.Options{
 			HB: cfg, Detect: dopt,

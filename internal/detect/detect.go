@@ -189,7 +189,7 @@ type Options struct {
 	// keeps the original all-pairs ConcurrentOrdered scan as a reference
 	// oracle. All three produce byte-identical reports. The epoch sweep is
 	// inherently one pass per graph, so Parallelism does not shard it —
-	// use FindChunked for parallel epoch throughput.
+	// windowed analysis shards it by window instead.
 	Scan ScanMode
 
 	// Obs, when non-nil, is the parent span for detection spans and
@@ -466,8 +466,8 @@ func findMap(g *hb.Graph, opts Options) (map[uint64]*foundPair, *internTable) {
 	var found map[uint64]*foundPair
 	if mode == ScanEpoch {
 		// The epoch sweep is one pass over the whole graph; it does not
-		// shard by location (window sharding in FindChunked is where its
-		// parallel throughput comes from).
+		// shard by location (the window pipeline is where its parallel
+		// throughput comes from).
 		found = map[uint64]*foundPair{}
 		scanEpochAll(g, dec, objs, groups, maxGroup, pull, tab, found, &pairSlab{}, sp)
 	} else if p := opts.workers(); p > 1 && len(objs) > 1 {

@@ -64,12 +64,10 @@ const (
 // Candidates returns the number of distinct callstack pairs in the window.
 func (ws WindowScan) Candidates() int { return len(ws.fm) }
 
-// ScanGraph builds a WindowScan from one window graph without a merger —
-// the cluster worker's entry point. It is findMap behind a stable name; the
-// per-window scan runs with opts.Parallelism = 1, the same choice
-// FindChunked's parallel path makes for its window-level workers (window
-// sharding subsumes per-window parallelism; the bytes are identical either
-// way).
+// ScanGraph scans one window graph into a WindowScan — the window engine's
+// entry point (internal/window). The per-window scan runs with
+// opts.Parallelism = 1: window-level sharding subsumes per-window
+// parallelism, and the bytes are identical either way.
 func ScanGraph(g *hb.Graph, opts Options) WindowScan {
 	opts.Parallelism = 1
 	fm, tab := findMap(g, opts)

@@ -25,7 +25,7 @@ import (
 // the quadratic oracle instead of losing its margin to per-pair query cost.
 //
 // The scan is a single pass over one graph, so Options.Parallelism does not
-// shard it (parallel throughput comes from FindChunked's window sharding);
+// shard it (parallel throughput comes from the window pipeline's sharding);
 // reports stay byte-identical to the quadratic and interval engines because
 // emission feeds the same interned dedup map and representative rule.
 

@@ -1,23 +1,17 @@
 package detect
 
-import (
-	"dcatch/internal/hb"
-	"dcatch/internal/obs"
-)
+import "dcatch/internal/obs"
 
 // ChunkMerger folds per-window candidate maps into one global report, one
-// window at a time. It is the incremental core of FindChunked, split out so
-// the streaming analyzer (internal/stream) can merge windows as they close —
-// while the trace is still being written — instead of holding every window
-// graph until the end. Windows must be added in ascending start order; the
-// merge is then byte-identical to FindChunked over the same window list:
-// the first window containing a callstack pair provides its representative
-// records, Dynamic counts are summed, and the final report is rendered in
-// the canonical ascending-representative order.
+// window at a time, so a caller can merge windows as their scans arrive —
+// from a pipeline, a cache or a cluster peer — instead of holding every
+// window graph until the end. Windows must be merged in ascending start
+// order: the first window containing a callstack pair provides its
+// representative records, Dynamic counts are summed, and the final report is
+// rendered in the canonical ascending-representative order.
 type ChunkMerger struct {
-	opts    Options
-	sp      *obs.Span
-	ownSpan bool
+	opts Options
+	sp   *obs.Span
 
 	// Each window interns its stacks independently, so its packed-ID keys
 	// are not comparable across windows; global re-interns every window's
@@ -32,45 +26,17 @@ type ChunkMerger struct {
 // opened under opts.Obs and closed by Report.
 func NewChunkMerger(opts Options) *ChunkMerger {
 	sp := opts.Obs.Child("detect.find_chunked")
-	opts.Obs = sp // per-window detect.find spans nest under this one
-	return &ChunkMerger{opts: opts, sp: sp, ownSpan: true,
-		global: map[string]int32{}, merged: map[uint64]*foundPair{}}
-}
-
-// newChunkMergerOn is the internal constructor for FindChunked, which owns
-// its span already.
-func newChunkMergerOn(opts Options, sp *obs.Span) *ChunkMerger {
+	opts.Obs = sp // FindChunked's per-window detect.find spans nest under this one
 	return &ChunkMerger{opts: opts, sp: sp,
 		global: map[string]int32{}, merged: map[uint64]*foundPair{}}
 }
 
-// Add scans one window graph — vertex i of g is full-trace record start+i —
-// and merges its candidates, returning how many callstack pairs the window
-// added that no earlier window had produced.
-func (m *ChunkMerger) Add(g *hb.Graph, start int) int {
-	return m.Merge(m.ScanWindow(g, false), start)
-}
-
 // WindowScan is one window's scanned-but-unmerged candidate map, opaque to
-// callers. It lets a pipeline scan windows on worker goroutines (ScanWindow
-// is safe to call concurrently) and fold them in window order with Merge,
-// which is what keeps the merged report deterministic.
+// callers: ScanGraph produces it (safe to call concurrently), Merge folds it
+// in window order, which is what keeps the merged report deterministic.
 type WindowScan struct {
 	fm  map[uint64]*foundPair
 	tab *internTable
-}
-
-// ScanWindow scans one window graph without merging it. With serialScan the
-// window's inner scan runs single-threaded — the choice FindChunked's
-// parallel path makes, where window-level workers subsume the per-window
-// parallelism. The result is byte-identical either way.
-func (m *ChunkMerger) ScanWindow(g *hb.Graph, serialScan bool) WindowScan {
-	opts := m.opts
-	if serialScan {
-		opts.Parallelism = 1
-	}
-	fm, tab := findMap(g, opts)
-	return WindowScan{fm: fm, tab: tab}
 }
 
 // Merge folds a scanned window into the global map; windows must arrive in
@@ -131,8 +97,6 @@ func (m *ChunkMerger) Report() *Report {
 	m.sp.Attr("windows", m.windows)
 	m.sp.Attr("merged_candidates", len(out.Pairs))
 	m.sp.Count("detect.merged_candidates", int64(len(out.Pairs)))
-	if m.ownSpan {
-		m.sp.End()
-	}
+	m.sp.End()
 	return out
 }

@@ -52,29 +52,6 @@ func TestFindParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFindChunkedParallelMatchesSequential covers the window-level sharding
-// of FindChunked, whose merge is ordered by chunk rather than by key.
-func TestFindChunkedParallelMatchesSequential(t *testing.T) {
-	c := scatterTrace(400, 3)
-	chunks, err := hb.BuildChunked(c.Trace(), hb.ChunkConfig{ChunkSize: 60, ChunkOverlap: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := FindChunked(chunks, Options{Parallelism: 1})
-	par := FindChunked(chunks, Options{Parallelism: 8})
-	if len(seq.Pairs) == 0 {
-		t.Fatal("no candidates; test is vacuous")
-	}
-	if s, p := seq.Format(nil), par.Format(nil); s != p {
-		t.Errorf("chunked reports diverged\nseq:\n%s\npar:\n%s", s, p)
-	}
-	for i := range seq.Pairs {
-		if seq.Pairs[i].ARec != par.Pairs[i].ARec || seq.Pairs[i].BRec != par.Pairs[i].BRec {
-			t.Errorf("pair %d representatives diverged", i)
-		}
-	}
-}
-
 // TestSubsampleKeepsContextEndpoints covers the truncation fix: the final
 // output must retain the first and last access of EVERY context — the old
 // tail clip could drop the kept last-accesses of late contexts.

@@ -2,9 +2,6 @@ package hb
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"dcatch/internal/trace"
 )
@@ -43,45 +40,91 @@ type Chunk struct {
 	Graph *Graph
 }
 
-// ChunkWindows returns the canonical [start, end) window list chunked
-// analysis uses for a trace of n records: windows of size records sharing
-// overlap records with their predecessor (overlap defaults to size/4 and is
-// clamped to size-1). Every consumer of the window decomposition —
-// BuildChunked, the streaming analyzer's replay, and the cluster
-// coordinator/worker split — derives its windows from this one function, so
-// their merged reports are byte-identical by construction.
-func ChunkWindows(n, size, overlap int) [][2]int {
+// WindowCutter cuts a growing record stream into the canonical chunk windows:
+// windows of size records, each starting overlap records before its
+// predecessor's end. It is the one statement of the window arithmetic —
+// ChunkWindows runs it to completion, the streaming analyzer's eager mode
+// and the cluster coordinator advance it as records arrive — so every
+// topology agrees on the window list by construction.
+type WindowCutter struct {
+	size, overlap int
+	start         int // open window's first record
+	end           int // end of the last window cut
+	cut           bool
+}
+
+// NewWindowCutter returns a cutter for windows of size records; overlap
+// defaults to size/4 and is clamped to size-1.
+func NewWindowCutter(size, overlap int) *WindowCutter {
 	if overlap <= 0 {
 		overlap = size / 4
 	}
 	if overlap >= size {
 		overlap = size - 1
 	}
-	stride := size - overlap
+	return &WindowCutter{size: size, overlap: overlap}
+}
+
+// Start returns the open window's first record: no later window reaches
+// behind it, so a streaming caller may release everything before it.
+func (c *WindowCutter) Start() int { return c.start }
+
+func (c *WindowCutter) emit(end, next int) [2]int {
+	w := [2]int{c.start, end}
+	c.start, c.end, c.cut = next, end, true
+	return w
+}
+
+// Next returns the next window that has filled within the first n records;
+// call it until ok is false each time n grows.
+func (c *WindowCutter) Next(n int) (w [2]int, ok bool) {
+	if c.start+c.size > n {
+		return w, false
+	}
+	end := c.start + c.size
+	return c.emit(end, end-c.overlap), true
+}
+
+// Flush cuts the open window early at n records (every filled window must
+// already have been taken with Next); ok is false when it is empty. The next
+// window still starts overlap records back, clamped to the flushed window's
+// own start, so the boundary keeps the coverage full windows get.
+func (c *WindowCutter) Flush(n int) (w [2]int, ok bool) {
+	if n == c.start {
+		return w, false
+	}
+	return c.emit(n, max(n-c.overlap, c.start)), true
+}
+
+// Finish returns the tail window of an n-record trace: present iff no window
+// was cut yet (an empty trace is still one window) or the last one ended
+// before n.
+func (c *WindowCutter) Finish(n int) (w [2]int, ok bool) {
+	if c.cut && c.end >= n {
+		return w, false
+	}
+	return c.emit(n, n), true
+}
+
+// ChunkWindows returns the canonical [start, end) window list chunked
+// analysis uses for a trace of n records: the WindowCutter run to n.
+func ChunkWindows(n, size, overlap int) [][2]int {
+	c := NewWindowCutter(size, overlap)
 	var windows [][2]int
-	for start := 0; ; start += stride {
-		end := start + size
-		if end > n {
-			end = n
-		}
-		windows = append(windows, [2]int{start, end})
-		if end >= n {
-			break
-		}
+	for w, ok := c.Next(n); ok; w, ok = c.Next(n) {
+		windows = append(windows, w)
+	}
+	if w, ok := c.Finish(n); ok {
+		windows = append(windows, w)
 	}
 	return windows
 }
 
-// BuildChunked analyzes the trace window by window. Every window must fit
-// the per-window memory budget; window construction failures abort.
-//
-// Windows are fully independent (each gets its own record copy, Graph, and
-// MemBudget), so with Base.Parallelism != 1 they are built concurrently by
-// up to that many workers; each window's own closure then runs sequentially
-// to keep the total worker count at the configured level. The resulting
-// chunk list — and any construction error — is identical to the sequential
-// path's: chunks are placed by window index and the lowest-index failure is
-// reported.
+// BuildChunked builds every window's graph, in window order, and returns them
+// all: the reference the window engine (internal/window) is tested against,
+// structured differently on purpose — all graphs first, then FindChunked
+// scans and merges them — and so alive all at once. Every window must fit
+// the per-window memory budget; the first that does not aborts.
 func BuildChunked(tr *trace.Trace, cfg ChunkConfig) ([]Chunk, error) {
 	if cfg.ChunkSize <= 0 {
 		return nil, fmt.Errorf("hb: chunk size must be positive, got %d", cfg.ChunkSize)
@@ -90,75 +133,21 @@ func BuildChunked(tr *trace.Trace, cfg ChunkConfig) ([]Chunk, error) {
 	defer sp.End()
 	cfg.Base.Obs = sp // per-window hb.build spans nest under this one
 	windows := ChunkWindows(len(tr.Recs), cfg.ChunkSize, cfg.ChunkOverlap)
-
-	buildWindow := func(w [2]int, base Config) (Chunk, error) {
-		sub := &trace.Trace{
-			Program:        tr.Program,
-			Recs:           make([]trace.Rec, w[1]-w[0]),
-			QueueConsumers: tr.QueueConsumers,
-		}
-		copy(sub.Recs, tr.Recs[w[0]:w[1]])
-		g, err := Build(sub, base)
-		if err != nil {
-			return Chunk{}, fmt.Errorf("hb: chunk [%d,%d): %w", w[0], w[1], err)
-		}
-		return Chunk{Start: w[0], Graph: g}, nil
-	}
-
 	sp.Attr("windows", len(windows))
 	sp.Count("hb.chunk_windows", int64(len(windows)))
 
-	p := cfg.Base.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > len(windows) {
-		p = len(windows)
-	}
-	if p <= 1 {
-		chunks := make([]Chunk, 0, len(windows))
-		for _, w := range windows {
-			c, err := buildWindow(w, cfg.Base)
-			if err != nil {
-				return nil, err
-			}
-			chunks = append(chunks, c)
-		}
-		return chunks, nil
-	}
-
-	base := cfg.Base
-	base.Parallelism = 1
-	chunks := make([]Chunk, len(windows))
-	errs := make([]error, len(windows))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < p; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(windows) {
-					return
-				}
-				chunks[i], errs[i] = buildWindow(windows[i], base)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	chunks := make([]Chunk, 0, len(windows))
+	for _, w := range windows {
+		g, err := Build(tr.Window(w[0], w[1]), cfg.Base)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("hb: chunk [%d,%d): %w", w[0], w[1], err)
 		}
+		chunks = append(chunks, Chunk{Start: w[0], Graph: g})
 	}
 	return chunks, nil
 }
 
-// ChunkedMemBytes reports the peak per-window closure footprint. With
-// sequential window construction this is the memory high-water mark of the
-// analysis; with Base.Parallelism > 1 the transient peak is up to that many
-// windows at once.
+// ChunkedMemBytes reports the peak per-window closure footprint.
 func ChunkedMemBytes(chunks []Chunk) int64 {
 	var peak int64
 	for _, c := range chunks {

@@ -3,6 +3,7 @@ package hb
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dcatch/internal/trace"
@@ -47,7 +48,7 @@ func TestChunkWindowsBoundaries(t *testing.T) {
 		want             [][2]int
 	}{
 		// A trace shorter than one window is still one window: the cache
-		// must key the tail exactly as the batch path scans it.
+		// must key the tail exactly as the reference scans it.
 		{"ShorterThanWindow", 7, 100, 10, [][2]int{{0, 7}}},
 		{"ExactlyOneWindow", 100, 100, 10, [][2]int{{0, 100}}},
 		// Zero records still produce one empty window, so every path emits
@@ -87,6 +88,59 @@ func TestChunkWindowsBoundaries(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWindowCutterMatchesChunkWindows: however the records arrive — one at a
+// time, in random batches, all at once — the cutter yields exactly
+// ChunkWindows' list, and that list is the closed-form loop chunked analysis
+// was first written as.
+func TestWindowCutterMatchesChunkWindows(t *testing.T) {
+	closedForm := func(n, size, overlap int) [][2]int {
+		if overlap <= 0 {
+			overlap = size / 4
+		}
+		if overlap >= size {
+			overlap = size - 1
+		}
+		var windows [][2]int
+		for start := 0; ; start += size - overlap {
+			end := min(start+size, n)
+			windows = append(windows, [2]int{start, end})
+			if end >= n {
+				return windows
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	for iter := 0; iter < 2000; iter++ {
+		n, size := rng.Intn(400), 1+rng.Intn(60)
+		overlap := rng.Intn(size+10) - 5
+		want := ChunkWindows(n, size, overlap)
+		if ref := closedForm(n, size, overlap); !reflect.DeepEqual(want, ref) {
+			t.Fatalf("ChunkWindows(%d,%d,%d) = %v, closed form %v", n, size, overlap, want, ref)
+		}
+		c := NewWindowCutter(size, overlap)
+		var got [][2]int
+		maxBatch := 1 + rng.Intn(3*size)
+		for fed := 0; fed < n; {
+			fed = min(fed+1+rng.Intn(maxBatch), n)
+			for w, ok := c.Next(fed); ok; w, ok = c.Next(fed) {
+				if w[1] > fed {
+					t.Fatalf("window %v cut with only %d records fed", w, fed)
+				}
+				got = append(got, w)
+			}
+			if c.Start() > fed {
+				t.Fatalf("open window starts at %d with only %d records fed", c.Start(), fed)
+			}
+		}
+		if w, ok := c.Finish(n); ok {
+			got = append(got, w)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d size=%d overlap=%d: cutter %v, ChunkWindows %v", n, size, overlap, got, want)
+		}
 	}
 }
 

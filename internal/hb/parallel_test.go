@@ -84,51 +84,6 @@ func TestEserialParallelScan(t *testing.T) {
 
 func queueN(q int) string { return map[int]string{0: "n/q0", 1: "n/q1", 2: "n/q2"}[q] }
 
-// TestBuildChunkedParallelMatchesSequential checks window-level parallelism
-// produces the same chunk list.
-func TestBuildChunkedParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tr := randomTrace(rng, 500)
-	seq, err := BuildChunked(tr, ChunkConfig{Base: Config{Parallelism: 1}, ChunkSize: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := BuildChunked(tr, ChunkConfig{Base: Config{Parallelism: 8}, ChunkSize: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("chunk counts diverged: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].Start != par[i].Start || seq[i].Graph.N() != par[i].Graph.N() {
-			t.Fatalf("chunk %d shape diverged", i)
-		}
-		for v := 0; v < seq[i].Graph.N(); v++ {
-			if !seq[i].Graph.reach[v].Equal(par[i].Graph.reach[v]) {
-				t.Fatalf("chunk %d reach[%d] diverged", i, v)
-			}
-		}
-	}
-}
-
-// TestBuildChunkedParallelReportsFirstError checks the parallel path reports
-// the same (lowest-window) failure as the sequential one.
-func TestBuildChunkedParallelReportsFirstError(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	tr := randomTrace(rng, 300)
-	cfgSeq := ChunkConfig{Base: Config{Parallelism: 1, MemBudget: 64}, ChunkSize: 60}
-	cfgPar := ChunkConfig{Base: Config{Parallelism: 8, MemBudget: 64}, ChunkSize: 60}
-	_, errSeq := BuildChunked(tr, cfgSeq)
-	_, errPar := BuildChunked(tr, cfgPar)
-	if errSeq == nil || errPar == nil {
-		t.Fatalf("expected OOM, got seq=%v par=%v", errSeq, errPar)
-	}
-	if errSeq.Error() != errPar.Error() {
-		t.Fatalf("error messages diverged:\nseq: %v\npar: %v", errSeq, errPar)
-	}
-}
-
 // TestConcurrentOrderedAgrees cross-checks the unchecked fast path against
 // Concurrent over every valid ordered pair.
 func TestConcurrentOrderedAgrees(t *testing.T) {

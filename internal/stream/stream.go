@@ -1,9 +1,8 @@
 // Package stream analyzes a trace while it is still being written: records
 // are appended one at a time (typically straight off trace.StreamDecoder),
 // provisional candidates are emitted long before the trace ends, and
-// Finish() produces a report byte-identical to the batch trace-analysis
-// pipeline over the same records — the batch path stays the differential
-// oracle (DESIGN.md §15).
+// Finish() produces a report byte-identical to hb.Build + detect.Find over
+// the same records (DESIGN.md §15).
 //
 // Two modes share the Analyzer:
 //
@@ -19,15 +18,16 @@
 //     provisional pair the final report does not confirm.
 //
 //   - Eager windowed (Eager with ChunkSize > 0): windows are analyzed the
-//     moment they fill — the streaming form of the chunked fallback — and
-//     records behind the current window are released, bounding live memory
-//     to roughly one window. Finish is then byte-identical to
-//     hb.BuildChunked + detect.FindChunked over the same window list
-//     (Windows() exposes it, so manual Flush boundaries stay testable).
+//     moment they fill — the window engine (internal/window) fed from the
+//     wire — and records behind the current window are released, bounding
+//     live memory to roughly one window. Finish is then byte-identical to
+//     the reference, hb.BuildChunked + detect.FindChunked, over the same
+//     window list (Windows() exposes it, so manual Flush boundaries stay
+//     testable).
 //
 // Flush never changes what Finish returns: in non-eager mode it is a pure
 // checkpoint, in eager mode it only closes the current window early — a
-// boundary the batch chunked oracle can replicate.
+// boundary the reference can replicate.
 package stream
 
 import (
@@ -217,6 +217,9 @@ func (a *Analyzer) Trace() *trace.Trace { return a.tr }
 func (a *Analyzer) SetSpans(sp *obs.Span) {
 	a.opts.HB.Obs = sp
 	a.opts.Detect.Obs = sp
+	if a.win != nil {
+		a.win.eng = a.win.eng.Under(sp)
+	}
 }
 
 // Append feeds one record into the pipeline.
@@ -307,7 +310,7 @@ func (a *Analyzer) AppendTrace(tr *trace.Trace) {
 }
 
 // Flush checkpoints the stream at the current record. In eager mode it
-// closes the open window early (a chunk boundary the batch oracle can
+// closes the open window early (a chunk boundary the reference can
 // replicate via Windows()); in non-eager mode it only emits EventFlush —
 // Finish's output never depends on flush placement.
 func (a *Analyzer) Flush() {
@@ -384,8 +387,8 @@ func (a *Analyzer) logf(format string, args ...any) {
 // the authoritative batch engine runs over the accumulated trace —
 // byte-identical to core.AnalyzeTrace's trace-analysis stage by
 // construction — and provisional candidates it does not confirm are
-// retracted. Eager: the tail window is closed (exactly when the batch
-// window arithmetic would have one) and the merged report is returned.
+// retracted. Eager: the tail window is closed (exactly when hb.ChunkWindows
+// would have one) and the merged report is returned.
 // Finish is idempotent.
 func (a *Analyzer) Finish() *Result {
 	if a.done != nil {

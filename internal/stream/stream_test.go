@@ -8,6 +8,7 @@ import (
 	"dcatch/internal/bench"
 	"dcatch/internal/detect"
 	"dcatch/internal/hb"
+	"dcatch/internal/obs"
 	"dcatch/internal/stream"
 	"dcatch/internal/trace"
 )
@@ -174,7 +175,7 @@ func TestStreamProvisionalCoversFinal(t *testing.T) {
 	}
 }
 
-// Eager mode with no manual flush must reproduce the batch chunked pipeline
+// Eager mode with no manual flush must reproduce the reference
 // (hb.BuildChunked + detect.FindChunked) byte for byte, window list included.
 func TestStreamEagerMatchesBatchChunked(t *testing.T) {
 	for _, backend := range []hb.Backend{hb.BackendDense, hb.BackendChain} {
@@ -333,6 +334,72 @@ func TestStreamFallbackMatchesBatchChunked(t *testing.T) {
 	if res := an.Finish(); !res.OOM || !res.Chunked || res.Err == nil {
 		t.Fatal("expected chunked OOM result")
 	}
+}
+
+// A failed window stops the replay: with window 0 over budget and every
+// later window under it, at most HB.Parallelism further windows are built
+// before the error is returned, and the error is the reference's.
+func TestStreamReplayStopsAfterFailedWindow(t *testing.T) {
+	// Window 0 has one chain per record, the rest of the trace two chains in
+	// all, so a chain-index budget between the two refuses only window 0.
+	const chunk, n = 128, 2200
+	c := trace.NewCollector("wide-head")
+	for i := 0; i < n; i++ {
+		th := int32(1 + i%2)
+		if i < chunk {
+			th = int32(10 + i)
+		}
+		c.Emit(trace.Rec{Node: "n", Thread: th, Ctx: th, CtxKind: trace.CtxRegular,
+			Kind: trace.KMemWrite, Obj: "n/x", StaticID: int32(i % 7), Stack: []int32{int32(i % 5)}})
+	}
+	tr := c.Trace()
+	hcfg := hb.Config{ReachBackend: hb.BackendChain}
+	windows := hb.ChunkWindows(n, chunk, 1)
+	if len(windows) < 16 {
+		t.Fatalf("only %d windows", len(windows))
+	}
+	for _, wn := range windows[1:] {
+		g, err := hb.Build(tr.Window(wn[0], wn[1]), hb.Config{ReachBackend: hb.BackendChain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hcfg.MemBudget = max(hcfg.MemBudget, 2*g.MemBytes())
+	}
+	_, want := hb.BuildChunked(tr, hb.ChunkConfig{Base: hcfg, ChunkSize: chunk, ChunkOverlap: 1})
+	if want == nil {
+		t.Fatal("the reference built window 0")
+	}
+	for _, p := range []int{1, 4} {
+		rec := obs.New()
+		sp := rec.Span("test")
+		cfg := hcfg
+		cfg.Parallelism, cfg.Obs = p, sp
+		an := stream.New(stream.Options{HB: cfg, ChunkSize: chunk, ChunkOverlap: 1})
+		an.AppendTrace(tr)
+		res := an.Finish()
+		sp.End()
+		if !res.OOM || !res.Chunked || res.Err == nil || res.Err.Error() != want.Error() {
+			t.Fatalf("p=%d: result %+v, want chunked OOM %q", p, res, want)
+		}
+		built := countSpans(rec.Spans(0), "hb.build")
+		if built > p {
+			t.Errorf("p=%d: %d of %d windows built after window 0 failed, want at most %d", p, built, len(windows)-1, p)
+		}
+		if p > 1 && built == 0 {
+			t.Errorf("p=%d: no window was built; the later windows do not fit the budget either", p)
+		}
+	}
+}
+
+func countSpans(spans []obs.SpanData, name string) int {
+	n := 0
+	for _, s := range spans {
+		if s.Name == name {
+			n++
+		}
+		n += countSpans(s.Children, name)
+	}
+	return n
 }
 
 // Eager mode propagates a window budget failure as a chunked OOM with the

@@ -1,366 +1,156 @@
 package stream
 
 import (
-	"fmt"
 	"runtime"
 
-	"dcatch/internal/detect"
 	"dcatch/internal/hb"
-	"dcatch/internal/scancache"
 	"dcatch/internal/trace"
+	"dcatch/internal/window"
 )
 
-// winCached wraps the optional window-scan cache for both window engines
-// (eager and replay). probe/store are no-ops when no cache is configured or
-// when the options carry state outside the wire-expressible key subset.
-type winCached struct {
-	cache *scancache.Cache
-	spec  scancache.Spec
-	on    bool
-}
-
-func newWinCached(cache *scancache.Cache, hcfg hb.Config, dopts detect.Options) winCached {
-	if cache == nil {
-		return winCached{}
-	}
-	spec, ok := scancache.SpecFor(hcfg, dopts)
-	return winCached{cache: cache, spec: spec, on: ok}
-}
-
-// probe looks the window up by its record content. A hit returns a freshly
-// decoded scan — ChunkMerger.Merge rebases scans in place, so cached bytes
-// must be decoded per use, never shared between merges. A payload that
-// fails the decoder is discarded from the cache and reported as a miss.
-func (wc winCached) probe(sub *trace.Trace) (key scancache.Key, ws detect.WindowScan, ent scancache.Entry, hit bool) {
-	if !wc.on {
-		return key, ws, ent, false
-	}
-	key = wc.spec.KeyTrace(sub)
-	ent, ok := wc.cache.Get(key)
-	if !ok {
-		return key, ws, scancache.Entry{}, false
-	}
-	ws, err := detect.DecodeWindowScan(ent.Payload)
-	if err != nil {
-		wc.cache.Discard(key)
-		return key, detect.WindowScan{}, scancache.Entry{}, false
-	}
-	return key, ws, ent, true
-}
-
-// store persists a freshly scanned window. ws must not yet have passed
-// through Merge (which rebases its record indices in place) — callers
-// encode first, merge after.
-func (wc winCached) store(key scancache.Key, ws detect.WindowScan, g *hb.Graph, records int) {
-	if !wc.on {
-		return
-	}
-	wc.cache.Put(key, scancache.Entry{
-		Payload:  ws.Encode(),
-		Backend:  g.Backend().String(),
-		MemBytes: g.MemBytes(),
-		Records:  records,
-	})
-}
-
-// Eager windowed analysis: the streaming form of the chunked fallback
-// (hb.BuildChunked + detect.FindChunked). Windows close the moment they
-// fill — or early, at a manual Flush — and are built, scanned and merged on
-// arrival; records behind the next window's start are then released, so live
-// memory stays around one window plus its graph no matter how long the
-// stream runs.
+// Eager windowed analysis: windows close the moment they fill — or early, at
+// a manual Flush — and are scanned (window.Engine) and folded on arrival;
+// records behind the next window's start are then released, so live memory
+// stays around one window plus its graph no matter how long the stream runs.
 //
-// Window arithmetic replicates BuildChunked exactly: overlap defaults to
-// ChunkSize/4 and is clamped to ChunkSize-1, a full window [start,
-// start+ChunkSize) is followed by one starting at end-overlap, and the tail
-// window is closed at Finish iff no window has closed yet or the last one
-// ended before the final record count — the streaming restatement of the
-// batch loop's `if end >= n break`. With no manual Flush the closed-window
-// list is therefore the batch list, and since each window is analyzed by the
-// same Build/scan/merge code, Finish is byte-identical to the batch chunked
-// path. Manual Flush inserts a boundary the batch oracle reproduces by
-// chunking over Windows().
-
+// The window list comes from hb.WindowCutter, so with no manual Flush it is
+// hb.ChunkWindows' list and Finish is byte-identical to the chunked replay.
+// Manual Flush inserts a boundary the reference reproduces by chunking over
+// Windows().
 type windowed struct {
-	a       *Analyzer
-	size    int
-	overlap int
+	a   *Analyzer
+	cut *hb.WindowCutter
 
-	start   int // open window's start, full-trace index
 	bufBase int // full-trace index of buf[0]
 	buf     []trace.Rec
 
-	merger *detect.ChunkMerger
-	wc     winCached
+	eng    *window.Engine
+	fold   *window.Fold
 	closed [][2]int
-
-	peakGraph int64
-	backend   string
-	err       error
 }
 
 func newWindowed(a *Analyzer) *windowed {
-	overlap := a.opts.ChunkOverlap
-	if overlap <= 0 {
-		overlap = a.opts.ChunkSize / 4
-	}
-	if overlap >= a.opts.ChunkSize {
-		overlap = a.opts.ChunkSize - 1
-	}
 	return &windowed{
-		a:       a,
-		size:    a.opts.ChunkSize,
-		overlap: overlap,
-		merger:  detect.NewChunkMerger(a.opts.Detect),
-		wc:      newWinCached(a.opts.Cache, a.opts.HB, a.opts.Detect),
+		a:    a,
+		cut:  hb.NewWindowCutter(a.opts.ChunkSize, a.opts.ChunkOverlap),
+		eng:  window.New(a.opts.HB, a.opts.Detect, a.opts.Cache),
+		fold: window.NewFold(a.opts.Detect),
 	}
 }
 
 func (w *windowed) append(r trace.Rec) {
-	if w.err != nil {
+	if w.fold.Err != nil {
 		return // analysis already failed; the result is OOM regardless
 	}
 	w.buf = append(w.buf, r)
-	if count := w.bufBase + len(w.buf); count == w.start+w.size {
-		w.close(count, count-w.overlap)
+	if wn, ok := w.cut.Next(w.bufBase + len(w.buf)); ok {
+		w.close(wn)
 	}
 }
 
-// flush closes the open window early. The next window still starts overlap
-// records back (clamped to the closed window's own start), preserving the
-// boundary-spanning coverage full windows get.
+// flush closes the open window early.
 func (w *windowed) flush() {
-	count := w.bufBase + len(w.buf)
-	if w.err != nil || count == w.start {
+	if w.fold.Err != nil {
 		return
 	}
-	next := count - w.overlap
-	if next < w.start {
-		next = w.start
+	if wn, ok := w.cut.Flush(w.bufBase + len(w.buf)); ok {
+		w.close(wn)
 	}
-	w.close(count, next)
 }
 
-// close analyzes the open window [w.start, end), releases records behind
-// next, and opens the next window there.
-func (w *windowed) close(end, next int) {
-	// The cache probe hashes a zero-copy view of the live buffer; the probe
-	// finishes before the copy-down below touches it, so nothing races. The
-	// record copy — needed because the buffer is released right after — is
-	// paid only when the window actually has to be built.
-	sub := &trace.Trace{
+// close analyzes the window the cutter just cut and releases the records
+// behind the next window's start.
+func (w *windowed) close(wn [2]int) {
+	// The engine reads a zero-copy view of the live buffer and is done with
+	// it before the copy-down below touches it.
+	view := &trace.Trace{
 		Program:        w.a.tr.Program,
-		Recs:           w.buf[w.start-w.bufBase : end-w.bufBase],
+		Recs:           w.buf[wn[0]-w.bufBase : wn[1]-w.bufBase],
 		QueueConsumers: w.a.tr.QueueConsumers,
 	}
-	var ws detect.WindowScan
-	var gm int64
-	var be string
-	key, cws, ent, hit := w.wc.probe(sub)
-	if hit {
-		// A cached entry under this key was produced by a build with the
-		// same MemBudget that succeeded; admission is deterministic, so
-		// skipping the build cannot hide an OOM this run would have hit.
-		ws, gm, be = cws, ent.MemBytes, ent.Backend
-	} else {
-		sub.Recs = append([]trace.Rec(nil), sub.Recs...)
-		g, err := hb.Build(sub, w.a.opts.HB)
-		if err != nil {
-			w.err = fmt.Errorf("hb: chunk [%d,%d): %w", w.start, end, err)
-			w.buf = nil
-			return
-		}
-		ws = w.merger.ScanWindow(g, false)
-		gm, be = g.MemBytes(), g.Backend().String()
-		w.wc.store(key, ws, g, len(sub.Recs))
+	res, err := w.eng.Scan(view, wn[0], wn[1])
+	added := w.fold.Add(res, err, wn[0])
+	if err != nil {
+		w.buf = nil
+		return
 	}
-	if len(w.closed) == 0 {
-		w.backend = be
-	}
-	if gm > w.peakGraph {
-		w.peakGraph = gm
-	}
-	w.a.notePeak(gm)
-	added := w.merger.Merge(ws, w.start)
-	w.closed = append(w.closed, [2]int{w.start, end})
-	w.a.emit(Event{Kind: EventWindow, Records: end,
-		WindowStart: w.start, WindowEnd: end, Added: added})
+	w.a.notePeak(res.MemBytes)
+	w.closed = append(w.closed, wn)
+	w.a.emit(Event{Kind: EventWindow, Records: wn[1],
+		WindowStart: wn[0], WindowEnd: wn[1], Added: added})
 
-	// Release everything behind the next window's start; the copy-down
-	// keeps the backing array at one window plus overlap.
-	if drop := next - w.bufBase; drop > 0 {
+	// The copy-down keeps the backing array at one window plus overlap.
+	if drop := w.cut.Start() - w.bufBase; drop > 0 {
 		n := copy(w.buf, w.buf[drop:])
 		w.buf = w.buf[:n]
-		w.bufBase = next
+		w.bufBase += drop
 	}
-	w.start = next
 }
 
 func (w *windowed) finish() *Result {
-	n := w.a.count
-	if w.err == nil {
-		// Tail guard: the batch loop always emits at least one window, and
-		// emits a tail iff the previous window ended before n.
-		if len(w.closed) == 0 || w.closed[len(w.closed)-1][1] < n {
-			w.close(n, n)
+	if w.fold.Err == nil {
+		if wn, ok := w.cut.Finish(w.a.count); ok {
+			w.close(wn)
 		}
 	}
-	if w.err != nil {
-		return &Result{OOM: true, Err: w.err, Chunked: true}
+	return windowedResult(w.fold, w.a.count)
+}
+
+func windowedResult(fold *window.Fold, records int) *Result {
+	if fold.Err != nil {
+		return &Result{OOM: true, Err: fold.Err, Chunked: true}
 	}
 	return &Result{
-		Report:     w.merger.Report(),
+		Report:     fold.Report(),
 		Chunked:    true,
-		HBVertices: n,
-		HBMemBytes: w.peakGraph,
-		Backend:    w.backend,
+		HBVertices: records,
+		HBMemBytes: fold.PeakBytes,
+		Backend:    fold.Backend,
 	}
 }
 
-// batchWindows computes hb.BuildChunked's window list for n records.
-func batchWindows(n, size, overlap int) [][2]int {
-	return hb.ChunkWindows(n, size, overlap)
-}
-
-// replayWindows is the non-eager fallback: the accumulated trace is replayed
-// through the same window engine the eager mode uses, producing the bytes
-// hb.BuildChunked + detect.FindChunked would. Windows flow through a bounded
-// ordered pipeline — up to HB.Parallelism in flight, each worker building
-// its window's graph and scanning it single-threaded (FindChunked's
-// window-level sharding), the merge folding results in window order — so at
-// most that many window graphs are ever alive at once, which is the same
-// transient peak BuildChunked documents.
+// replayWindows is the non-eager fallback: the accumulated trace is cut by
+// hb.ChunkWindows and each window scanned from a zero-copy view by the same
+// engine the eager mode uses. Windows flow through a bounded ordered
+// pipeline: up to HB.Parallelism are in flight ahead of the fold, which
+// takes them in window order, so at most that many window graphs are alive
+// at once and the report does not depend on which scan finishes first. Once
+// a window has failed no further one is launched.
 func (a *Analyzer) replayWindows() *Result {
 	cfg := a.opts.HB
 	bsp := cfg.Obs.Child("hb.build_chunked")
 	cfg.Obs = bsp
-	windows := batchWindows(len(a.tr.Recs), a.opts.ChunkSize, a.opts.ChunkOverlap)
+	windows := hb.ChunkWindows(len(a.tr.Recs), a.opts.ChunkSize, a.opts.ChunkOverlap)
 	bsp.Attr("windows", len(windows))
 	bsp.Count("hb.chunk_windows", int64(len(windows)))
-
-	merger := detect.NewChunkMerger(a.opts.Detect)
-	wc := newWinCached(a.opts.Cache, a.opts.HB, a.opts.Detect)
-	subFor := func(wn [2]int) *trace.Trace {
-		sub := &trace.Trace{
-			Program:        a.tr.Program,
-			Recs:           make([]trace.Rec, wn[1]-wn[0]),
-			QueueConsumers: a.tr.QueueConsumers,
-		}
-		copy(sub.Recs, a.tr.Recs[wn[0]:wn[1]])
-		return sub
-	}
-	build := func(wn [2]int, sub *trace.Trace, base hb.Config) (*hb.Graph, error) {
-		g, err := hb.Build(sub, base)
-		if err != nil {
-			return nil, fmt.Errorf("hb: chunk [%d,%d): %w", wn[0], wn[1], err)
-		}
-		return g, nil
-	}
 
 	p := cfg.Parallelism
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	if p > len(windows) {
-		p = len(windows)
+	eng := window.New(cfg, a.opts.Detect, a.opts.Cache)
+	fold := window.NewFold(a.opts.Detect)
+	type scanOut struct {
+		res window.Result
+		err error
 	}
-
-	var ferr error
-	var peak int64
-	var backend string
-	if p <= 1 {
-		for _, wn := range windows {
-			// Probe on a zero-copy window view (the accumulated trace is
-			// immutable during replay); copy the records only for windows
-			// that actually get built.
-			var ws detect.WindowScan
-			var mem int64
-			var be string
-			key, cws, ent, hit := wc.probe(a.tr.Window(wn[0], wn[1]))
-			if hit {
-				ws, mem, be = cws, ent.MemBytes, ent.Backend
-			} else {
-				g, err := build(wn, subFor(wn), cfg)
-				if err != nil {
-					ferr = err
-					break
-				}
-				ws = merger.ScanWindow(g, false)
-				mem, be = g.MemBytes(), g.Backend().String()
-				wc.store(key, ws, g, wn[1]-wn[0])
-			}
-			if backend == "" {
-				backend = be
-			}
-			if mem > peak {
-				peak = mem
-			}
-			merger.Merge(ws, wn[0])
+	scans := make([]chan scanOut, len(windows))
+	launched := 0
+	for i, wn := range windows {
+		for ; launched < len(windows) && launched < i+p && fold.Err == nil; launched++ {
+			out, lw := make(chan scanOut, 1), windows[launched]
+			scans[launched] = out
+			go func() {
+				res, err := eng.Scan(a.tr.Window(lw[0], lw[1]), lw[0], lw[1])
+				out <- scanOut{res, err}
+			}()
 		}
-	} else {
-		base := cfg
-		base.Parallelism = 1
-		type scanOut struct {
-			ws  detect.WindowScan
-			mem int64
-			be  string
-			err error
+		if i == launched {
+			break
 		}
-		scans := make([]chan scanOut, len(windows))
-		for i := range scans {
-			scans[i] = make(chan scanOut, 1)
-		}
-		sem := make(chan struct{}, p)
-		go func() {
-			for i, wn := range windows {
-				sem <- struct{}{}
-				go func(i int, wn [2]int) {
-					defer func() { <-sem }()
-					key, cws, ent, hit := wc.probe(a.tr.Window(wn[0], wn[1]))
-					if hit {
-						scans[i] <- scanOut{ws: cws, mem: ent.MemBytes, be: ent.Backend}
-						return
-					}
-					g, err := build(wn, subFor(wn), base)
-					if err != nil {
-						scans[i] <- scanOut{err: err}
-						return
-					}
-					ws := merger.ScanWindow(g, true)
-					wc.store(key, ws, g, wn[1]-wn[0])
-					scans[i] <- scanOut{ws: ws, mem: g.MemBytes(), be: g.Backend().String()}
-				}(i, wn)
-			}
-		}()
-		for i := range windows {
-			out := <-scans[i]
-			if out.err != nil {
-				if ferr == nil {
-					ferr = out.err
-				}
-				continue
-			}
-			if ferr != nil {
-				continue
-			}
-			if backend == "" {
-				backend = out.be
-			}
-			if out.mem > peak {
-				peak = out.mem
-			}
-			merger.Merge(out.ws, windows[i][0])
-		}
+		out := <-scans[i]
+		fold.Add(out.res, out.err, wn[0])
 	}
 	bsp.End()
-	if ferr != nil {
-		return &Result{OOM: true, Err: ferr, Chunked: true}
-	}
-	return &Result{
-		Report:     merger.Report(),
-		Chunked:    true,
-		HBVertices: len(a.tr.Recs),
-		HBMemBytes: peak,
-		Backend:    backend,
-	}
+	return windowedResult(fold, len(a.tr.Recs))
 }

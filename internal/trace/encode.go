@@ -26,10 +26,13 @@ const (
 	version = 1
 )
 
+// writeUvarint writes v byte by byte: a scratch array handed to w.Write
+// escapes to the heap, one allocation per varint.
 func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+	for ; v >= 0x80; v >>= 7 {
+		w.WriteByte(byte(v) | 0x80)
+	}
+	w.WriteByte(byte(v))
 }
 
 func writeString(w *bufio.Writer, s string) {
@@ -110,8 +113,21 @@ func (t *Trace) Encode() []byte {
 	return buf.Bytes()
 }
 
-// EncodedSize returns the binary size in bytes (Tables 6 and 8).
-func (t *Trace) EncodedSize() int { return len(t.Encode()) }
+// countingWriter counts the bytes written to it and keeps none.
+type countingWriter int
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
+}
+
+// EncodedSize returns the binary size in bytes (Tables 6 and 8) without
+// materializing the encoding.
+func (t *Trace) EncodedSize() int {
+	var n countingWriter
+	t.EncodeTo(&n) // countingWriter.Write cannot fail
+	return int(n)
+}
 
 type reader struct {
 	r   *bufio.Reader
