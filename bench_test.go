@@ -8,13 +8,11 @@
 package main
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
 	"dcatch/internal/bench"
 	"dcatch/internal/core"
-	"dcatch/internal/detect"
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/subjects"
@@ -189,45 +187,6 @@ func BenchmarkTriggerPlacementAnalyzed(b *testing.B) {
 // confirms via the "confirmed" metric.
 func BenchmarkTriggerPlacementNaive(b *testing.B) {
 	benchmarkPlacement(b, true)
-}
-
-// BenchmarkParallelSpeedup runs the full chunked trace-analysis pipeline
-// (HB closure + candidate detection) on a ~100k-record synthetic trace, once
-// on the sequential reference path and once with all CPUs, and reports the
-// wall-clock ratio as the "speedup" metric. It fails if the two reports are
-// not byte-identical. On a multi-core runner the ratio should track the core
-// count; on one core it degenerates to ~1.0 by construction.
-func BenchmarkParallelSpeedup(b *testing.B) {
-	const records = 100_000
-	const chunkSize = 8000
-	tr := bench.SyntheticTrace(records, 42)
-	run := func(p int) (string, time.Duration) {
-		start := time.Now()
-		chunks, err := hb.BuildChunked(tr, hb.ChunkConfig{
-			Base: hb.Config{Parallelism: p}, ChunkSize: chunkSize,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep := detect.FindChunked(chunks, detect.Options{Parallelism: p})
-		return rep.Format(nil), time.Since(start)
-	}
-	var seqTotal, parTotal time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seqOut, seqDur := run(1)
-		parOut, parDur := run(0)
-		if seqOut != parOut {
-			b.Fatal("parallel report diverged from sequential")
-		}
-		seqTotal += seqDur
-		parTotal += parDur
-	}
-	b.StopTimer()
-	if parTotal > 0 {
-		b.ReportMetric(float64(seqTotal)/float64(parTotal), "speedup")
-	}
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
 }
 
 // BenchmarkObsOverhead measures the cost of the observability layer on the

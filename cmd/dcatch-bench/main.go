@@ -1,22 +1,14 @@
 // Command dcatch-bench regenerates the DCatch paper's evaluation tables
-// (Tables 3–9) against the mini subject systems, and measures the parallel
-// trace-analysis pipeline.
+// (Tables 3–9) against the mini subject systems, and runs the streaming,
+// service, cluster and incremental sweeps.
 //
 // Usage:
 //
 //	dcatch-bench                       # all tables
 //	dcatch-bench -table 5              # one table
-//	dcatch-bench -bench-json           # measure the pipeline, write BENCH_pipeline.json
-//	dcatch-bench -records 50000        # backend scaling smoke: exit 1 if reports diverge
-//	dcatch-bench -detect-records 50000 # scan-mode smoke over all three engines on both
-//	                                   # backends: exit 1 if reports diverge, the interval
-//	                                   # scan shows no HB-query win, the epoch sweep issues
-//	                                   # any HB query, or epoch is slower than interval
 //	dcatch-bench -stream-records 50000 # streaming smoke: time-to-first-candidate and peak
 //	                                   # live memory vs batch; exit 1 if a streaming report
 //	                                   # diverges from its batch oracle
-//	dcatch-bench -bench-json -records 100000,300000,1000000 -detect-records 10000,50000,100000
-//	                                   # pipeline + sweeps in one file
 //	dcatch-bench -serve-load           # closed-loop load run against an in-process
 //	                                   # dcatch-serve, write BENCH_serve.json
 //	dcatch-bench -serve-load -serve-url http://host:8080
@@ -52,7 +44,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -68,17 +59,9 @@ import (
 
 func main() {
 	var (
-		table     = flag.Int("table", 0, "render only this table (3-9); 0 = all")
-		benchJSON = flag.Bool("bench-json", false, "run the synthetic pipeline benchmark and write its JSON result")
-		jsonOut   = flag.String("bench-json-out", "BENCH_pipeline.json", "with -bench-json: output path")
-		records   = flag.Int("bench-records", 100_000, "with -bench-json: synthetic trace length")
-		chunkSize = flag.Int("bench-chunk", 8000, "with -bench-json: analysis window size in records")
-		parallel  = flag.Int("parallel", 0, "pipeline workers for -bench-json: 0 = all CPUs")
-		sweep     = flag.String("records", "", "comma-separated trace sizes for the backend memory-scaling sweep (dense vs chain at parallelism 1 and 8); exits 1 if any report diverges")
-		budget    = flag.Int64("bench-budget", 2<<30, "with -records: analysis memory budget in bytes")
-		detSweep  = flag.String("detect-records", "", "comma-separated trace sizes for the detect scan-mode sweep (quadratic vs interval vs epoch, both backends); exits 1 on report divergence, a missing interval query win, a querying epoch sweep, or epoch losing to interval on wall time")
-		strSweep  = flag.String("stream-records", "", "comma-separated trace sizes for the streaming sweep (time-to-first-candidate and peak live memory, streaming vs batch); exits 1 if a streaming report diverges from its batch oracle")
-		version   = flag.Bool("version", false, "print the tool version and exit")
+		table    = flag.Int("table", 0, "render only this table (3-9); 0 = all")
+		strSweep = flag.String("stream-records", "", "comma-separated trace sizes for the streaming sweep (time-to-first-candidate and peak live memory, streaming vs batch); exits 1 if a streaming report diverges from its batch oracle")
+		version  = flag.Bool("version", false, "print the tool version and exit")
 
 		serveLoad    = flag.Bool("serve-load", false, "run the closed-loop service load benchmark and write its JSON result")
 		serveURL     = flag.String("serve-url", "", "with -serve-load: target a running dcatch-serve; empty starts one in-process")
@@ -146,120 +129,16 @@ func main() {
 		}
 		return
 	}
-	if *benchJSON || *sweep != "" || *detSweep != "" || *strSweep != "" {
-		file := &bench.BenchFile{SchemaVersion: 5}
-		var pipeErr error
-		if *benchJSON {
-			p := *parallel
-			if p <= 0 {
-				p = runtime.GOMAXPROCS(0)
-			}
-			res, err := bench.RunPipelineBench(*records, *chunkSize, p, 42)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			file.Pipeline = res
-			fmt.Printf("pipeline: %d records, window %d, %s scan, %d candidates, identical=%v\n",
-				res.Records, res.ChunkSize, res.ScanMode, res.Candidates, res.Identical)
-			for _, br := range res.Backends {
-				fmt.Printf("  %s: seq(p=%d) %.1fms (build %.1f + detect %.1f), quad detect %.1fms, par(p=%d) %.1fms, speedup %.2fx, detect_speedup %.2fx, peak reach %.1fMB\n",
-					br.Backend, res.SeqParallelism, br.SeqBuildMs+br.SeqDetectMs, br.SeqBuildMs, br.SeqDetectMs,
-					br.QuadDetectMs, res.ParParallelism, br.ParBuildMs+br.ParDetectMs,
-					br.Speedup, br.DetectSpeedup, float64(br.PeakReachBytes)/(1<<20))
-				if br.Speedup < 1 {
-					fmt.Fprintf(os.Stderr, "WARNING: %s parallel leg (%d workers) slower than sequential leg: %.1fms vs %.1fms\n",
-						br.Backend, res.ParParallelism,
-						br.ParBuildMs+br.ParDetectMs, br.SeqBuildMs+br.SeqDetectMs)
-				}
-				// The hard failure threshold carries a noise allowance: the
-				// engines' difference at the emission floor is smaller than
-				// scheduler jitter on a busy host, so only a material loss
-				// (>10%) fails the run.
-				if br.DetectSpeedup < 0.9 && pipeErr == nil {
-					pipeErr = fmt.Errorf("%s parallel epoch detect (%.1fms) lost to the quadratic oracle (%.1fms)",
-						br.Backend, br.ParDetectMs, br.QuadDetectMs)
-				}
-			}
+	if *strSweep != "" {
+		sizes, err := parseSizes(*strSweep)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
-		var sweepErr error
-		if *sweep != "" {
-			sizes, err := parseSizes(*sweep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			logf := func(format string, args ...any) {
-				fmt.Printf("scaling: "+format+"\n", args...)
-			}
-			file.Scaling, sweepErr = bench.RunScalingSweep(sizes, *budget, 42, logf)
-			if file.Scaling == nil {
-				fmt.Fprintln(os.Stderr, sweepErr)
-				os.Exit(1)
-			}
-		}
-		var detErr error
-		if *detSweep != "" {
-			sizes, err := parseSizes(*detSweep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			logf := func(format string, args ...any) {
-				fmt.Printf("detect: "+format+"\n", args...)
-			}
-			file.DetectScaling, detErr = bench.RunDetectSweep(sizes, 42, logf)
-			if file.DetectScaling == nil {
-				fmt.Fprintln(os.Stderr, detErr)
-				os.Exit(1)
-			}
-		}
-		var strErr error
-		if *strSweep != "" {
-			sizes, err := parseSizes(*strSweep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			logf := func(format string, args ...any) {
-				fmt.Printf("stream: "+format+"\n", args...)
-			}
-			file.Stream, strErr = bench.RunStreamSweep(sizes, 42, logf)
-			if file.Stream == nil {
-				fmt.Fprintln(os.Stderr, strErr)
-				os.Exit(1)
-			}
-		}
-		if *benchJSON {
-			buf, err := file.JSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("result written to %s\n", *jsonOut)
-		}
-		if file.Pipeline != nil && !file.Pipeline.Identical {
-			fmt.Fprintln(os.Stderr, "ERROR: pipeline legs rendered diverging reports")
-			os.Exit(1)
-		}
-		if pipeErr != nil {
-			fmt.Fprintf(os.Stderr, "ERROR: %v\n", pipeErr)
-			os.Exit(1)
-		}
-		if sweepErr != nil {
-			fmt.Fprintf(os.Stderr, "ERROR: %v\n", sweepErr)
-			os.Exit(1)
-		}
-		if detErr != nil {
-			fmt.Fprintf(os.Stderr, "ERROR: %v\n", detErr)
-			os.Exit(1)
-		}
-		if strErr != nil {
-			fmt.Fprintf(os.Stderr, "ERROR: %v\n", strErr)
+		if _, err := bench.RunStreamSweep(sizes, 42, func(format string, args ...any) {
+			fmt.Printf("stream: "+format+"\n", args...)
+		}); err != nil {
+			fmt.Fprintf(os.Stderr, "ERROR: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -591,13 +470,14 @@ func parsePcts(s string) ([]float64, error) {
 	return pcts, nil
 }
 
-// parseSizes parses the -records list ("100000,300000,1000000").
+// parseSizes parses a comma-separated list of positive sizes or counts
+// ("100000,300000,1000000").
 func parseSizes(s string) ([]int, error) {
 	var sizes []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("dcatch-bench: bad -records entry %q", part)
+			return nil, fmt.Errorf("dcatch-bench: bad size list entry %q", part)
 		}
 		sizes = append(sizes, n)
 	}

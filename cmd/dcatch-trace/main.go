@@ -26,7 +26,6 @@ import (
 
 	"dcatch/internal/cluster"
 	"dcatch/internal/core"
-	"dcatch/internal/detect"
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
@@ -43,9 +42,8 @@ func main() {
 	follow := flag.Bool("follow", false, "tail a growing trace file, analyzing incrementally; provisional candidates go to stderr, the final -analyze-identical report to stdout")
 	poll := flag.Duration("poll", 50*time.Millisecond, "with -follow: poll interval while waiting for the file to grow")
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "with -follow: give up if the file stops growing for this long before the declared record count (0 = wait forever)")
-	parallel := flag.Int("parallel", 0, "with -analyze/-follow: analysis workers (0 = all CPUs)")
+	parallel := flag.Int("parallel", 0, "with -analyze/-follow and -chunk: windows analysed concurrently on the chunked path (0 = all CPUs)")
 	reach := flag.String("reach", "dense", "with -analyze/-follow: reachability backend (dense, chain, auto)")
-	scan := flag.String("scan", "auto", "with -analyze/-follow: detection scan (auto, epoch, interval, quadratic)")
 	chunk := flag.Int("chunk", 0, "with -analyze/-follow: records per window for the chunked fallback (0 = disabled); with -peers: distributed window size (0 = default 50000)")
 	memBudget := flag.Int64("mem-budget", 0, "with -analyze/-follow: reachability memory budget in bytes (0 = unlimited)")
 	peers := flag.String("peers", "", "with -analyze: comma-separated dcatch-serve -worker base URLs to shard the analysis across")
@@ -65,19 +63,12 @@ func main() {
 	analysisOptions := func() core.Options {
 		var opts core.Options
 		opts.HB.Parallelism = *parallel
-		opts.Detect.Parallelism = *parallel
 		backend, err := hb.ParseBackend(*reach)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		opts.HB.ReachBackend = backend
-		scanMode, err := detect.ParseScanMode(*scan)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		opts.Detect.Scan = scanMode
 		opts.ChunkSize = *chunk
 		opts.HB.MemBudget = *memBudget
 		if *scDir != "" || *scMem > 0 {

@@ -27,7 +27,6 @@ import (
 
 	"dcatch/internal/bench"
 	"dcatch/internal/core"
-	"dcatch/internal/detect"
 	"dcatch/internal/hb"
 	"dcatch/internal/ir"
 	"dcatch/internal/obs"
@@ -47,9 +46,7 @@ func main() {
 		structure = flag.Bool("dump-structure", false, "print the cluster's concurrency structure (Fig. 4) and exit")
 		program   = flag.Bool("dump-program", false, "print the subject program listing and exit")
 		traceOut  = flag.String("trace-out", "", "write the binary trace to this file")
-		parallel  = flag.Int("parallel", 0, "trace-analysis workers: 0 = all CPUs, 1 = sequential reference path (reports are identical either way)")
 		reach     = flag.String("reach", "dense", "reachability backend: dense (paper bit arrays), chain (O(V*C) chain index), or auto (dense if it fits the memory budget, else chain)")
-		scan      = flag.String("scan", "auto", "detection scan: auto, epoch (one-pass chain-clock sweep), interval (per-chain concurrency intervals), or quadratic (all-pairs reference; reports are identical in every mode)")
 		metrics   = flag.String("metrics-json", "", "write a versioned run manifest (spans, counters, stats) to this file")
 		verbose   = flag.Bool("v", false, "log pipeline progress to stderr")
 		explain   = flag.Int("explain", -1, "print the provenance of report pair N (reported pairs first, then pruned candidates) and exit")
@@ -70,12 +67,10 @@ func main() {
 	}
 	if *submit != "" {
 		runRemote(*submit, *benchID, *seed, serve.JobOptions{
-			Full:        *full,
-			Parallelism: *parallel,
-			Reach:       *reach,
-			Scan:        *scan,
-			Validate:    *validate,
-			Naive:       *naive,
+			Full:     *full,
+			Reach:    *reach,
+			Validate: *validate,
+			Naive:    *naive,
 		}, *explain >= 0 || *traceOut != "" || *metrics != "" || *structure || *program)
 		return
 	}
@@ -94,20 +89,12 @@ func main() {
 	}
 
 	opts := core.Options{Seed: b.Seed, MaxSteps: b.MaxSteps, FullTrace: *full}
-	opts.HB.Parallelism = *parallel
-	opts.Detect.Parallelism = *parallel
 	backend, err := hb.ParseBackend(*reach)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	opts.HB.ReachBackend = backend
-	scanMode, err := detect.ParseScanMode(*scan)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	opts.Detect.Scan = scanMode
 	if *seed != 0 {
 		opts.Seed = *seed
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"dcatch/internal/detect"
@@ -10,13 +9,12 @@ import (
 
 // This file is the report-level half of the backend differential suite (the
 // query-level half lives in internal/hb): on synthetic full-pipeline traces,
-// dense and chain backends must render byte-identical detection reports at
-// parallelism 1 and 8, in both the per-handler-context regime
-// (SyntheticTrace, many chains) and the bounded-context regime
-// (SyntheticTraceBounded, constant chains).
+// dense and chain backends must render byte-identical detection reports, in
+// both the per-handler-context regime (SyntheticTrace, many chains) and the
+// bounded-context regime (SyntheticTraceBounded, constant chains).
 
-// TestBoundedTraceChainCount pins the property the scaling sweep relies on:
-// the bounded generator's chain count is independent of trace length.
+// TestBoundedTraceChainCount pins the property the bounded-trace sweeps rely
+// on: the generator's chain count is independent of trace length.
 func TestBoundedTraceChainCount(t *testing.T) {
 	counts := map[int]int{}
 	for _, n := range []int{10_000, 40_000} {
@@ -34,62 +32,8 @@ func TestBoundedTraceChainCount(t *testing.T) {
 	}
 }
 
-// TestScalingSweepSmoke runs a miniature sweep end to end: both backends
-// fit the budget, all reports agree, and the memory ratio favors chain.
-// (16k records is past the crossover where n×C×4 chain rows undercut the
-// n²/8 dense matrix for this generator's ~209 chains.)
-func TestScalingSweepSmoke(t *testing.T) {
-	sweep, err := RunScalingSweep([]int{16_000}, 1<<30, 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sweep.Points) != 1 || len(sweep.Points[0].Runs) != 4 {
-		t.Fatalf("unexpected sweep shape: %+v", sweep)
-	}
-	for _, run := range sweep.Points[0].Runs {
-		if run.OOM || !run.Identical {
-			t.Fatalf("run %s p%d: oom=%v identical=%v", run.Backend, run.Parallelism, run.OOM, run.Identical)
-		}
-	}
-	if r := sweep.Points[0].DenseOverChain; r <= 1 {
-		t.Fatalf("dense/chain footprint ratio %.2f, want > 1", r)
-	}
-}
-
-// TestScalingSweepDenseOOM pins the admission behavior under a tight budget:
-// dense is refused with a recorded prediction, chain completes.
-func TestScalingSweepDenseOOM(t *testing.T) {
-	n := 20_000
-	budget := hb.DenseReachBytes(n) / 2
-	sweep, err := RunScalingSweep([]int{n}, budget, 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var denseOOM, chainRan bool
-	for _, run := range sweep.Points[0].Runs {
-		switch run.Backend {
-		case "dense":
-			if !run.OOM || run.PredictedBytes != hb.DenseReachBytes(n) || !strings.Contains(run.Error, "memory budget") {
-				t.Fatalf("dense run not refused as expected: %+v", run)
-			}
-			denseOOM = true
-		case "chain":
-			if run.OOM || !run.Identical {
-				t.Fatalf("chain run failed under dense-OOM budget: %+v", run)
-			}
-			chainRan = true
-		}
-	}
-	if !denseOOM || !chainRan {
-		t.Fatalf("sweep missing runs: %+v", sweep.Points[0].Runs)
-	}
-	if r := sweep.Points[0].DenseOverChain; r <= 1 {
-		t.Fatalf("predicted dense/chain ratio %.2f, want > 1", r)
-	}
-}
-
 // reportParity builds one trace and asserts byte-identical reports across
-// backend × parallelism.
+// backends.
 func reportParity(t *testing.T, name string, recs int, bounded bool) {
 	t.Helper()
 	tr := SyntheticTrace(recs, 1)
@@ -98,19 +42,17 @@ func reportParity(t *testing.T, name string, recs int, bounded bool) {
 	}
 	var reference string
 	for _, be := range []hb.Backend{hb.BackendDense, hb.BackendChain} {
-		for _, p := range []int{1, 8} {
-			g, err := hb.Build(tr, hb.Config{ReachBackend: be, Parallelism: p})
-			if err != nil {
-				t.Fatalf("%s %v p%d: %v", name, be, p, err)
-			}
-			got := detect.Find(g, detect.Options{MaxGroup: 300, Parallelism: p}).Format(nil)
-			if reference == "" {
-				reference = got
-				continue
-			}
-			if got != reference {
-				t.Fatalf("%s: %v p%d report diverged from dense p1", name, be, p)
-			}
+		g, err := hb.Build(tr, hb.Config{ReachBackend: be})
+		if err != nil {
+			t.Fatalf("%s %v: %v", name, be, err)
+		}
+		got := detect.Find(g, detect.Options{MaxGroup: 300}).Format(nil)
+		if reference == "" {
+			reference = got
+			continue
+		}
+		if got != reference {
+			t.Fatalf("%s: %v report diverged from dense", name, be)
 		}
 	}
 	if reference == "" || reference[0] == '0' {

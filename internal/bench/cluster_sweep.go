@@ -126,7 +126,7 @@ func RunClusterSweep(records, chunkSize int, workerCounts []int, reps int, seed 
 	if err != nil {
 		return nil, fmt.Errorf("bench: cluster oracle build: %w", err)
 	}
-	oracleRep := detect.FindChunked(chunks, detect.Options{Parallelism: 1})
+	oracleRep := detect.FindChunked(chunks, detect.Options{})
 	oracle := oracleRep.Format(nil)
 
 	res := &ClusterBenchResult{

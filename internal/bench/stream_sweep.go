@@ -12,7 +12,7 @@ import (
 )
 
 // The streaming sweep measures what the incremental pipeline buys over the
-// batch path on the same bounded-context traces the scaling sweep uses:
+// batch path on bounded-context traces (SyntheticTraceBounded):
 // time-to-first-candidate (the online provisional engine surfaces its first
 // pair while the "upload" is still arriving, against a batch path that
 // cannot say anything before the full build) and peak live memory (the eager
@@ -31,6 +31,11 @@ const streamSegment = 2048
 
 // streamChunkSize is the eager leg's window length.
 const streamChunkSize = 8000
+
+// streamMaxGroup caps the per-location pair scan: the synthetic traces hammer
+// a small object pool, so detection time would otherwise swamp what the sweep
+// measures.
+const streamMaxGroup = 300
 
 // StreamLeg is one streaming measurement at one trace size.
 type StreamLeg struct {
@@ -73,8 +78,7 @@ type StreamPoint struct {
 	Eager     StreamLeg `json:"eager"`
 }
 
-// StreamSweep is the full -stream-records sweep, serialized into
-// BENCH_pipeline.json.
+// StreamSweep is the full -stream-records sweep.
 type StreamSweep struct {
 	ChunkSize int           `json:"chunk_size"`
 	MaxGroup  int           `json:"max_group"`
@@ -90,9 +94,9 @@ func RunStreamSweep(sizes []int, seed int64, logf func(format string, args ...an
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	sweep := &StreamSweep{ChunkSize: streamChunkSize, MaxGroup: scalingMaxGroup, Seed: seed}
+	sweep := &StreamSweep{ChunkSize: streamChunkSize, MaxGroup: streamMaxGroup, Seed: seed}
 	hcfg := hb.Config{ReachBackend: hb.BackendChain}
-	dopt := detect.Options{MaxGroup: scalingMaxGroup}
+	dopt := detect.Options{MaxGroup: streamMaxGroup}
 	for _, n := range sizes {
 		tr := SyntheticTraceBounded(n, seed)
 		point := StreamPoint{Records: n}

@@ -1,14 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"time"
 
-	"dcatch/internal/detect"
-	"dcatch/internal/hb"
-	"dcatch/internal/obs"
 	"dcatch/internal/trace"
 )
 
@@ -247,254 +242,4 @@ func SyntheticTraceBounded(n int, seed int64) *trace.Trace {
 		c.Emit(r)
 	}
 	return c.Trace()
-}
-
-// DetectLeg is one measured detection pass in the pipeline benchmark: a
-// (scan mode, parallelism) pair run over already-built chunks, with its
-// wall time, allocation delta and query counters.
-type DetectLeg struct {
-	ScanMode    string `json:"scan_mode"`
-	Parallelism int    `json:"parallelism"`
-
-	WallMs     float64 `json:"wall_ms"`
-	AllocBytes int64   `json:"alloc_bytes"`
-
-	// HBQueries is the detect.hb_queries counter (zero for the epoch
-	// sweep, which never touches the reachability index);
-	// IntervalLookups and EpochJoins are the respective engines' unit of
-	// work.
-	HBQueries       int64 `json:"hb_queries"`
-	IntervalLookups int64 `json:"interval_lookups,omitempty"`
-	EpochJoins      int64 `json:"epoch_joins,omitempty"`
-
-	// Identical asserts this leg's report rendered byte-identically to
-	// the backend's quadratic parallelism-1 reference.
-	Identical bool `json:"reports_identical"`
-}
-
-// PipelineBackendResult is the pipeline measurement on one reachability
-// backend: chunked builds at both parallelisms, then five detect legs over
-// those chunks — quadratic p1 (the oracle), interval p1, epoch p1 on the
-// sequential chunks, and epoch + interval at full parallelism on the
-// parallel-built chunks.
-type PipelineBackendResult struct {
-	Backend string `json:"backend"`
-
-	// Wall-clock milliseconds for the chunked HB build (graph + closure).
-	SeqBuildMs float64 `json:"seq_build_ms"`
-	ParBuildMs float64 `json:"par_build_ms"`
-
-	// PeakReachBytes is the largest per-window reachability footprint.
-	PeakReachBytes int64 `json:"peak_reach_bytes"`
-
-	Candidates int         `json:"candidates"`
-	Legs       []DetectLeg `json:"detect_legs"`
-
-	// Headline detect times: the quadratic oracle, the epoch sweep
-	// sequential, and the epoch sweep at full parallelism.
-	QuadDetectMs float64 `json:"quad_detect_ms"`
-	SeqDetectMs  float64 `json:"seq_detect_ms"`
-	ParDetectMs  float64 `json:"par_detect_ms"`
-
-	// DetectSpeedup is quadratic p1 / epoch parallel detect time — the
-	// "parallel chunked detect leg beats the oracle" gate. SeqDetectSpeedup
-	// is the same ratio against the sequential epoch leg.
-	DetectSpeedup    float64 `json:"detect_speedup"`
-	SeqDetectSpeedup float64 `json:"seq_detect_speedup"`
-
-	// Speedup is sequential / parallel end-to-end (build + detect).
-	Speedup float64 `json:"speedup"`
-
-	// Identical asserts every leg on this backend rendered byte-identical
-	// reports.
-	Identical bool `json:"reports_identical"`
-}
-
-// PipelineBenchResult is one synthetic trace-analysis measurement,
-// serialized by cmd/dcatch-bench -bench-json so the perf trajectory is
-// tracked across PRs (BENCH_pipeline.json). Schema v4 runs the full leg
-// matrix on both reachability backends and makes the epoch sweep the
-// pipeline's scan mode.
-type PipelineBenchResult struct {
-	Records   int `json:"records"`
-	ChunkSize int `json:"chunk_size"`
-
-	SeqParallelism int `json:"seq_parallelism"`
-	ParParallelism int `json:"par_parallelism"`
-
-	// ScanMode is the pipeline's detection scan (the headline seq/par
-	// legs); the quadratic and interval legs ride along as oracles.
-	ScanMode string `json:"scan_mode"`
-
-	Backends []PipelineBackendResult `json:"backends"`
-
-	// Cross-backend aggregates: the candidate count (identical across
-	// backends), the largest per-window reachability footprint, and the
-	// conjunction of every backend's Identical.
-	Candidates     int   `json:"candidates"`
-	PeakReachBytes int64 `json:"peak_reach_bytes"`
-	Identical      bool  `json:"reports_identical"`
-
-	// Stages and Counters carry the chain backend's parallel-leg
-	// observability data (stage spans to depth 2 and the per-rule HB /
-	// detection counters), so BENCH_pipeline.json also tracks *where* the
-	// time goes.
-	Stages   []obs.SpanData   `json:"stages"`
-	Counters map[string]int64 `json:"counters"`
-}
-
-// runDetectLeg measures one detection pass over prebuilt chunks with a
-// fresh recorder per repetition, so per-leg counters and the allocation
-// delta are isolated. WallMs is the minimum over detectSweepReps runs — the
-// detect_speedup gate compares engines whose differences sit close to the
-// shared emission floor, so single-shot walls would gate on scheduler noise.
-func runDetectLeg(chunks []hb.Chunk, mode detect.ScanMode, par int) (DetectLeg, *detect.Report) {
-	leg := DetectLeg{ScanMode: mode.String(), Parallelism: par}
-	var rep *detect.Report
-	for r := 0; r < detectSweepReps; r++ {
-		rec := obs.New()
-		dsp := rec.Span("bench.detect")
-		t0 := time.Now()
-		rep = detect.FindChunked(chunks, detect.Options{Parallelism: par, Scan: mode, Obs: dsp})
-		dsp.End()
-		ms := float64(time.Since(t0).Microseconds()) / 1000
-		if r == 0 || ms < leg.WallMs {
-			leg.WallMs = ms
-		}
-		if spans := rec.Spans(1); len(spans) > 0 {
-			leg.AllocBytes = spans[0].AllocBytes
-		}
-		counters := rec.Counters()
-		leg.HBQueries = counters["detect.hb_queries"]
-		leg.IntervalLookups = counters["detect.interval_lookups"]
-		leg.EpochJoins = counters["detect.epoch.joins"]
-	}
-	return leg, rep
-}
-
-// RunPipelineBench measures the chunked analysis pipeline (hb.BuildChunked +
-// detect.FindChunked) on a SyntheticTrace: for each reachability backend,
-// chunked builds at Parallelism 1 and at the given parallelism, then the
-// five-leg detect matrix over those chunks, cross-checking that every leg —
-// and both backends — render identical reports.
-func RunPipelineBench(records, chunkSize, parallelism int, seed int64) (*PipelineBenchResult, error) {
-	tr := SyntheticTrace(records, seed)
-	build := func(be hb.Backend, p int, rec *obs.Recorder) (buildMs float64, chunks []hb.Chunk, err error) {
-		bsp := rec.Span("bench.build")
-		t0 := time.Now()
-		chunks, err = hb.BuildChunked(tr, hb.ChunkConfig{
-			Base:      hb.Config{ReachBackend: be, Parallelism: p, Obs: bsp},
-			ChunkSize: chunkSize,
-		})
-		bsp.End()
-		if err != nil {
-			return 0, nil, err
-		}
-		return float64(time.Since(t0).Microseconds()) / 1000, chunks, nil
-	}
-
-	res := &PipelineBenchResult{
-		Records: records, ChunkSize: chunkSize,
-		SeqParallelism: 1, ParParallelism: parallelism,
-		ScanMode:  detect.ScanEpoch.String(),
-		Identical: true,
-	}
-	var crossRef string
-	for _, be := range []hb.Backend{hb.BackendDense, hb.BackendChain} {
-		br := PipelineBackendResult{Backend: be.String()}
-		seqRec := obs.New()
-		seqBuildMs, seqChunks, err := build(be, 1, seqRec)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s sequential build: %w", be, err)
-		}
-		br.SeqBuildMs = seqBuildMs
-		br.PeakReachBytes = hb.ChunkedMemBytes(seqChunks)
-
-		// The chain backend's parallel leg feeds the observability export;
-		// its recorder also captures the detect counters below via the
-		// headline parallel epoch leg re-run under it.
-		parRec := obs.New()
-		parBuildMs, parChunks, err := build(be, parallelism, parRec)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s parallel build: %w", be, err)
-		}
-		br.ParBuildMs = parBuildMs
-
-		type legSpec struct {
-			chunks []hb.Chunk
-			mode   detect.ScanMode
-			par    int
-		}
-		specs := []legSpec{
-			{seqChunks, detect.ScanQuadratic, 1}, // the reference oracle
-			{seqChunks, detect.ScanInterval, 1},
-			{seqChunks, detect.ScanEpoch, 1},
-			{parChunks, detect.ScanEpoch, parallelism},
-			{parChunks, detect.ScanInterval, parallelism},
-		}
-		var ref string
-		for i, s := range specs {
-			leg, rep := runDetectLeg(s.chunks, s.mode, s.par)
-			text := rep.Format(nil)
-			if ref == "" {
-				ref = text
-				leg.Identical = true
-				br.Candidates = rep.CallstackCount()
-			} else {
-				leg.Identical = text == ref
-			}
-			br.Legs = append(br.Legs, leg)
-			// Headline assignment is positional: with -parallel 1 (e.g. a
-			// single-CPU host) the parallel epoch leg also runs at p=1 and
-			// would otherwise be indistinguishable from the sequential one.
-			switch i {
-			case 0:
-				br.QuadDetectMs = leg.WallMs
-			case 2:
-				br.SeqDetectMs = leg.WallMs
-			case 3:
-				br.ParDetectMs = leg.WallMs
-			}
-		}
-		br.Identical = true
-		for _, leg := range br.Legs {
-			br.Identical = br.Identical && leg.Identical
-		}
-		if crossRef == "" {
-			crossRef = ref
-			res.Candidates = br.Candidates
-		} else if ref != crossRef {
-			br.Identical = false
-		}
-		if br.ParDetectMs > 0 {
-			br.DetectSpeedup = br.QuadDetectMs / br.ParDetectMs
-		}
-		if br.SeqDetectMs > 0 {
-			br.SeqDetectSpeedup = br.QuadDetectMs / br.SeqDetectMs
-		}
-		if par := br.ParBuildMs + br.ParDetectMs; par > 0 {
-			br.Speedup = (br.SeqBuildMs + br.SeqDetectMs) / par
-		}
-		res.Identical = res.Identical && br.Identical
-		if br.PeakReachBytes > res.PeakReachBytes {
-			res.PeakReachBytes = br.PeakReachBytes
-		}
-		if be == hb.BackendChain {
-			// Re-run the headline parallel epoch leg under the chain
-			// backend's recorder so the exported counters include the
-			// detect.epoch.* set alongside the build stages.
-			dsp := parRec.Span("bench.detect")
-			detect.FindChunked(parChunks, detect.Options{Parallelism: parallelism, Scan: detect.ScanEpoch, Obs: dsp})
-			dsp.End()
-			res.Stages = parRec.Spans(2)
-			res.Counters = parRec.Counters()
-		}
-		res.Backends = append(res.Backends, br)
-	}
-	return res, nil
-}
-
-// JSON renders the result for BENCH_pipeline.json.
-func (r *PipelineBenchResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }

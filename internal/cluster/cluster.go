@@ -39,12 +39,12 @@ const ScanPath = "/v1/cluster/scan"
 // detect.DecodeWindowScan) plus ScanResponse headers.
 //
 // The request carries only the option subset that changes the scan's bytes:
-// reachability backend, scan mode, per-location subsampling cap and the
-// per-window memory budget. Per-window scan parallelism is 1, as everywhere
-// the window engine runs — sharding by window subsumes it — and the HB
-// rule-ablation switches (Table 9) do not travel: they are a local
-// experiment knob, not a job option, and the coordinator refuses configs
-// that set them so remote and local-fallback scans can never diverge.
+// reachability backend, per-location subsampling cap and the per-window
+// memory budget. Unknown query parameters are ignored, so a coordinator one
+// version behind (still sending scan=) keeps working. The HB rule-ablation
+// switches (Table 9) do not travel: they are a local experiment knob, not a
+// job option, and the coordinator refuses configs that set them so remote
+// and local-fallback scans can never diverge.
 type ScanRequest struct {
 	// Window is the window's index in the job's window list; Start is its
 	// first record's index in the full trace. Both are diagnostic — the
@@ -53,10 +53,9 @@ type ScanRequest struct {
 	Window int
 	Start  int
 
-	// Reach and Scan name the hb reachability backend and detect scan
-	// mode, as accepted by hb.ParseBackend and detect.ParseScanMode.
+	// Reach names the hb reachability backend, as accepted by
+	// hb.ParseBackend.
 	Reach string
-	Scan  string
 
 	// MaxGroup is detect.Options.MaxGroup (0 = default).
 	MaxGroup int
@@ -74,9 +73,6 @@ func (r ScanRequest) query() url.Values {
 	q.Set("start", strconv.Itoa(r.Start))
 	if r.Reach != "" {
 		q.Set("reach", r.Reach)
-	}
-	if r.Scan != "" {
-		q.Set("scan", r.Scan)
 	}
 	if r.MaxGroup > 0 {
 		q.Set("max_group", strconv.Itoa(r.MaxGroup))
@@ -119,11 +115,7 @@ func parseScanRequest(q url.Values) (ScanRequest, error) {
 		r.MemBudget = v
 	}
 	r.Reach = q.Get("reach")
-	r.Scan = q.Get("scan")
 	if _, err := hb.ParseBackend(reachOrDefault(r.Reach)); err != nil {
-		return r, err
-	}
-	if _, err := detect.ParseScanMode(r.Scan); err != nil {
 		return r, err
 	}
 	return r, nil
@@ -144,16 +136,9 @@ func (r ScanRequest) scanConfigs() (hb.Config, detect.Options, error) {
 	if err != nil {
 		return hcfg, dopts, err
 	}
-	mode, err := detect.ParseScanMode(r.Scan)
-	if err != nil {
-		return hcfg, dopts, err
-	}
 	hcfg.ReachBackend = backend
 	hcfg.MemBudget = r.MemBudget
-	hcfg.Parallelism = 1
-	dopts.Scan = mode
 	dopts.MaxGroup = r.MaxGroup
-	dopts.Parallelism = 1
 	return hcfg, dopts, nil
 }
 

@@ -50,7 +50,7 @@ func oracle(t *testing.T, tr *trace.Trace, chunk int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return detect.FindChunked(chunks, detect.Options{Parallelism: 1}).Format(nil)
+	return detect.FindChunked(chunks, detect.Options{}).Format(nil)
 }
 
 func newWorkerServer(t *testing.T, cfg WorkerConfig) *httptest.Server {
@@ -385,14 +385,52 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	if got := post("?reach=bogus", tr.Encode()); got != http.StatusBadRequest {
 		t.Errorf("bad reach: status %d, want 400", got)
 	}
-	if got := post("?scan=bogus", tr.Encode()); got != http.StatusBadRequest {
-		t.Errorf("bad scan: status %d, want 400", got)
-	}
 	if got := post("?window=-1", tr.Encode()); got != http.StatusBadRequest {
 		t.Errorf("negative window: status %d, want 400", got)
 	}
 	if got := post("", []byte("not a trace")); got != http.StatusBadRequest {
 		t.Errorf("garbage body: status %d, want 400", got)
+	}
+}
+
+// TestWorkerIgnoresStaleScanParam pins compatibility with a coordinator one
+// version behind: its scan= parameter (every mode rendered the same bytes) is
+// ignored, recognised value or not, and the reply — body and stat headers —
+// is byte-identical to the same request without it.
+func TestWorkerIgnoresStaleScanParam(t *testing.T) {
+	ts := newWorkerServer(t, WorkerConfig{})
+	body := racyTrace(300).Encode()
+	post := func(query string) (int, []byte, http.Header) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+ScanPath+"?window=2&start=600&reach=chain&max_group=50"+query, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		reply, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, reply, resp.Header
+	}
+	st, want, wantHdr := post("")
+	if st != http.StatusOK || len(want) == 0 {
+		t.Fatalf("baseline scan: status %d, %d bytes", st, len(want))
+	}
+	for _, scan := range []string{"auto", "epoch", "interval", "quadratic", "bogus", ""} {
+		st, got, hdr := post("&scan=" + scan)
+		if st != http.StatusOK {
+			t.Errorf("scan=%s: status %d, want 200", scan, st)
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("scan=%s: reply differs from the request without it", scan)
+		}
+		for _, h := range []string{headerBackend, headerMemBytes, headerRecords} {
+			if hdr.Get(h) != wantHdr.Get(h) {
+				t.Errorf("scan=%s: %s = %q, want %q", scan, h, hdr.Get(h), wantHdr.Get(h))
+			}
+		}
 	}
 }
 
@@ -421,7 +459,7 @@ func TestNewCoordinatorValidation(t *testing.T) {
 
 // TestScanRequestQueryRoundTrip pins the wire form of the typed request.
 func TestScanRequestQueryRoundTrip(t *testing.T) {
-	in := ScanRequest{Window: 3, Start: 1500, Reach: "chain", Scan: "epoch", MaxGroup: 40, MemBudget: 1 << 20}
+	in := ScanRequest{Window: 3, Start: 1500, Reach: "chain", MaxGroup: 40, MemBudget: 1 << 20}
 	out, err := parseScanRequest(in.query())
 	if err != nil {
 		t.Fatal(err)

@@ -34,8 +34,8 @@ type Config struct {
 	ChunkOverlap int
 
 	// HB and Detect are the per-window analysis options. They serve two
-	// roles: their wire-expressible subset (backend, scan mode, MaxGroup,
-	// MemBudget) becomes the ScanRequest sent to every worker, and they
+	// roles: their wire-expressible subset (backend, MaxGroup, MemBudget)
+	// becomes the ScanRequest sent to every worker, and they
 	// drive the local re-run of any window whose remote scan failed —
 	// guaranteeing remote and fallback scans agree. Rule-ablation switches
 	// and LoopReads are rejected: they cannot ride the wire.
@@ -256,7 +256,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg: cfg,
 		req: ScanRequest{
 			Reach:     cfg.HB.ReachBackend.String(),
-			Scan:      cfg.Detect.Scan.String(),
 			MaxGroup:  cfg.Detect.MaxGroup,
 			MemBudget: cfg.HB.MemBudget,
 		},

@@ -219,15 +219,22 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 	dopt := opts.Detect
 	dopt.Obs = sp
 	g0, err := hb.Build(res.Trace, cfg)
-	if err != nil {
-		if opts.ChunkSize <= 0 {
-			res.OOM = true
-			res.Stats.AnalysisTime = time.Since(t0)
-			sp.Attr("oom", true)
-			sp.End()
-			rec.Logf("trace analysis: OUT OF MEMORY (%v)", err)
-			return res, nil
-		}
+	switch {
+	case err == nil:
+		res.TA = detect.Find(g0, dopt)
+		res.Stats.HBVertices = g0.N()
+		res.Stats.HBEdges = g0.Edges()
+		res.Stats.HBMemBytes = g0.MemBytes()
+		res.Stats.ReachBackend = g0.Backend().String()
+		res.Graph = g0
+	case opts.ChunkSize <= 0:
+		res.OOM = true
+		res.Stats.AnalysisTime = time.Since(t0)
+		sp.Attr("oom", true)
+		sp.End()
+		rec.Logf("trace analysis: OUT OF MEMORY (%v)", err)
+		return res, nil
+	default:
 		// Chunked fallback (§7.2): analyze window by window through the
 		// stream layer's replay of the one window engine, with the scan
 		// cache consulted per window when configured.
@@ -249,52 +256,18 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 		}
 		res.Chunked = true
 		res.TA = wres.Report
-		res.Stats.TAStatic = res.TA.StaticCount()
-		res.Stats.TACallstack = res.TA.CallstackCount()
-		res.Stats.AnalysisTime = time.Since(t0)
 		res.Stats.HBVertices = len(res.Trace.Recs)
 		res.Stats.HBMemBytes = wres.HBMemBytes
 		res.Stats.ReachBackend = wres.Backend
 		sp.Attr("chunked", true)
-		sp.End()
-		res.countStage(rec, "ta", res.TA)
-		rec.Logf("trace analysis (chunked): %d/%d candidates in %v",
-			res.Stats.TAStatic, res.Stats.TACallstack, res.Stats.AnalysisTime)
-		// Pruning still applies; the loop-sync HB stage needs the full
-		// graph, so the final report is the pruned chunked one.
-		sp = rec.Span("core.static_pruning")
-		t0 = time.Now()
-		if opts.SkipPrune {
-			res.SP = res.TA
-		} else {
-			res.SP, _ = res.Analysis.Prune(res.TA, res.Trace)
-		}
-		res.Stats.SPStatic = res.SP.StaticCount()
-		res.Stats.SPCallstack = res.SP.CallstackCount()
-		res.Stats.PruningTime = time.Since(t0)
-		sp.End()
-		res.Final = res.SP
-		res.Stats.LPStatic = res.Final.StaticCount()
-		res.Stats.LPCallstack = res.Final.CallstackCount()
-		res.countStage(rec, "sp", res.SP)
-		res.countStage(rec, "final", res.Final)
-		rec.Logf("static pruning: %d/%d candidates in %v",
-			res.Stats.SPStatic, res.Stats.SPCallstack, res.Stats.PruningTime)
-		return res, nil
 	}
-	res.TA = detect.Find(g0, dopt)
 	res.Stats.TAStatic = res.TA.StaticCount()
 	res.Stats.TACallstack = res.TA.CallstackCount()
 	res.Stats.AnalysisTime = time.Since(t0)
-	res.Stats.HBVertices = g0.N()
-	res.Stats.HBEdges = g0.Edges()
-	res.Stats.HBMemBytes = g0.MemBytes()
-	res.Stats.ReachBackend = g0.Backend().String()
-	res.Graph = g0
 	sp.End()
 	res.countStage(rec, "ta", res.TA)
 	rec.Logf("trace analysis: %d vertices, %d edges, %d/%d candidates in %v",
-		g0.N(), g0.Edges(), res.Stats.TAStatic, res.Stats.TACallstack, res.Stats.AnalysisTime)
+		res.Stats.HBVertices, res.Stats.HBEdges, res.Stats.TAStatic, res.Stats.TACallstack, res.Stats.AnalysisTime)
 
 	// Static pruning (§4).
 	sp = rec.Span("core.static_pruning")
@@ -314,9 +287,10 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 		res.Stats.SPStatic, res.Stats.SPCallstack, res.Stats.PruningTime)
 
 	// Loop-synchronization stage: rebuild with Rule-Mpull and suppress
-	// pull-sync pairs, then intersect with the pruned set.
+	// pull-sync pairs, then intersect with the pruned set. It needs the
+	// full graph, so a chunked run's final report is the pruned one.
 	res.Final = res.SP
-	if !opts.SkipLoopSync && len(loopReads) > 0 {
+	if !res.Chunked && !opts.SkipLoopSync && len(loopReads) > 0 {
 		sp = rec.Span("core.loop_sync_analysis")
 		cfg.LoopReads = loopReads
 		cfg.Obs = sp

@@ -7,6 +7,7 @@ import (
 	"dcatch/internal/detect"
 	"dcatch/internal/hb"
 	"dcatch/internal/ir"
+	"dcatch/internal/obs"
 	"dcatch/internal/rt"
 	"dcatch/internal/trigger"
 )
@@ -206,7 +207,8 @@ func TestChunkedFallback(t *testing.T) {
 	w := toy(t)
 	// A budget too small for the full closure, with chunking enabled:
 	// the pipeline must still produce reports instead of OOM.
-	res, err := Detect(w, Options{Seed: 3, HB: hb.Config{MemBudget: 150}, ChunkSize: 10})
+	rec := obs.New()
+	res, err := Detect(w, Options{Seed: 3, HB: hb.Config{MemBudget: 150}, ChunkSize: 10, Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +220,30 @@ func TestChunkedFallback(t *testing.T) {
 	}
 	if res.Final == nil || res.Stats.TACallstack == 0 {
 		t.Fatalf("chunked pipeline produced nothing: %s", res.Summary())
+	}
+	// Static pruning runs once, after the windows, and the pruned report is
+	// the final one (the loop-sync stage needs the full graph): the manifest
+	// carries one core.static_pruning span and the whole candidate funnel.
+	spans := map[string]int{}
+	for _, sd := range rec.Spans(1) {
+		spans[sd.Name]++
+	}
+	if spans["core.static_pruning"] != 1 || spans["core.loop_sync_analysis"] != 0 {
+		t.Errorf("stage spans = %v, want one core.static_pruning and no core.loop_sync_analysis", spans)
+	}
+	if res.Final != res.SP || res.Stats.SPCallstack >= res.Stats.TACallstack || res.Stats.LPCallstack != res.Stats.SPCallstack {
+		t.Errorf("funnel TA %d -> SP %d -> final %d, want pruning to bite and final == SP",
+			res.Stats.TACallstack, res.Stats.SPCallstack, res.Stats.LPCallstack)
+	}
+	ctr := rec.Counters()
+	for stage, want := range map[string][2]int{
+		"ta":    {res.Stats.TAStatic, res.Stats.TACallstack},
+		"sp":    {res.Stats.SPStatic, res.Stats.SPCallstack},
+		"final": {res.Stats.LPStatic, res.Stats.LPCallstack},
+	} {
+		if got := [2]int{int(ctr["core.candidates."+stage+".static"]), int(ctr["core.candidates."+stage+".callstack"])}; got != want {
+			t.Errorf("core.candidates.%s.* = %v, want %v", stage, got, want)
+		}
 	}
 	if res.Stats.HBMemBytes > 150 {
 		t.Fatalf("peak window memory %d exceeds budget", res.Stats.HBMemBytes)

@@ -7,11 +7,9 @@ package detect
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"dcatch/internal/hb"
 	"dcatch/internal/ir"
@@ -168,55 +166,30 @@ func (r *Report) HasStaticPair(a, b int32) bool {
 type Options struct {
 	// MaxGroup caps the records considered per memory location; locations
 	// touched more often are subsampled (keeping first and last accesses
-	// per context) to bound the quadratic pair scan. 0 means the default.
+	// per context) to bound the pair enumeration. 0 means the default.
 	MaxGroup int
 
 	// SuppressPull removes candidates matching the pull-synchronization
 	// pairs the HB analysis discovered (the "LP" stage of Table 5).
 	SuppressPull bool
 
-	// Parallelism is the worker count for the per-location pair scans:
-	// 0 means runtime.GOMAXPROCS(0), 1 keeps the sequential reference
-	// path. Location groups are independent, and the merge is ordered by
-	// the sorted object list, so the report is byte-identical at any
-	// setting.
+	// Parallelism has no effect; it is kept only because
+	// benchmark/served.go sets it.
 	Parallelism int
-
-	// Scan selects the scan algorithm: ScanEpoch (the usual ScanAuto
-	// choice) sweeps the whole trace once with chain clocks and issues no
-	// HB queries at all; ScanInterval enumerates each access's concurrent
-	// partners per program-order chain with boundary lookups; ScanQuadratic
-	// keeps the original all-pairs ConcurrentOrdered scan as a reference
-	// oracle. All three produce byte-identical reports. The epoch sweep is
-	// inherently one pass per graph, so Parallelism does not shard it —
-	// windowed analysis shards it by window instead.
-	Scan ScanMode
 
 	// Obs, when non-nil, is the parent span for detection spans and
 	// counters (detect.*). Recording never influences the report.
 	Obs *obs.Span
 }
 
-func (o Options) workers() int {
-	p := o.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	return p
-}
-
 const defaultMaxGroup = 1500
 
 // foundPair accumulates one callstack pair during a scan. firstObj is the
-// index (into the sorted object list) of the object where the pair was
-// first seen, which lets the parallel merge pick the same representative
-// record pair the sequential scan would. rep packs the representative's
-// dynamic record indices in trace order as i<<32|j with i < j: the
-// quadratic scan meets a key's occurrences in ascending (i, j) order so its
-// first stays minimal by construction, while the interval scan emits a
-// fixed access's partners chain by chain and uses rep to keep the same
-// lexicographically minimal representative. rep also keys the report's
-// canonical sort order (see reportFromMap).
+// index (into the sorted object list) of the object that provides the
+// pair's representative, and rep packs the representative's dynamic record
+// indices in trace order as i<<32|j with i < j: the canonical representative
+// of a callstack pair is its minimum (firstObj, rep) occurrence. rep also
+// keys the report's canonical sort order (see reportFromMap).
 type foundPair struct {
 	pair     Pair
 	firstObj int
@@ -258,8 +231,7 @@ type internTable struct {
 }
 
 // buildInternTable renders and ranks the stack of every access of the
-// scanned locations. One rendering per access — the quadratic scan used to
-// pay one per enumerated pair.
+// scanned locations: one rendering per access, none per enumerated pair.
 func buildInternTable(g *hb.Graph, objs []string, groups map[string][]int) *internTable {
 	tab := &internTable{ids: make([]int32, len(g.Tr.Recs))}
 	intern := map[string]int32{}
@@ -324,104 +296,20 @@ func pairFromIDs(tab *internTable, obj string, ri, rj *trace.Rec, i, j int, idI,
 	}
 }
 
-// scanScratch holds the interval scanner's per-location working buffers,
-// reused across the locations one goroutine scans, plus the run's shared
-// read-only intern table. The buffers are tiny per location but there are
-// thousands of locations per run, and reallocating them each time made the
-// garbage collector a measurable share of the detect stage.
-type scanScratch struct {
-	tab      *internTable
-	chainIdx map[int64]int
-	members  [][]int32
-	locals   [][]int32
-	chainOf  []int
-	writes   []bool
-	cur      []int
-}
-
-// scanFunc is the per-location scan shared by the sequential and sharded
-// paths: scanObjectQuadratic (the reference oracle) or scanObjectInterval.
-// found is keyed by packStackIDs of the pair's interned stacks.
-type scanFunc func(g *hb.Graph, obj string, idxs []int, objIdx, maxGroup int, pull map[int64]bool, found map[uint64]*foundPair, slab *pairSlab, sc *scanScratch, sp *obs.Span)
-
-// scanObjectQuadratic runs the all-pairs reference scan over one location's
-// access records (ascending trace indices), folding results into found: one
-// ConcurrentOrdered query per conflicting cross-context pair.
-func scanObjectQuadratic(g *hb.Graph, obj string, idxs []int, objIdx, maxGroup int, pull map[int64]bool, found map[uint64]*foundPair, slab *pairSlab, sc *scanScratch, sp *obs.Span) {
-	if len(idxs) > maxGroup {
-		idxs = subsample(g.Tr, idxs, maxGroup)
-		sp.Count("detect.subsampled_locations", 1)
-	}
-	recs := g.Tr.Recs
-	var hbQueries int64
-	for x := 0; x < len(idxs); x++ {
-		i := idxs[x]
-		ri := &recs[i]
-		riWrite := ri.IsWrite()
-		for y := x + 1; y < len(idxs); y++ {
-			j := idxs[y]
-			rj := &recs[j]
-			if !riWrite && !rj.IsWrite() {
-				continue
-			}
-			// Same program-order context: ordered by Pnreg/Preg.
-			if ri.Thread == rj.Thread && ri.Ctx == rj.Ctx {
-				continue
-			}
-			hbQueries++
-			if !g.ConcurrentOrdered(i, j) {
-				continue
-			}
-			if pull != nil && pull[packStatic(ri.StaticID, rj.StaticID)] {
-				continue
-			}
-			tab := sc.tab
-			key := packStackIDs(tab.ids[i], tab.ids[j])
-			if ex, ok := found[key]; ok {
-				ex.pair.Dynamic++
-			} else {
-				fp := slab.alloc()
-				fp.pair = pairFromIDs(tab, obj, ri, rj, i, j, tab.ids[i], tab.ids[j])
-				fp.pair.Dynamic = 1
-				fp.firstObj = objIdx
-				fp.rep = packRep(i, j)
-				found[key] = fp
-			}
-		}
-	}
-	sp.Count("detect.hb_queries", hbQueries)
-}
-
 // Find enumerates concurrent conflicting access pairs.
 func Find(g *hb.Graph, opts Options) *Report {
 	found, _ := findMap(g, opts)
 	return reportFromMap(found, opts.Obs)
 }
 
-// findMap runs the per-location scans and returns the callstack-pair dedup
-// map. Find sorts it straight into a Report; FindChunked merges the
-// per-window maps first, so windows never materialize intermediate reports.
+// findMap runs the chain-clock sweep (epoch.go) and returns the
+// callstack-pair dedup map. Find sorts it straight into a Report;
+// FindChunked merges the per-window maps first, so windows never materialize
+// intermediate reports.
 func findMap(g *hb.Graph, opts Options) (map[uint64]*foundPair, *internTable) {
 	sp := opts.Obs.Child("detect.find")
 	defer sp.End()
 	sp.Attr("reach_backend", g.Backend().String())
-	mode := opts.Scan
-	var dec hb.ChainDecomposition
-	if mode == ScanAuto || mode == ScanEpoch {
-		dec = g.ChainDecomposition()
-		if mode == ScanAuto {
-			if dec.Chains() <= epochAutoMaxChains {
-				mode = ScanEpoch
-			} else {
-				mode = ScanInterval
-			}
-		}
-	}
-	sp.Attr("scan_mode", mode.String())
-	scan := scanObjectInterval
-	if mode == ScanQuadratic {
-		scan = scanObjectQuadratic
-	}
 	maxGroup := opts.MaxGroup
 	if maxGroup <= 0 {
 		maxGroup = defaultMaxGroup
@@ -463,23 +351,7 @@ func findMap(g *hb.Graph, opts Options) (map[uint64]*foundPair, *internTable) {
 	sort.Strings(objs)
 	tab := buildInternTable(g, objs, groups)
 
-	var found map[uint64]*foundPair
-	if mode == ScanEpoch {
-		// The epoch sweep is one pass over the whole graph; it does not
-		// shard by location (the window pipeline is where its parallel
-		// throughput comes from).
-		found = map[uint64]*foundPair{}
-		scanEpochAll(g, dec, objs, groups, maxGroup, pull, tab, found, &pairSlab{}, sp)
-	} else if p := opts.workers(); p > 1 && len(objs) > 1 {
-		found = findSharded(g, scan, objs, groups, maxGroup, pull, tab, p, sp)
-	} else {
-		found = map[uint64]*foundPair{}
-		slab := &pairSlab{}
-		sc := &scanScratch{tab: tab}
-		for oi, obj := range objs {
-			scan(g, obj, groups[obj], oi, maxGroup, pull, found, slab, sc, sp)
-		}
-	}
+	found := scanEpochAll(g, objs, groups, maxGroup, pull, tab, sp)
 	sp.Attr("locations", len(objs))
 	sp.Attr("candidates", len(found))
 	sp.Count("detect.locations_scanned", int64(len(objs)))
@@ -490,11 +362,10 @@ func findMap(g *hb.Graph, opts Options) (map[uint64]*foundPair, *internTable) {
 // reportFromMap sorts a dedup map into the canonical report order and
 // records the dynamic-pair count. The order is ascending rep — the trace
 // position of each callstack pair's representative records. That key is
-// scan-mode independent (both scans keep the lexicographically smallest
-// representative), unique (equal record pairs have equal stacks, hence
-// equal callstack keys), and a single integer, so an LSD radix sort orders
-// hundreds of thousands of candidates in linear time where a comparison
-// sort on the string keys dominated the detect stage's profile.
+// unique (equal record pairs have equal stacks, hence equal callstack
+// keys) and a single integer, so an LSD radix sort orders hundreds of
+// thousands of candidates in linear time where a comparison sort on the
+// string keys dominated the detect stage's profile.
 func reportFromMap[K comparable](found map[K]*foundPair, parent *obs.Span) *Report {
 	type repEntry struct {
 		rep int64
@@ -541,60 +412,6 @@ func reportFromMap[K comparable](found map[K]*foundPair, parent *obs.Span) *Repo
 	}
 	parent.Count("detect.dynamic_pairs", dynamic)
 	return rep
-}
-
-// findSharded distributes the per-location scans across p workers pulling
-// object indices from a shared counter, then merges the per-worker maps.
-// The merge is deterministic: for each callstack key the representative
-// pair comes from the lowest object index that produced it — exactly the
-// occurrence the sequential scan (which walks objects in sorted order)
-// would have kept — and Dynamic counts are summed.
-func findSharded(g *hb.Graph, scan scanFunc, objs []string, groups map[string][]int, maxGroup int, pull map[int64]bool, tab *internTable, p int, sp *obs.Span) map[uint64]*foundPair {
-	if p > len(objs) {
-		p = len(objs)
-	}
-	partial := make([]map[uint64]*foundPair, p)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			mine := map[uint64]*foundPair{}
-			slab := &pairSlab{}
-			sc := &scanScratch{tab: tab}
-			partial[w] = mine
-			for {
-				oi := int(next.Add(1)) - 1
-				if oi >= len(objs) {
-					return
-				}
-				scan(g, objs[oi], groups[objs[oi]], oi, maxGroup, pull, mine, slab, sc, sp)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// The workers are done, so the merge owns every entry and can adopt
-	// pointers from the partial maps instead of copying.
-	merged := map[uint64]*foundPair{}
-	for _, m := range partial {
-		for k, fp := range m {
-			ex, ok := merged[k]
-			if !ok {
-				merged[k] = fp
-				continue
-			}
-			total := ex.pair.Dynamic + fp.pair.Dynamic
-			if fp.firstObj < ex.firstObj {
-				ex.pair = fp.pair
-				ex.firstObj = fp.firstObj
-				ex.rep = fp.rep
-			}
-			ex.pair.Dynamic = total
-		}
-	}
-	return merged
 }
 
 // subsample keeps a bounded, deterministic selection of a hot location's

@@ -275,3 +275,69 @@ func TestDescribeUnknownStatic(t *testing.T) {
 		t.Fatalf("Describe fallback wrong: %s", p.Describe(prog))
 	}
 }
+
+// TestSubsampleKeepsContextEndpoints covers the truncation fix: the final
+// output must retain the first and last access of EVERY context — the old
+// tail clip could drop the kept last-accesses of late contexts.
+func TestSubsampleKeepsContextEndpoints(t *testing.T) {
+	c := trace.NewCollector("t")
+	const contexts = 10
+	const perCtx = 100
+	// Round-robin so every context's last access sits near the trace tail.
+	for k := 0; k < perCtx; k++ {
+		for th := int32(1); th <= contexts; th++ {
+			mem(c, th, th, trace.KMemWrite, "n/hot", 100+th)
+		}
+	}
+	tr := c.Trace()
+	idxs := make([]int, len(tr.Recs))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	const max = 30
+	out := subsample(tr, idxs, max)
+	if len(out) > max {
+		t.Fatalf("subsample returned %d > max %d", len(out), max)
+	}
+	kept := map[int]bool{}
+	for _, i := range out {
+		kept[i] = true
+	}
+	for th := 0; th < contexts; th++ {
+		first := th                       // first round-robin row
+		last := len(idxs) - contexts + th // last round-robin row
+		if !kept[first] {
+			t.Errorf("context %d first access %d dropped", th, first)
+		}
+		if !kept[last] {
+			t.Errorf("context %d last access %d dropped", th, last)
+		}
+	}
+}
+
+// TestSubsampleManyContextsKeepsAllEndpoints: when the mandatory boundary
+// accesses alone exceed max, they are all still returned.
+func TestSubsampleManyContextsKeepsAllEndpoints(t *testing.T) {
+	c := trace.NewCollector("t")
+	const contexts = 40
+	for k := 0; k < 5; k++ {
+		for th := int32(1); th <= contexts; th++ {
+			mem(c, th, th, trace.KMemWrite, "n/hot", 100+th)
+		}
+	}
+	tr := c.Trace()
+	idxs := make([]int, len(tr.Recs))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	out := subsample(tr, idxs, 20) // 2*40 mandatory > 20
+	kept := map[int]bool{}
+	for _, i := range out {
+		kept[i] = true
+	}
+	for th := 0; th < contexts; th++ {
+		if !kept[th] || !kept[len(idxs)-contexts+th] {
+			t.Fatalf("context %d endpoint dropped under tight max", th)
+		}
+	}
+}

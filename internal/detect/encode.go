@@ -65,11 +65,8 @@ const (
 func (ws WindowScan) Candidates() int { return len(ws.fm) }
 
 // ScanGraph scans one window graph into a WindowScan — the window engine's
-// entry point (internal/window). The per-window scan runs with
-// opts.Parallelism = 1: window-level sharding subsumes per-window
-// parallelism, and the bytes are identical either way.
+// entry point (internal/window).
 func ScanGraph(g *hb.Graph, opts Options) WindowScan {
-	opts.Parallelism = 1
 	fm, tab := findMap(g, opts)
 	return WindowScan{fm: fm, tab: tab}
 }

@@ -96,7 +96,7 @@ func TestClusterMergeMatchesFindChunked(t *testing.T) {
 	if len(chunks) < 3 {
 		t.Fatalf("want several windows, got %d", len(chunks))
 	}
-	want := FindChunked(chunks, Options{Parallelism: 1}).Format(nil)
+	want := FindChunked(chunks, Options{}).Format(nil)
 
 	m := NewChunkMerger(Options{})
 	for _, ch := range chunks {

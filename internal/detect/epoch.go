@@ -7,27 +7,17 @@ import (
 	"dcatch/internal/vclock"
 )
 
-// Epoch-based candidate detection.
-//
-// The interval scanner (DESIGN.md §12) already avoids the quadratic
-// all-pairs walk, but it still pays one reachability boundary lookup per
-// (access, chain). The epoch scanner drops the reachability index from the
-// pair scan entirely (DESIGN.md §13): it sweeps the whole trace once in
-// trace order behind hb.Graph.ChainClockSweep, carrying a chain clock
-// projected onto the chains that hold candidate accesses, and keeps per
-// memory location the already-swept accesses grouped by chain. When the
-// sweep reaches an access v, a prior access u of the same
+// The chain-clock sweep (DESIGN.md §8) — the one scan behind Find. It walks
+// the whole trace once in trace order behind hb.Graph.ChainClockSweep,
+// carrying a chain clock projected onto the chains that hold candidate
+// accesses, and keeps per memory location the already-swept accesses grouped
+// by chain. When the sweep reaches an access v, a prior access u of the same
 // location is concurrent with v exactly when v's clock does not dominate u's
 // epoch — clock[chain(u)] < pos(u), one integer compare — so each prior
 // chain's concurrent suffix falls out of walking its access list backwards
-// until the clock bound is met. Detection becomes O(n·C) end-to-end with
-// zero HB queries, which is what lets the chunked parallel detect leg beat
-// the quadratic oracle instead of losing its margin to per-pair query cost.
-//
-// The scan is a single pass over one graph, so Options.Parallelism does not
-// shard it (parallel throughput comes from the window pipeline's sharding);
-// reports stay byte-identical to the quadratic and interval engines because
-// emission feeds the same interned dedup map and representative rule.
+// until the clock bound is met. Detection is O(n·C) end to end and never
+// queries the reachability index (Kini et al., PAPERS.md). Windowed analysis
+// shards it by window; within one graph it is a single pass.
 
 // epochAcc is one already-swept access of a location within one chain.
 type epochAcc struct {
@@ -45,16 +35,19 @@ type epochObjState struct {
 	passed  []int32      // swept prefix length per slot
 }
 
-// scanEpochAll folds every location's candidate pairs into found in one
-// chain-clock sweep. Subsampling, the write filter, the same-(thread, ctx)
-// skip and pull suppression replicate the per-location scans exactly; only
-// the concurrency test differs (clock domination instead of reachability).
-func scanEpochAll(g *hb.Graph, dec hb.ChainDecomposition, objs []string, groups map[string][]int, maxGroup int, pull map[int64]bool, tab *internTable, found map[uint64]*foundPair, slab *pairSlab, sp *obs.Span) {
+// scanEpochAll folds every location's candidate pairs into one dedup map in
+// one chain-clock sweep: per location (subsampled past maxGroup), every
+// conflicting pair from different (thread, ctx) contexts that neither clock
+// orders and pull suppression does not match.
+func scanEpochAll(g *hb.Graph, objs []string, groups map[string][]int, maxGroup int, pull map[int64]bool, tab *internTable, sp *obs.Span) map[uint64]*foundPair {
+	found := map[uint64]*foundPair{}
 	recs := g.Tr.Recs
 	n := g.N()
 	if n == 0 || len(objs) == 0 {
-		return
+		return found
 	}
+	slab := &pairSlab{}
+	dec := g.ChainDecomposition()
 
 	// accObj/accSlot route a swept vertex to its location state. accObj
 	// stores the object index plus one so the zero value of a fresh array
@@ -141,14 +134,16 @@ func scanEpochAll(g *hb.Graph, dec hb.ChainDecomposition, objs []string, groups 
 	sp.Count("detect.epoch.joins", stats.Joins)
 	sp.Count("detect.epoch.fastpath_hits", stats.FastpathHits)
 	sp.CountMax("detect.epoch.clock_bytes_peak", stats.ClockBytesPeak)
+	return found
 }
 
-// emitEpoch folds one dynamic pair (i < j in trace order) into found. It is
-// emitInterval's dedup with the replacement rule widened to cross-object
-// arrivals: the sweep interleaves locations in trace order instead of
-// finishing one sorted-object group at a time, so a key's representative
-// must converge to the minimum (object index, record pair) — exactly the
-// occurrence the sequential reference keeps — regardless of arrival order.
+// emitEpoch folds one dynamic pair (i < j in trace order) into found: the
+// first occurrence of a callstack key creates the entry, later ones bump
+// Dynamic — the overwhelmingly common path, a packed-ID map probe and a
+// counter. The sweep interleaves locations in trace order, so a key's
+// representative must converge to the minimum (object index, record pair) —
+// the occurrence an object-by-object all-pairs walk meets first — regardless
+// of arrival order.
 func emitEpoch(tab *internTable, obj string, ri, rj *trace.Rec, i, j int, objIdx int, pull map[int64]bool, found map[uint64]*foundPair, slab *pairSlab) {
 	if pull != nil && pull[packStatic(ri.StaticID, rj.StaticID)] {
 		return

@@ -6,14 +6,15 @@ import (
 	"testing"
 
 	"dcatch/internal/hb"
+	"dcatch/internal/trace"
 )
 
-// TestEpochMatchesOraclesRandom is the differential gate for the epoch
-// sweep: across random traces, every rule-ablation config, both reachability
-// backends, both parallelisms and a subsampled MaxGroup, the epoch report
-// must render byte-for-byte the quadratic reference's (and hence the
-// interval scanner's) — while issuing zero HB queries, since the sweep never
-// touches the reachability index.
+// TestEpochMatchesOraclesRandom is the differential gate for the chain-clock
+// sweep: across random traces and a handler-heavy one with more than 4096
+// chains, every rule-ablation config, both reachability backends, a
+// subsampled MaxGroup and pull suppression, Find's report must equal the
+// quadratic oracle's pair for pair — identity, representative records,
+// object and Dynamic count.
 func TestEpochMatchesOraclesRandom(t *testing.T) {
 	ablations := []struct {
 		name string
@@ -26,42 +27,64 @@ func TestEpochMatchesOraclesRandom(t *testing.T) {
 		{"nopush", hb.Config{DisablePush: true}},
 		{"noasync", hb.Config{DisableEvent: true, DisableRPC: true, DisableSocket: true, DisablePush: true}},
 	}
-	backends := []hb.Backend{hb.BackendDense, hb.BackendChain}
+	type input struct {
+		name      string
+		tr        *trace.Trace
+		minChains int // under the full rule set
+	}
+	var inputs []input
 	for trial := 0; trial < 3; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		tr := randomDetectTrace(rng, 250)
+		inputs = append(inputs, input{fmt.Sprintf("trial %d", trial), randomDetectTrace(rng, 250), 0})
+	}
+	inputs = append(inputs, input{"handlers", handlerHeavyTrace(rand.New(rand.NewSource(1300)), 4200), 4097})
+
+	for _, in := range inputs {
 		for _, ab := range ablations {
-			for _, be := range backends {
+			for _, be := range []hb.Backend{hb.BackendDense, hb.BackendChain} {
 				cfg := ab.cfg
 				cfg.ReachBackend = be
-				g, err := hb.Build(tr, cfg)
+				cfg.LoopReads = pollLoopReads
+				g, err := hb.Build(in.tr, cfg)
 				if err != nil {
-					t.Fatalf("trial %d %s/%s: %v", trial, ab.name, be, err)
+					t.Fatalf("%s %s/%s: %v", in.name, ab.name, be, err)
+				}
+				if ab.name == "full" && g.ChainDecomposition().Chains() < in.minChains {
+					t.Fatalf("%s: %d chains, want at least %d", in.name, g.ChainDecomposition().Chains(), in.minChains)
 				}
 				for _, maxGroup := range []int{0, 20} {
-					label := fmt.Sprintf("trial %d %s/%s maxGroup=%d", trial, ab.name, be, maxGroup)
-					ref, refC := runScan(t, g, ScanQuadratic, 1, maxGroup)
-					ival, _ := runScan(t, g, ScanInterval, 1, maxGroup)
-					if ival != ref {
-						t.Fatalf("%s: interval diverged from quadratic", label)
+					label := fmt.Sprintf("%s %s/%s maxGroup=%d", in.name, ab.name, be, maxGroup)
+					opts := Options{MaxGroup: maxGroup}
+					want, wantSub := quadraticReport(g, opts)
+					got, ctr := runFind(g, opts)
+					if len(want.Pairs) == 0 {
+						t.Fatalf("%s: oracle found no candidates; test is vacuous", label)
 					}
-					for _, par := range []int{1, 4} {
-						got, gotC := runScan(t, g, ScanEpoch, par, maxGroup)
-						if got != ref {
-							t.Fatalf("%s p%d: epoch report diverged from quadratic\nepoch:\n%s\nquadratic:\n%s",
-								label, par, got, ref)
-						}
-						if q := gotC["detect.hb_queries"]; q != 0 {
-							t.Fatalf("%s p%d: epoch issued %d HB queries, want 0", label, par, q)
-						}
-						if gotC["detect.subsampled_locations"] != refC["detect.subsampled_locations"] {
-							t.Fatalf("%s p%d: subsampling diverged: epoch %d vs quadratic %d", label, par,
-								gotC["detect.subsampled_locations"], refC["detect.subsampled_locations"])
-						}
-						if gotC["detect.epoch.joins"]+gotC["detect.epoch.fastpath_hits"] == 0 {
-							t.Fatalf("%s p%d: epoch sweep counters empty", label, par)
-						}
+					diffReports(t, label, got, want)
+					if ctr["detect.subsampled_locations"] != wantSub {
+						t.Fatalf("%s: subsampled %d locations, oracle %d", label, ctr["detect.subsampled_locations"], wantSub)
 					}
+					if ctr["detect.epoch.joins"]+ctr["detect.epoch.fastpath_hits"] == 0 {
+						t.Fatalf("%s: sweep counters empty", label)
+					}
+					if ctr["detect.epoch.clock_bytes_peak"] <= 0 {
+						t.Fatalf("%s: detect.epoch.clock_bytes_peak not reported", label)
+					}
+
+					// Pull suppression: with the first candidate's static
+					// pair added to the discovered pull pairs, both sides
+					// must lose the same pairs.
+					discovered := g.PullPairs
+					g.PullPairs = append(discovered[:len(discovered):len(discovered)],
+						hb.PullPair{ReadStatic: want.Pairs[0].AStatic, WriteStatic: want.Pairs[0].BStatic})
+					opts.SuppressPull = true
+					wantPull, _ := quadraticReport(g, opts)
+					gotPull, _ := runFind(g, opts)
+					g.PullPairs = discovered
+					if len(wantPull.Pairs) >= len(want.Pairs) {
+						t.Fatalf("%s: pull suppression removed nothing", label)
+					}
+					diffReports(t, label+" pull", gotPull, wantPull)
 				}
 			}
 		}
@@ -69,57 +92,23 @@ func TestEpochMatchesOraclesRandom(t *testing.T) {
 }
 
 // TestEpochMatchesOraclesChunked runs the differential over the chunked
-// pipeline: per-window epoch sweeps plus the cross-window merge must match
-// the quadratic reference at any parallelism.
+// reference pipeline: per-window sweeps plus the ChunkMerger's cross-window
+// merge must equal per-window quadratic scans merged by the oracle.
 func TestEpochMatchesOraclesChunked(t *testing.T) {
 	rng := rand.New(rand.NewSource(1100))
 	tr := randomDetectTrace(rng, 400)
-	chunks, err := hb.BuildChunked(tr, hb.ChunkConfig{ChunkSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	render := func(mode ScanMode, par int) string {
-		return FindChunked(chunks, Options{Scan: mode, Parallelism: par}).Format(nil)
-	}
-	ref := render(ScanQuadratic, 1)
-	if ref == "" {
-		t.Fatal("empty reference report; generator produced no candidates")
-	}
-	for _, par := range []int{1, 4} {
-		for _, mode := range []ScanMode{ScanEpoch, ScanInterval} {
-			if got := render(mode, par); got != ref {
-				t.Fatalf("chunked %s p%d diverged from quadratic p1:\n%s\nwant:\n%s", mode, par, got, ref)
-			}
+	for _, be := range []hb.Backend{hb.BackendDense, hb.BackendChain} {
+		chunks, err := hb.BuildChunked(tr, hb.ChunkConfig{Base: hb.Config{ReachBackend: be}, ChunkSize: 64})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestScanAutoResolvesToEpoch pins the default path: on an ordinary trace,
-// ScanAuto must behave exactly like ScanEpoch (same report, no HB queries).
-func TestScanAutoResolvesToEpoch(t *testing.T) {
-	rng := rand.New(rand.NewSource(1200))
-	tr := randomDetectTrace(rng, 300)
-	g, err := hb.Build(tr, hb.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, autoC := runScan(t, g, ScanAuto, 1, 0)
-	epoch, _ := runScan(t, g, ScanEpoch, 1, 0)
-	if auto != epoch {
-		t.Fatal("auto report diverged from epoch")
-	}
-	if autoC["detect.hb_queries"] != 0 {
-		t.Fatalf("auto resolved to a querying scan: %d HB queries", autoC["detect.hb_queries"])
-	}
-}
-
-// TestParseScanModeEpoch covers the flag plumbing for the new mode.
-func TestParseScanModeEpoch(t *testing.T) {
-	m, err := ParseScanMode("epoch")
-	if err != nil || m != ScanEpoch {
-		t.Fatalf("ParseScanMode(epoch) = %v, %v", m, err)
-	}
-	if m.String() != "epoch" {
-		t.Fatalf("ScanEpoch.String() = %q", m.String())
+		for _, maxGroup := range []int{0, 10} {
+			opts := Options{MaxGroup: maxGroup}
+			want := quadraticChunkedReport(chunks, opts)
+			if len(want.Pairs) == 0 {
+				t.Fatal("empty reference report; generator produced no candidates")
+			}
+			diffReports(t, fmt.Sprintf("chunked %s maxGroup=%d", be, maxGroup), FindChunked(chunks, opts), want)
+		}
 	}
 }

@@ -39,3 +39,64 @@ func TestStaticsConcurrent(t *testing.T) {
 		t.Fatal("appended pair not visible")
 	}
 }
+
+// TestCallstackKeyCollision is the regression test for the old
+// `AStack + "||" + BStack` dedup keys: two different pairs whose joined
+// renderings coincide must keep distinct identities.
+func TestCallstackKeyCollision(t *testing.T) {
+	p1 := Pair{AStack: "x||y", BStack: "z"}
+	p2 := Pair{AStack: "x", BStack: "y||z"}
+	if p1.AStack+"||"+p1.BStack != p2.AStack+"||"+p2.BStack {
+		t.Fatal("test premise broken: joined strings should collide")
+	}
+	if p1.CallstackKey() == p2.CallstackKey() {
+		t.Fatalf("CallstackKey collided: %+v vs %+v", p1.CallstackKey(), p2.CallstackKey())
+	}
+	m := map[CallstackKey]int{p1.CallstackKey(): 1, p2.CallstackKey(): 2}
+	if len(m) != 2 {
+		t.Fatalf("map folded distinct keys: %v", m)
+	}
+}
+
+// TestStaticKeysCached verifies the StaticKeys memo: repeated calls return
+// the same backing slice, and growing the report invalidates it.
+func TestStaticKeysCached(t *testing.T) {
+	r := &Report{Pairs: []Pair{
+		{AStatic: 2, BStatic: 1},
+		{AStatic: 1, BStatic: 2}, // same unordered static pair
+		{AStatic: 3, BStatic: 4},
+	}}
+	first := r.StaticKeys()
+	want := []string{"1|2", "3|4"}
+	if len(first) != len(want) || first[0] != want[0] || first[1] != want[1] {
+		t.Fatalf("StaticKeys = %v, want %v", first, want)
+	}
+	second := r.StaticKeys()
+	if &first[0] != &second[0] {
+		t.Fatal("StaticKeys rebuilt despite unchanged report")
+	}
+	r.Pairs = append(r.Pairs, Pair{AStatic: 9, BStatic: 9})
+	grown := r.StaticKeys()
+	if len(grown) != 3 || grown[2] != "9|9" {
+		t.Fatalf("StaticKeys after growth = %v, want 3 keys ending in 9|9", grown)
+	}
+	if r.StaticCount() != 3 {
+		t.Fatalf("StaticCount = %d, want 3", r.StaticCount())
+	}
+}
+
+// TestStaticSetCacheTracksAppends: the precomputed static-pair set must
+// refresh when pairs are appended (core.DetectMulti grows Final in place).
+func TestStaticSetCacheTracksAppends(t *testing.T) {
+	r := &Report{Pairs: []Pair{{AStatic: 1, BStatic: 2}}}
+	if !r.HasStaticPair(2, 1) || r.StaticCount() != 1 {
+		t.Fatal("initial set wrong")
+	}
+	r.Pairs = append(r.Pairs, Pair{AStatic: 3, BStatic: 4})
+	if !r.HasStaticPair(3, 4) || r.StaticCount() != 2 {
+		t.Fatal("cache did not refresh after append")
+	}
+	if keys := r.StaticKeys(); len(keys) != 2 || keys[0] != "1|2" || keys[1] != "3|4" {
+		t.Fatalf("StaticKeys = %v", keys)
+	}
+}

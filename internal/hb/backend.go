@@ -77,8 +77,7 @@ func FullBuildExceedsBudget(tr *trace.Trace, cfg Config) bool {
 
 // resolveBackend fixes the backend the closure will use and performs the
 // up-front MemBudget admission check, before any edge construction. Dense
-// keeps its historical error message (tests and the chunked parallel path
-// compare it verbatim); chain and auto report their own footprint breakdown,
+// keeps its historical error message (tests compare it verbatim); chain and auto report their own footprint breakdown,
 // all wrapping ErrOutOfMemory.
 func (g *Graph) resolveBackend() error {
 	n := g.N()

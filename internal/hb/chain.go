@@ -1,11 +1,6 @@
 package hb
 
-import (
-	"math"
-	"sync"
-
-	"dcatch/internal/obs"
-)
+import "math"
 
 // Chain-decomposed reachability. Rule-Preg/Pnreg totally orders the records
 // of each program-order context (the ctxKey chains), and addProgramOrder
@@ -118,20 +113,22 @@ func (g *Graph) outCSR() (offs, dst []int32) {
 	return offs, dst
 }
 
-// chainFill computes the rows of a vertex range: the elementwise minimum
-// (the meet of this semilattice — commutative, so evaluation order cannot
-// matter) over all successors' rows, plus each successor's own position.
-// Every successor of v has a higher trace index, so in the reverse-order
-// passes below its row is already final when v is processed.
-func chainFill(x *chainIndex, offs, dst []int32, verts []int32) {
+// chainSeq is the chain closure: one pass in reverse trace (= reverse
+// topological) order. Row v is the elementwise minimum (the meet of this
+// semilattice) over all successors' rows, plus each successor's own
+// position; every successor of v has a higher trace index, so its row is
+// already final when v is processed.
+func (g *Graph) chainSeq() error {
+	x := g.chainIdx()
+	offs, dst := g.outCSR()
 	c := x.c
 	rows, cs := x.rows, x.cs
-	for _, v := range verts {
-		row := rows[int(v)*c : (int(v)+1)*c]
+	for v := g.N() - 1; v >= 0; v-- {
+		row := rows[v*c : (v+1)*c]
 		for k := range row {
 			row[k] = chainUnreached
 		}
-		for _, w := range dst[offs[v]:offs[int(v)+1]] {
+		for _, w := range dst[offs[v]:offs[v+1]] {
 			wrow := rows[int(w)*c : (int(w)+1)*c]
 			for k, p := range wrow {
 				if p < row[k] {
@@ -143,90 +140,7 @@ func chainFill(x *chainIndex, offs, dst []int32, verts []int32) {
 			}
 		}
 	}
-}
-
-// chainSeq is the sequential reference for the chain closure: one pass in
-// reverse trace (= reverse topological) order.
-func (g *Graph) chainSeq() error {
-	n := g.N()
-	x := g.chainIdx()
-	offs, dst := g.outCSR()
-	one := [1]int32{}
-	for v := n - 1; v >= 0; v-- {
-		one[0] = int32(v)
-		chainFill(x, offs, dst, one[:])
-	}
 	return nil
-}
-
-// chainColumns computes the same rows sharded by chain *columns*: worker k
-// owns the contiguous column range [lo, hi) of every row and runs the full
-// reverse-trace-order pass over its slice. Workers share nothing writable —
-// row slices are disjoint by construction — so there are no barriers at all,
-// unlike the retired per-level wavefront whose barrier count scaled with the
-// longest chain (the dominant chain has length ≈ V/C, so barrier overhead
-// swamped the per-level work and parallel builds lost to sequential). The
-// O(E) successor iteration is duplicated per worker, but the O(V·C + E·C)
-// min-meet work — the actual cost — splits cleanly. Output is identical to
-// chainSeq: each worker computes the same columns the sequential pass would,
-// in the same dependency order.
-func (g *Graph) chainColumns(p int, sp *obs.Span) error {
-	n := g.N()
-	x := g.chainIdx()
-	offs, dst := g.outCSR()
-	c := x.c
-	if p > c {
-		p = c
-	}
-	chunk := (c + p - 1) / p
-	var wg sync.WaitGroup
-	workers := 0
-	for k := 0; k < p; k++ {
-		lo := k * chunk
-		hi := lo + chunk
-		if hi > c {
-			hi = c
-		}
-		if lo >= hi {
-			break
-		}
-		workers++
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			chainFillColumns(x, offs, dst, n, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	sp.Attr("column_workers", workers)
-	sp.Attr("columns_per_worker", chunk)
-	return nil
-}
-
-// chainFillColumns is chainFill restricted to the column range [lo, hi):
-// one reverse-trace-order pass computing those columns of every row.
-func chainFillColumns(x *chainIndex, offs, dst []int32, n, lo, hi int) {
-	c := x.c
-	rows, cs := x.rows, x.cs
-	for v := n - 1; v >= 0; v-- {
-		row := rows[v*c+lo : v*c+hi]
-		for k := range row {
-			row[k] = chainUnreached
-		}
-		for _, w := range dst[offs[v]:offs[v+1]] {
-			wrow := rows[int(w)*c+lo : int(w)*c+hi]
-			for k, p := range wrow {
-				if p < row[k] {
-					row[k] = p
-				}
-			}
-			if cw := int(cs.chainOf[w]); lo <= cw && cw < hi {
-				if p := cs.posOf[w]; p < row[cw-lo] {
-					row[cw-lo] = p
-				}
-			}
-		}
-	}
 }
 
 // chainBits estimates the set-reachability-pair count of the chain index,

@@ -141,28 +141,26 @@ func diffBackends(t *testing.T, label string, dense, chain *Graph) {
 
 // TestChainMatchesDenseRandom is the core differential property: on random
 // full-MTEP traces the chain backend answers every reachability query
-// exactly like the dense bit arrays, at both parallelism levels.
+// exactly like the dense bit arrays.
 func TestChainMatchesDenseRandom(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomMTEP(rng, 300)
-		for _, p := range []int{1, 8} {
-			dense, err := Build(tr, Config{Parallelism: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dense.Backend() != BackendDense {
-				t.Fatalf("default backend is %v, want dense", dense.Backend())
-			}
-			chain, err := Build(tr, Config{Parallelism: p, ReachBackend: BackendChain})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if chain.Backend() != BackendChain || chain.Chains() == 0 {
-				t.Fatalf("chain backend not engaged: %v, %d chains", chain.Backend(), chain.Chains())
-			}
-			diffBackends(t, fmt.Sprintf("seed %d p %d", seed, p), dense, chain)
+		dense, err := Build(tr, Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if dense.Backend() != BackendDense {
+			t.Fatalf("default backend is %v, want dense", dense.Backend())
+		}
+		chain, err := Build(tr, Config{ReachBackend: BackendChain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chain.Backend() != BackendChain || chain.Chains() == 0 {
+			t.Fatalf("chain backend not engaged: %v, %d chains", chain.Backend(), chain.Chains())
+		}
+		diffBackends(t, fmt.Sprintf("seed %d", seed), dense, chain)
 	}
 }
 
@@ -220,36 +218,6 @@ func TestChainMatchesDensePull(t *testing.T) {
 		t.Fatalf("pull pairs diverged: %v vs %v", dense.PullPairs, chain.PullPairs)
 	}
 	diffBackends(t, "pull", dense, chain)
-}
-
-// TestChainParallelMatchesSequential locks the column-sharded parallel
-// build's determinism: the sharded schedule fills the exact same row matrix
-// as the reverse-order sequential reference.
-func TestChainParallelMatchesSequential(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(200 + seed))
-		tr := randomMTEP(rng, 400) // >= the parallel dispatch threshold
-		seq, err := Build(tr, Config{Parallelism: 1, ReachBackend: BackendChain})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := Build(tr, Config{Parallelism: 8, ReachBackend: BackendChain})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Edges() != par.Edges() || seq.Rounds != par.Rounds {
-			t.Fatalf("seed %d: shape diverged: edges %d vs %d, rounds %d vs %d",
-				seed, seq.Edges(), par.Edges(), seq.Rounds, par.Rounds)
-		}
-		if len(seq.chain.rows) != len(par.chain.rows) {
-			t.Fatalf("seed %d: row matrix shapes diverged", seed)
-		}
-		for i, v := range seq.chain.rows {
-			if par.chain.rows[i] != v {
-				t.Fatalf("seed %d: rows[%d] diverged: %d vs %d", seed, i, v, par.chain.rows[i])
-			}
-		}
-	}
 }
 
 // twoThreadTrace builds n records alternating between two regular threads —
@@ -367,6 +335,24 @@ func TestChainCommonAncestorsAndPath(t *testing.T) {
 			dp, cp := dense.Path(i, j), chain.Path(i, j)
 			if (dp == nil) != (cp == nil) {
 				t.Fatalf("Path(%d,%d) existence diverged", i, j)
+			}
+		}
+	}
+}
+
+// TestConcurrentOrderedAgrees cross-checks the unchecked fast path against
+// Concurrent over every valid ordered pair.
+func TestConcurrentOrderedAgrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	tr := randomTrace(rng, 120)
+	g, err := Build(tr, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < g.N(); i++ {
+		for j := i + 1; j < g.N(); j++ {
+			if g.Concurrent(i, j) != g.ConcurrentOrdered(i, j) {
+				t.Fatalf("disagreement on (%d,%d)", i, j)
 			}
 		}
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // Chain-clock sweep — the edge-order clock propagation behind the one-pass
-// epoch detector (internal/detect's -scan epoch). Where the closure
-// materializes a per-vertex reachability index and answers point queries,
+// detector (internal/detect). Where the closure materializes a per-vertex
+// reachability index and answers point queries,
 // the sweep walks the final HB DAG once in trace (= topological) order and
 // hands each vertex its chain clock: per chain, the highest position among
 // the vertex's ancestors (itself included). Exactness follows from the same

@@ -25,7 +25,6 @@ package hb
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -65,18 +64,17 @@ type Config struct {
 	// identical across backends; only memory and the OOM threshold change.
 	ReachBackend Backend
 
-	// Parallelism is the worker count for the reachability closure and the
-	// Rule-Eserial scan: 0 means runtime.GOMAXPROCS(0), 1 keeps the
-	// sequential reference path. Results are bit-for-bit identical at any
-	// setting: all edges point forward in trace order, so trace order is a
-	// topological order and vertices of equal wavefront level have disjoint
-	// inputs.
+	// Parallelism is how many windows the streaming analyzer's chunked
+	// replay (internal/stream) keeps in flight ahead of its in-order fold:
+	// 0 means runtime.GOMAXPROCS(0), 1 one window at a time. Build itself is
+	// single-threaded and ignores it; reports are byte-identical at any
+	// setting.
 	Parallelism int
 
 	// Obs, when non-nil, is the parent span under which Build records its
 	// instrumentation: nested spans per construction phase, closure
-	// invocation, wavefront batch and Eserial round, plus per-rule edge
-	// counters (hb.edges.*). Recording never influences the graph.
+	// invocation and Eserial round, plus per-rule edge counters
+	// (hb.edges.*). Recording never influences the graph.
 	Obs *obs.Span
 }
 
@@ -203,15 +201,6 @@ func (g *Graph) reachBits() int64 {
 		return bits
 	}
 	return bits * int64(n) / counted
-}
-
-// workers resolves the configured parallelism.
-func (g *Graph) workers() int {
-	p := g.cfg.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	return p
 }
 
 // N returns the vertex count.
@@ -475,38 +464,19 @@ func (g *Graph) addPullEdges() {
 
 // closure materializes the resolved backend's reachability index. addEdge
 // only ever accepts edges with u < v, so trace order is a topological order
-// of the DAG; each backend has a sequential reference pass over it and a
-// wavefront-parallel variant that fans independent levels out across
-// workers. All four paths produce identical query results: an index entry
-// depends only on already-final neighbor entries, and both meets (bitwise
-// OR for dense, elementwise min for chain) are commutative.
+// of the DAG and each backend is one pass over it: an index entry depends
+// only on already-final neighbor entries.
 func (g *Graph) closure(parent *obs.Span) error {
-	const minParallelVertices = 256
 	sp := parent.Child("hb.closure")
 	defer sp.End()
 	sp.Attr("backend", g.backend.String())
-	par := 0
-	if p := g.workers(); p > 1 && g.N() >= minParallelVertices {
-		par = p
-	}
 	if g.backend == BackendChain {
-		if par > 0 {
-			sp.Attr("mode", "columns")
-			return g.chainColumns(par, sp)
-		}
-		sp.Attr("mode", "sequential")
 		return g.chainSeq()
 	}
-	if par > 0 {
-		sp.Attr("mode", "wavefront")
-		return g.closureWavefront(par, sp)
-	}
-	sp.Attr("mode", "sequential")
 	return g.closureSeq()
 }
 
-// closureSeq is the sequential reference implementation: one pass in trace
-// (= topological) order.
+// closureSeq is the dense closure: one pass in trace (= topological) order.
 func (g *Graph) closureSeq() error {
 	n := g.N()
 	g.reach = make([]*bitset.Set, n)
@@ -533,121 +503,15 @@ func (g *Graph) closureSeq() error {
 	return nil
 }
 
-// closureWavefront computes the same closure level by level: level(v) =
-// 1 + max(level(pred)), so every predecessor of a level-L vertex lives at a
-// lower level and all level-L sets can be computed concurrently. The
-// WaitGroup barrier between levels is the only synchronization needed.
-func (g *Graph) closureWavefront(p int, sp *obs.Span) error {
-	n := g.N()
-	if g.cfg.MemBudget > 0 {
-		setBytes := int64((n+63)/64) * 8
-		if setBytes*int64(n) > g.cfg.MemBudget {
-			// Same failing vertex the sequential accumulation would hit.
-			cut := int(g.cfg.MemBudget / setBytes)
-			g.reach = nil
-			return fmt.Errorf("%w: exceeded %d bytes at vertex %d/%d",
-				ErrOutOfMemory, g.cfg.MemBudget, cut, n)
-		}
-	}
-
-	// Per-vertex levels in one O(V+E) pass (predecessors precede v in trace
-	// order, so their levels are already final).
-	lvl := make([]int32, n)
-	var maxL int32
-	for v := 0; v < n; v++ {
-		var l int32
-		for _, u := range g.in[v] {
-			if lu := lvl[u] + 1; lu > l {
-				l = lu
-			}
-		}
-		lvl[v] = l
-		if l > maxL {
-			maxL = l
-		}
-	}
-	byLevel := make([][]int32, maxL+1)
-	for v := 0; v < n; v++ {
-		byLevel[lvl[v]] = append(byLevel[lvl[v]], int32(v))
-	}
-
-	g.reach = make([]*bitset.Set, n)
-	fill := func(verts []int32, srcs []*bitset.Set) []*bitset.Set {
-		for _, v := range verts {
-			s := bitset.New(n)
-			srcs = srcs[:0]
-			for _, u := range g.in[v] {
-				srcs = append(srcs, g.reach[u])
-			}
-			s.OrAll(srcs)
-			for _, u := range g.in[v] {
-				s.Add(int(u))
-			}
-			g.reach[v] = s
-		}
-		return srcs
-	}
-	// Per-batch spans are capped so the manifest stays bounded on deep
-	// graphs; the remainder is aggregated into the closure span's attrs.
-	const maxBatchSpans = 32
-	batches, seqLevels, widest := 0, 0, 0
-	var wg sync.WaitGroup
-	var seqSrcs []*bitset.Set
-	for lv, verts := range byLevel {
-		if len(verts) > widest {
-			widest = len(verts)
-		}
-		// Narrow levels are not worth a dispatch; wide ones are split into
-		// contiguous ranges, one per worker.
-		w := p
-		if len(verts) < 2*w {
-			seqLevels++
-			seqSrcs = fill(verts, seqSrcs)
-			continue
-		}
-		var bsp *obs.Span
-		if batches < maxBatchSpans {
-			bsp = sp.Child("hb.closure.batch")
-			bsp.Attr("level", lv)
-			bsp.Attr("width", len(verts))
-		}
-		batches++
-		chunk := (len(verts) + w - 1) / w
-		for k := 0; k < w; k++ {
-			lo := k * chunk
-			hi := lo + chunk
-			if hi > len(verts) {
-				hi = len(verts)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(part []int32) {
-				defer wg.Done()
-				fill(part, nil)
-			}(verts[lo:hi])
-		}
-		wg.Wait()
-		bsp.End()
-	}
-	sp.Attr("levels", len(byLevel))
-	sp.Attr("widest_level", widest)
-	sp.Attr("parallel_batches", batches)
-	sp.Attr("sequential_levels", seqLevels)
-	return nil
-}
-
 // eserialFixedPoint applies Rule-Eserial last (paper §3.2.1): repeatedly add
 // End(e1) ⇒ Begin(e2) for events of the same single-consumer queue whose
 // creations are already ordered, until no more edges appear.
 //
 // Each round scans queues against the closure state of the round's start, so
-// the edge set a round discovers is independent of scan order; queues touch
-// disjoint Begin vertices, which lets the scan fan out one worker per queue.
-// An edge passing the !HappensBefore check cannot already be in the graph
-// (every existing edge is covered by the closure), so accepted edges are
-// counted without a dedup probe.
+// the edge set a round discovers is independent of scan order. An edge
+// passing the !HappensBefore check cannot already be in the graph (every
+// existing edge is covered by the closure), so accepted edges are counted
+// without a dedup probe.
 func (g *Graph) eserialFixedPoint() error {
 	if g.cfg.DisableEvent {
 		return nil
@@ -716,34 +580,14 @@ func (g *Graph) eserialFixedPoint() error {
 		}
 		return added
 	}
-	p := g.workers()
 	var eserialTotal int64
 	for {
 		g.Rounds++
 		rsp := g.sp.Child("hb.eserial.round")
 		rsp.Attr("round", g.Rounds)
 		added := 0
-		if p > 1 && len(worklist) > 1 {
-			counts := make([]int, len(worklist))
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, p)
-			for qi := range worklist {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(qi int) {
-					defer wg.Done()
-					counts[qi] = scan(worklist[qi])
-					<-sem
-				}(qi)
-			}
-			wg.Wait()
-			for _, c := range counts {
-				added += c
-			}
-		} else {
-			for _, evs := range worklist {
-				added += scan(evs)
-			}
+		for _, evs := range worklist {
+			added += scan(evs)
 		}
 		rsp.Attr("edges_added", added)
 		if added == 0 {
@@ -810,9 +654,9 @@ func (g *Graph) CommonAncestors(i, j, limit int) []int {
 
 // ConcurrentOrdered is Concurrent for callers that guarantee 0 <= i < j < N:
 // j can never happen before i (causality flows forward in trace time), so
-// one unchecked index probe decides the query. Detection's quadratic pair
-// loop iterates sorted record indices and uses this to skip the per-call
-// bounds and ordering checks.
+// one unchecked index probe decides the query. The point query of
+// internal/detect's all-pairs test oracle, which iterates sorted record
+// indices.
 func (g *Graph) ConcurrentOrdered(i, j int) bool {
 	return !g.ancestor(i, j)
 }

@@ -261,7 +261,7 @@ type Span struct {
 
 // Child starts a nested span under s. Children are cheap (two time stamps,
 // no memory sampling) so they can wrap inner units of work like closure
-// wavefront batches or Eserial rounds.
+// passes or Eserial rounds.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
@@ -357,7 +357,7 @@ type SpanData struct {
 
 // Spans exports the recorded span forest. maxDepth bounds the tree depth
 // (1 = stage spans only, 2 = one level of children, ...; <= 0 = unlimited)
-// so bulk consumers like BENCH_pipeline.json can stay compact.
+// so bulk consumers can stay compact.
 func (r *Recorder) Spans(maxDepth int) []SpanData {
 	if r == nil {
 		return nil

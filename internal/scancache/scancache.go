@@ -6,11 +6,10 @@
 // eager mode, and the cluster RPC all already produce and fold through
 // ChunkMerger.Merge. A window scan is a pure function of the window's
 // record content and the wire-expressible analysis options (reach backend,
-// scan mode, group cap, memory budget): scan parallelism never changes the
-// canonical encoding, and observability never changes results. So the
+// group cap, memory budget); observability never changes results. So the
 // cache key is
 //
-//	sha256("dcws|" version "|" reach "|" scan "|" maxGroup "|" memBudget "|" window-records)
+//	sha256("dcws|" version "|" reach "|" maxGroup "|" memBudget "|" window-records)
 //
 // where the records are hashed field by field (Spec.KeyTrace) rather than
 // through trace.Trace.Encode — the same injectivity without the string
@@ -63,7 +62,6 @@ func (k Key) String() string { return fmt.Sprintf("%x", k[:]) }
 // derive Specs from their own typed configs land on identical keys.
 type Spec struct {
 	Reach     string // hb.Backend.String(): "dense" | "chain" | "auto"
-	Scan      string // detect.ScanMode.String(): "auto" | "epoch" | "interval" | "quadratic"
 	MaxGroup  int
 	MemBudget int64
 }
@@ -79,7 +77,6 @@ func SpecFor(hcfg hb.Config, dopts detect.Options) (Spec, bool) {
 	}
 	return Spec{
 		Reach:     hcfg.ReachBackend.String(),
-		Scan:      dopts.Scan.String(),
 		MaxGroup:  dopts.MaxGroup,
 		MemBudget: hcfg.MemBudget,
 	}, true
@@ -97,7 +94,7 @@ func SpecFor(hcfg hb.Config, dopts detect.Options) (Spec, bool) {
 // request body lands on the coordinator's key.
 func (s Spec) KeyTrace(sub *trace.Trace) Key {
 	h := sha256.New()
-	fmt.Fprintf(h, "dcws|%d|%s|%s|%d|%d|", detect.WindowScanVersion, s.Reach, s.Scan, s.MaxGroup, s.MemBudget)
+	fmt.Fprintf(h, "dcws|%d|%s|%d|%d|", detect.WindowScanVersion, s.Reach, s.MaxGroup, s.MemBudget)
 	buf := make([]byte, 0, 1<<16)
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	str := func(s string) {

@@ -80,13 +80,12 @@ func TestSpecForRejectsUnexpressibleOptions(t *testing.T) {
 
 func TestSpecKeySensitivity(t *testing.T) {
 	tr := racyTrace(50, 1)
-	base := Spec{Reach: "dense", Scan: "auto"}
+	base := Spec{Reach: "dense"}
 	k0 := base.KeyTrace(tr)
 	variants := []Spec{
-		{Reach: "chain", Scan: "auto"},
-		{Reach: "dense", Scan: "epoch"},
-		{Reach: "dense", Scan: "auto", MaxGroup: 5},
-		{Reach: "dense", Scan: "auto", MemBudget: 1 << 20},
+		{Reach: "chain"},
+		{Reach: "dense", MaxGroup: 5},
+		{Reach: "dense", MemBudget: 1 << 20},
 	}
 	for _, v := range variants {
 		if v.KeyTrace(tr) == k0 {
@@ -99,9 +98,6 @@ func TestSpecKeySensitivity(t *testing.T) {
 	if base.KeyTrace(tr) != k0 {
 		t.Error("key not deterministic")
 	}
-	// Parallelism is deliberately absent from the spec: equal scans encode
-	// equal bytes regardless of scan parallelism, so it must not split keys.
-
 	// Every hashed field must move the key: a collision here would let a
 	// window that scans differently be served a stale result.
 	muts := []struct {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dcatch/internal/core"
-	"dcatch/internal/detect"
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 )
@@ -54,16 +53,13 @@ type JobOptions struct {
 	// SkipPrune / SkipLoopSync disable pipeline stages. Subject jobs only.
 	SkipPrune    bool `json:"skip_prune,omitempty"`
 	SkipLoopSync bool `json:"skip_loop_sync,omitempty"`
-	// Parallelism is the analysis worker count (dcatch -parallel); reports
-	// are byte-identical at any setting.
+	// Parallelism is how many windows the chunked fallback analyses
+	// concurrently (dcatch-trace -parallel); reports are byte-identical at
+	// any setting, so it is not part of the report-cache key.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Reach selects the reachability backend: "", "dense", "chain", "auto"
 	// (dcatch -reach).
 	Reach string `json:"reach,omitempty"`
-	// Scan selects the detection scan algorithm: "", "auto", "epoch",
-	// "interval", "quadratic" (dcatch -scan). Reports are byte-identical in
-	// every mode.
-	Scan string `json:"scan,omitempty"`
 	// MemBudget bounds analysis reachability memory in bytes; it also
 	// drives the service's admission control (a job is not started until
 	// its budget fits under the server-wide memory budget).
@@ -140,7 +136,6 @@ func coreOptions(o JobOptions) (core.Options, error) {
 	opts.SkipPrune = o.SkipPrune
 	opts.SkipLoopSync = o.SkipLoopSync
 	opts.HB.Parallelism = o.Parallelism
-	opts.Detect.Parallelism = o.Parallelism
 	opts.HB.MemBudget = o.MemBudget
 	opts.ChunkSize = o.ChunkSize
 	opts.Detect.MaxGroup = o.MaxGroup
@@ -151,19 +146,14 @@ func coreOptions(o JobOptions) (core.Options, error) {
 		}
 		opts.HB.ReachBackend = backend
 	}
-	if o.Scan != "" {
-		mode, err := detect.ParseScanMode(o.Scan)
-		if err != nil {
-			return opts, fmt.Errorf("serve: %w", err)
-		}
-		opts.Detect.Scan = mode
-	}
 	return opts, nil
 }
 
-// optionsKey canonicalizes JobOptions for cache keying. JSON with fixed
-// field order is canonical here because JobOptions is a flat struct.
+// optionsKey canonicalizes JobOptions for cache keying, leaving out what
+// cannot change report bytes (Parallelism). JSON with fixed field order is
+// canonical here because JobOptions is a flat struct.
 func optionsKey(o JobOptions) string {
+	o.Parallelism = 0
 	buf, err := json.Marshal(o)
 	if err != nil { // flat struct of scalars: cannot fail
 		panic(err)

@@ -95,9 +95,6 @@ func (c *Client) SubmitTrace(r io.Reader, opt JobOptions) (*JobStatus, error) {
 	if opt.Reach != "" {
 		q.Set("reach", opt.Reach)
 	}
-	if opt.Scan != "" {
-		q.Set("scan", opt.Scan)
-	}
 	if opt.MemBudget != 0 {
 		q.Set("mem_budget", strconv.FormatInt(opt.MemBudget, 10))
 	}

@@ -516,7 +516,8 @@ func (s *Server) submitTrace(body io.Reader, r *http.Request) (*job, error) {
 	return j, nil
 }
 
-// traceQueryOptions parses trace-job options from query parameters.
+// traceQueryOptions parses trace-job options from query parameters. Unknown
+// parameters are ignored, which is what keeps an older client's scan= working.
 func traceQueryOptions(r *http.Request) (JobOptions, error) {
 	var o JobOptions
 	q := r.URL.Query()
@@ -547,7 +548,6 @@ func traceQueryOptions(r *http.Request) (JobOptions, error) {
 		o.MemBudget = n
 	}
 	o.Reach = q.Get("reach")
-	o.Scan = q.Get("scan")
 	return o, nil
 }
 

@@ -296,15 +296,34 @@ func TestCacheHit(t *testing.T) {
 	}
 	waitDone(t, c, st3.ID)
 
+	// parallel= cannot change report bytes, so it is not part of the key:
+	// the same upload at another setting hits.
+	raw, _ := localTraceBytes(t, "ZK-1144")
+	st4, err := c.SubmitTrace(bytes.NewReader(raw), JobOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st4.CacheHit {
+		t.Error("first trace upload hit the cache")
+	}
+	waitDone(t, c, st4.ID)
+	st5, err := c.SubmitTrace(bytes.NewReader(raw), JobOptions{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st5.CacheHit || st5.State != StateDone {
+		t.Errorf("same upload with another parallel=: state=%s cache_hit=%v, want a cache hit", st5.State, st5.CacheHit)
+	}
+
 	counters := s.Recorder().Counters()
-	if counters["serve.cache.hits"] != 1 {
-		t.Errorf("serve.cache.hits = %d, want 1", counters["serve.cache.hits"])
+	if counters["serve.cache.hits"] != 2 {
+		t.Errorf("serve.cache.hits = %d, want 2", counters["serve.cache.hits"])
 	}
-	if counters["serve.jobs.executed"] != 2 {
-		t.Errorf("serve.jobs.executed = %d, want 2 (cache hit must not re-run analysis)", counters["serve.jobs.executed"])
+	if counters["serve.jobs.executed"] != 3 {
+		t.Errorf("serve.jobs.executed = %d, want 3 (cache hit must not re-run analysis)", counters["serve.jobs.executed"])
 	}
-	if counters["serve.jobs.submitted"] != 3 {
-		t.Errorf("serve.jobs.submitted = %d, want 3", counters["serve.jobs.submitted"])
+	if counters["serve.jobs.submitted"] != 5 {
+		t.Errorf("serve.jobs.submitted = %d, want 5", counters["serve.jobs.submitted"])
 	}
 }
 
@@ -630,6 +649,58 @@ func TestBadInputs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("unfinished report fetch: %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestStaleScanOption pins compatibility with clients one version behind: a
+// scan= query parameter on a trace upload (every mode rendered the same bytes)
+// is ignored, recognised value or not, and the report is byte-identical to
+// the same upload without it; options.scan in a subject-job body is an
+// unknown field like any other.
+func TestStaleScanOption(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	raw, want := localTraceBytes(t, "ZK-1144")
+	for _, tc := range []struct {
+		name, contentType, query, body string
+		wantStatus                     int // 0 = accepted, report must equal want
+	}{
+		{name: "upload without scan", query: ""},
+		{name: "upload scan=auto", query: "?scan=auto"},
+		{name: "upload scan=epoch", query: "?scan=epoch"},
+		{name: "upload scan=interval", query: "?scan=interval"},
+		{name: "upload scan=quadratic", query: "?scan=quadratic"},
+		{name: "upload scan=bogus", query: "?scan=bogus"},
+		{name: "subject options.scan", contentType: "application/json",
+			body: `{"bench":"ZK-1144","options":{"scan":"epoch"}}`, wantStatus: http.StatusBadRequest},
+	} {
+		contentType, body := "application/octet-stream", raw
+		if tc.contentType != "" {
+			contentType, body = tc.contentType, []byte(tc.body)
+		}
+		resp, err := http.Post(c.Base+"/v1/jobs"+tc.query, contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.wantStatus != 0 {
+			resp.Body.Close()
+			if resp.StatusCode != tc.wantStatus {
+				t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.wantStatus)
+			}
+			continue
+		}
+		st, err := decodeStatus(resp)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		st = waitDone(t, c, st.ID)
+		got, err := c.Report(st.ID)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if string(got) != want {
+			t.Errorf("%s: report differs from the upload without scan=", tc.name)
+		}
 	}
 }
 

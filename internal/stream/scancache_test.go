@@ -42,40 +42,38 @@ func openCache(t *testing.T, dir string, rec *obs.Recorder) *scancache.Cache {
 	return sc
 }
 
-// TestCacheDifferentialByteIdentity: over every backend × scan mode ×
-// parallelism combination on the chunked path, a cache-populating run and a
-// warm rerun against the populated persistent directory must both be
-// byte-identical to the uncached oracle, and the warm rerun must not miss.
+// TestCacheDifferentialByteIdentity: over every backend × replay-pipeline
+// depth on the chunked path, a cache-populating run and a warm rerun against
+// the populated persistent directory must both be byte-identical to the
+// uncached oracle, and the warm rerun must not miss.
 func TestCacheDifferentialByteIdentity(t *testing.T) {
 	tr := bench.SyntheticTraceBounded(3000, 5)
 	const chunk = 500
 	for _, backend := range []hb.Backend{hb.BackendDense, hb.BackendChain} {
-		for _, scan := range []detect.ScanMode{detect.ScanAuto, detect.ScanEpoch, detect.ScanInterval, detect.ScanQuadratic} {
-			for _, par := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s-%s-par%d", backend, scan, par), func(t *testing.T) {
-					hcfg := hb.Config{ReachBackend: backend, Parallelism: par}
-					budget, err := bench.IncrMemBudget(tr, chunk, hcfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					hcfg.MemBudget = budget
-					dopts := detect.Options{Scan: scan}
-					want := runWindowed(t, tr, hcfg, dopts, chunk, false, nil)
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s-par%d", backend, par), func(t *testing.T) {
+				hcfg := hb.Config{ReachBackend: backend, Parallelism: par}
+				budget, err := bench.IncrMemBudget(tr, chunk, hcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hcfg.MemBudget = budget
+				dopts := detect.Options{}
+				want := runWindowed(t, tr, hcfg, dopts, chunk, false, nil)
 
-					dir := t.TempDir()
-					if got := runWindowed(t, tr, hcfg, dopts, chunk, false, openCache(t, dir, obs.New())); got != want {
-						t.Fatal("cache-populating run diverged from the uncached oracle")
-					}
-					rec := obs.New()
-					if got := runWindowed(t, tr, hcfg, dopts, chunk, false, openCache(t, dir, rec)); got != want {
-						t.Fatal("warm cached run diverged from the uncached oracle")
-					}
-					ctr := rec.Counters()
-					if ctr["scancache.misses"] != 0 || ctr["scancache.hits"] == 0 {
-						t.Errorf("warm rerun hits=%d misses=%d, want all hits", ctr["scancache.hits"], ctr["scancache.misses"])
-					}
-				})
-			}
+				dir := t.TempDir()
+				if got := runWindowed(t, tr, hcfg, dopts, chunk, false, openCache(t, dir, obs.New())); got != want {
+					t.Fatal("cache-populating run diverged from the uncached oracle")
+				}
+				rec := obs.New()
+				if got := runWindowed(t, tr, hcfg, dopts, chunk, false, openCache(t, dir, rec)); got != want {
+					t.Fatal("warm cached run diverged from the uncached oracle")
+				}
+				ctr := rec.Counters()
+				if ctr["scancache.misses"] != 0 || ctr["scancache.hits"] == 0 {
+					t.Errorf("warm rerun hits=%d misses=%d, want all hits", ctr["scancache.hits"], ctr["scancache.misses"])
+				}
+			})
 		}
 	}
 }

@@ -36,30 +36,29 @@ func feedSegments(t *testing.T, tr *trace.Trace, opts stream.Options, rng *rand.
 
 // The core differential property: Finish() is byte-identical to the batch
 // pipeline (hb.Build + detect.Find) over the same records, for every flush
-// placement — including a flush after every single record — across backends,
-// parallelism and MaxGroup settings.
+// placement — including a flush after every single record — across backends
+// and MaxGroup settings.
 func TestStreamFinishMatchesBatch(t *testing.T) {
 	type cfg struct {
 		n        int
 		backend  hb.Backend
-		par      int
 		maxGroup int
 		segMax   int // 1 = flush after every record
 	}
 	cases := []cfg{
-		{0, hb.BackendChain, 1, 0, 1},
-		{1, hb.BackendChain, 1, 0, 1},
-		{200, hb.BackendChain, 1, 0, 1},
-		{200, hb.BackendDense, 1, 0, 1},
-		{1500, hb.BackendChain, 1, 0, 97},
-		{1500, hb.BackendChain, 0, 0, 64},
-		{1500, hb.BackendDense, 0, 8, 33},
-		{1500, hb.BackendChain, 1, 8, 256},
+		{0, hb.BackendChain, 0, 1},
+		{1, hb.BackendChain, 0, 1},
+		{200, hb.BackendChain, 0, 1},
+		{200, hb.BackendDense, 0, 1},
+		{1500, hb.BackendChain, 0, 97},
+		{1500, hb.BackendChain, 0, 64},
+		{1500, hb.BackendDense, 8, 33},
+		{1500, hb.BackendChain, 8, 256},
 	}
 	for ci, c := range cases {
 		tr := bench.SyntheticTrace(c.n, int64(ci+1))
-		hcfg := hb.Config{ReachBackend: c.backend, Parallelism: c.par}
-		dopt := detect.Options{MaxGroup: c.maxGroup, Parallelism: c.par}
+		hcfg := hb.Config{ReachBackend: c.backend}
+		dopt := detect.Options{MaxGroup: c.maxGroup}
 
 		g, err := hb.Build(tr, hcfg)
 		if err != nil {
@@ -293,7 +292,7 @@ func TestStreamFallbackMatchesBatchChunked(t *testing.T) {
 	const budget = 100_000 // full dense closure ~512KB fails; 256-record windows fit
 	for _, par := range []int{1, 4} {
 		hcfg := hb.Config{ReachBackend: hb.BackendDense, MemBudget: budget, Parallelism: par}
-		dopt := detect.Options{Parallelism: par}
+		dopt := detect.Options{}
 
 		if _, err := hb.Build(tr, hcfg); err == nil {
 			t.Fatal("full build unexpectedly fit the budget; fallback not exercised")

@@ -1,7 +1,7 @@
 package vclock
 
 // Chain clocks: the dense, chain-indexed clock representation behind the
-// one-pass epoch detector (internal/detect's -scan epoch). Where the sparse
+// one-pass detector (internal/detect's chain-clock sweep). Where the sparse
 // Clock above maps arbitrary dimensions to timestamps, a ChainClock is fixed
 // to one HB graph's chain decomposition: entry c holds the highest position
 // in chain c known to happen at-or-before the clock's owner. Because every

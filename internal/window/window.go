@@ -29,11 +29,9 @@ type Engine struct {
 	spec  scancache.Spec
 }
 
-// New returns the engine for one job. Each window's build and scan run
-// single-threaded: callers shard by window, which subsumes per-window
-// parallelism, and the scan's bytes are identical either way.
+// New returns the engine for one job. Each window's build and scan is
+// single-threaded; callers shard by window.
 func New(hcfg hb.Config, dopts detect.Options, cache *scancache.Cache) *Engine {
-	hcfg.Parallelism = 1
 	e := &Engine{hcfg: hcfg, dopts: dopts}
 	if cache != nil {
 		if spec, ok := scancache.SpecFor(hcfg, dopts); ok {
