@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -250,6 +251,44 @@ func TestTraceStreamingIngest(t *testing.T) {
 	// have been withdrawn from the live gauge.
 	if got := s.streamFrontier.Load(); got != 0 {
 		t.Errorf("stream.frontier_bytes gauge = %d after ingest, want 0", got)
+	}
+}
+
+// TestTraceUploadTrailingPadding uploads a small valid trace followed by
+// megabytes of padding. The padding is read (it is part of the body and of
+// the cache key) but must not be held: the ingest's allocations stay far
+// below the padding's size, and the report is the unpadded trace's.
+func TestTraceUploadTrailingPadding(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	raw, want := localTraceBytes(t, "ZK-1144")
+	const padding = 16 << 20
+	body := append(append([]byte{}, raw...), make([]byte, padding)...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	req := httptest.NewRequest("POST", "/v1/jobs", nil)
+	j, err := s.submitTrace(&fragmentReader{data: body, chunk: uploadSegmentBytes}, req)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > padding/4 {
+		t.Errorf("ingest of a %d-byte trace with %d bytes of padding allocated %d bytes", len(raw), padding, got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	st, err := s.WaitTerminal(ctx, j.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("job finished %s: %s", st.State, st.Error)
+	}
+	j.mu.Lock()
+	rep := string(j.result.report)
+	j.mu.Unlock()
+	if rep != want {
+		t.Errorf("padded upload's report differs from local analysis:\n-- served --\n%s\n-- local --\n%s", rep, want)
 	}
 }
 

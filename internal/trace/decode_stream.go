@@ -1,26 +1,46 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 )
 
-// StreamDecoder is the push-based incremental form of Decode: callers feed
-// byte segments as they arrive (a growing file tail, an HTTP request body
-// read chunk by chunk) and complete records become visible immediately,
-// without waiting for the writer to finish. A segment boundary may fall
-// anywhere — mid-varint, mid-string, mid-record — and decoding resumes
-// exactly where it stopped: the decoder retains the unconsumed tail and
-// re-attempts the interrupted unit once more bytes land.
+// Decode parses a binary trace. It reads the input to its end and feeds the
+// bytes to a StreamDecoder in one piece, so the format has a single parser
+// and the record slice is reserved once against the whole input.
+func Decode(in io.Reader) (*Trace, error) {
+	var buf bytes.Buffer
+	if l, ok := in.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead) // in-memory reader: one exact allocation
+	}
+	if _, err := buf.ReadFrom(in); err != nil {
+		return nil, fmt.Errorf("trace: reading input: %w", err)
+	}
+	d := NewStreamDecoder()
+	if _, err := d.Feed(buf.Bytes()); err != nil {
+		return nil, err
+	}
+	return d.Finish()
+}
+
+// StreamDecoder is the format's parser in push form: callers feed byte
+// segments as they arrive (a growing file tail, an HTTP request body read
+// chunk by chunk) and complete records become visible immediately, without
+// waiting for the writer to finish. A segment boundary may fall anywhere —
+// mid-varint, mid-string, mid-record — and decoding resumes exactly where it
+// stopped: the decoder retains the unconsumed tail and re-attempts the
+// interrupted unit once more bytes land.
 //
-// The decoder applies the same wire format, validation limits, capped
-// preallocation and callstack interning as Decode, so a fully fed stream
-// yields a trace identical to Decode over the same bytes (locked by
-// TestStreamDecoderEquivalence). Trailing bytes after the declared record
-// count are ignored, as in Decode.
+// Header counts are attacker-controlled on the dcatch-serve upload path, so
+// nothing is allocated against a declared count alone: the string table
+// starts small and grows against real input, and record capacity is reserved
+// from the bytes in hand (see reserve). Bytes after the declared record count
+// are ignored and not retained.
 type StreamDecoder struct {
-	buf []byte // unconsumed input tail
-	off int    // parse offset into buf
+	buf []byte // unconsumed input tail: at most one partial unit
 
 	phase int
 	err   error
@@ -29,13 +49,13 @@ type StreamDecoder struct {
 	table []string
 
 	nq, nstr, nrec uint64 // declared counts (valid per phase)
-	done           uint64 // units completed in the current counting phase
+	done           uint64 // queue or string entries completed in the current header phase
 
-	// Callstack interning, identical to Decode's: distinct stacks share one
-	// backing array keyed by their 4-byte-per-frame image.
-	stacks  map[string][]int32
-	scratch []int32
-	key     []byte
+	// Callstack interning: real traces repeat a small set of stacks across
+	// millions of records (every instrumented site logs the same frames each
+	// time it fires), so distinct stacks share one backing array, keyed by
+	// their wire bytes — m[string(b)] compiles to an allocation-free lookup.
+	stacks map[string][]int32
 
 	consumed int64 // total bytes consumed off the wire
 }
@@ -50,6 +70,10 @@ const (
 	phaseDone
 )
 
+// minRecBytes is the smallest wire record: kind and context-kind bytes plus
+// ten one-byte varints.
+const minRecBytes = 12
+
 // NewStreamDecoder returns a decoder awaiting the first bytes of a binary
 // trace.
 func NewStreamDecoder() *StreamDecoder {
@@ -59,36 +83,58 @@ func NewStreamDecoder() *StreamDecoder {
 	}
 }
 
-// cursor is a speculative parse position: units parse through it and commit
-// only when complete, so an underflow mid-unit leaves the decoder's offset
-// untouched for a clean retry.
+// errShort is the internal "need more bytes" signal; it never escapes Feed.
+var errShort = errors.New("trace: stream underflow")
+
+// uvarint decodes the varint at b[i:] and returns its value and the offset
+// past it. A failure returns an offset beyond len(b) — len(b)+1 when the
+// varint is cut short, len(b)+2 when it overflows 64 bits — and a failed
+// offset passes through later calls unchanged, so a run of fields is read
+// back to back and checked once (varintErr).
+func uvarint(b []byte, i int) (uint64, int) {
+	if i < len(b) && b[i] < 0x80 {
+		return uint64(b[i]), i + 1
+	}
+	return uvarintSlow(b, i)
+}
+
+func uvarintSlow(b []byte, i int) (uint64, int) {
+	if i > len(b) {
+		return 0, i
+	}
+	v, n := binary.Uvarint(b[i:])
+	switch {
+	case n > 0:
+		return v, i + n
+	case n < 0:
+		return 0, len(b) + 2
+	}
+	return 0, len(b) + 1
+}
+
+// varintErr names the failure behind an offset uvarint returned past len(b).
+func varintErr(b []byte, i int) error {
+	if i == len(b)+1 {
+		return errShort
+	}
+	return errors.New("trace: corrupt varint")
+}
+
+// cursor is a speculative parse position for the header units: a unit parses
+// through it and commits only when complete, so an underflow mid-unit leaves
+// the decoder's offset untouched for a clean retry.
 type cursor struct {
 	b []byte
 	i int
 }
 
-// errShort is the internal "need more bytes" signal; it never escapes Feed.
-var errShort = fmt.Errorf("trace: stream underflow")
-
 func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b[c.i:])
-	if n > 0 {
-		c.i += n
-		return v, nil
+	v, i := uvarint(c.b, c.i)
+	if i > len(c.b) {
+		return 0, varintErr(c.b, i)
 	}
-	if n < 0 || len(c.b)-c.i >= binary.MaxVarintLen64 {
-		return 0, fmt.Errorf("trace: corrupt varint")
-	}
-	return 0, errShort
-}
-
-func (c *cursor) byte() (byte, error) {
-	if c.i >= len(c.b) {
-		return 0, errShort
-	}
-	b := c.b[c.i]
-	c.i++
-	return b, nil
+	c.i = i
+	return v, nil
 }
 
 func (c *cursor) str() (string, error) {
@@ -107,40 +153,59 @@ func (c *cursor) str() (string, error) {
 	return s, nil
 }
 
-// Feed appends p to the decoder's input and decodes every unit the buffered
-// bytes complete, returning the number of newly completed records. A nil
-// error with a short count just means the stream is mid-unit; a non-nil
-// error is fatal and sticky (the input violates the format).
+// Feed decodes every unit that p completes, together with the tail retained
+// from earlier calls, and returns the number of newly completed records. A
+// nil error with a short count just means the stream is mid-unit; a non-nil
+// error is fatal and sticky (the input violates the format). Feed does not
+// retain p.
 func (d *StreamDecoder) Feed(p []byte) (int, error) {
 	if d.err != nil {
 		return 0, d.err
 	}
-	d.buf = append(d.buf, p...)
+	if d.phase == phaseDone {
+		return 0, nil // trailing bytes: dropped, not buffered
+	}
+	b := p
+	if len(d.buf) > 0 {
+		d.buf = append(d.buf, p...)
+		b = d.buf
+	}
 	before := len(d.t.Recs)
-	for d.phase != phaseDone {
-		c := cursor{b: d.buf, i: d.off}
-		err := d.step(&c)
-		if err == errShort {
-			break
-		}
-		if err != nil {
-			d.err = err
-			return len(d.t.Recs) - before, err
-		}
-		d.consumed += int64(c.i - d.off)
-		d.off = c.i
+	i, err := d.parse(b)
+	d.consumed += int64(i)
+	d.err = err
+	switch {
+	case err != nil || d.phase == phaseDone:
+		d.buf = nil
+	case i > 0 || len(d.buf) == 0:
+		// Keep only the partial unit, so the retained tail does not grow
+		// with the stream (when b is d.buf this moves it to the front).
+		d.buf = append(d.buf[:0], b[i:]...)
 	}
-	// Compact the consumed prefix so the retained tail stays bounded by one
-	// partial unit rather than growing with the stream.
-	if d.off > 0 && (d.off == len(d.buf) || d.off > 1<<12) {
-		d.buf = append(d.buf[:0], d.buf[d.off:]...)
-		d.off = 0
-	}
-	return len(d.t.Recs) - before, nil
+	return len(d.t.Recs) - before, err
 }
 
-// step parses one unit at the current phase through c. On success the phase
-// and per-phase counters advance; errShort means the unit is incomplete.
+// parse decodes the units b holds from its start and returns the offset past
+// the last complete one; running out of bytes mid-unit is not an error.
+func (d *StreamDecoder) parse(b []byte) (i int, err error) {
+	for d.phase < phaseRecords && err == nil {
+		c := cursor{b: b, i: i}
+		if err = d.step(&c); err == nil {
+			i = c.i
+		}
+	}
+	if err == nil {
+		i, err = d.records(b, i)
+	}
+	if err == errShort {
+		err = nil
+	}
+	return i, err
+}
+
+// step parses one header unit at the current phase through c. On success the
+// phase and per-phase counters advance; errShort means the unit is
+// incomplete.
 func (d *StreamDecoder) step(c *cursor) error {
 	switch d.phase {
 	case phaseHeader:
@@ -150,11 +215,10 @@ func (d *StreamDecoder) step(c *cursor) error {
 		if string(c.b[c.i:c.i+4]) != magic {
 			return fmt.Errorf("trace: bad magic %q", c.b[c.i:c.i+4])
 		}
-		c.i += 4
-		v, _ := c.byte()
-		if v != version {
+		if v := c.b[c.i+4]; v != version {
 			return fmt.Errorf("trace: unsupported version %d", v)
 		}
+		c.i += 5
 		prog, err := c.str()
 		if err != nil {
 			return err
@@ -198,8 +262,6 @@ func (d *StreamDecoder) step(c *cursor) error {
 				return fmt.Errorf("trace: unreasonable string table size %d", n)
 			}
 			d.nstr = n
-			// Same capped preallocation as Decode: header counts are
-			// attacker-controlled, so growth happens against real input.
 			d.table = make([]string, 0, min(n, 1<<12))
 			return nil
 		}
@@ -222,112 +284,102 @@ func (d *StreamDecoder) step(c *cursor) error {
 			return fmt.Errorf("trace: unreasonable record count %d", n)
 		}
 		d.nrec = n
-		d.done = 0
-		d.t.Recs = make([]Rec, 0, min(n, 1<<16))
+		d.t.Recs = []Rec{}
 		d.phase = phaseRecords
-	case phaseRecords:
-		if d.done >= d.nrec {
-			d.phase = phaseDone
-			return nil
-		}
-		r, err := d.record(c)
-		if err != nil {
-			return err
-		}
-		d.t.Recs = append(d.t.Recs, r)
-		d.done++
-		if d.done >= d.nrec {
-			d.phase = phaseDone
-		}
 	}
 	return nil
 }
 
-// record parses one record through c, mirroring Decode's field order,
-// validation and stack interning.
-func (d *StreamDecoder) record(c *cursor) (Rec, error) {
-	var r Rec
-	kind, err := c.byte()
-	if err != nil {
-		return r, err
-	}
-	r.Kind = Kind(kind)
-	ck, err := c.byte()
-	if err != nil {
-		return r, err
-	}
-	r.CtxKind = CtxKind(ck)
-	if r.Seq, err = c.uvarint(); err != nil {
-		return r, err
-	}
-	if r.Node, err = d.lookup(c); err != nil {
-		return r, err
-	}
-	v, err := c.uvarint()
-	if err != nil {
-		return r, err
-	}
-	r.Thread = int32(uint32(v))
-	if v, err = c.uvarint(); err != nil {
-		return r, err
-	}
-	r.Ctx = int32(uint32(v))
-	if r.Obj, err = d.lookup(c); err != nil {
-		return r, err
-	}
-	if r.Op, err = c.uvarint(); err != nil {
-		return r, err
-	}
-	if r.WriterSeq, err = c.uvarint(); err != nil {
-		return r, err
-	}
-	if v, err = c.uvarint(); err != nil {
-		return r, err
-	}
-	r.StaticID = int32(uint32(v)) - 1
-	ns, err := c.uvarint()
-	if err != nil {
-		return r, err
-	}
-	if ns > 1<<16 {
-		return r, fmt.Errorf("trace: unreasonable stack depth %d", ns)
-	}
-	if ns > 0 {
-		d.scratch = d.scratch[:0]
-		d.key = d.key[:0]
-		for j := uint64(0); j < ns; j++ {
-			fv, err := c.uvarint()
-			if err != nil {
-				return r, err
+// records decodes the whole records in b[i:] and returns the offset past the
+// last one (errShort, which parse drops, when the next is cut mid-varint).
+// Each record's varints are read back to back through uvarint's
+// pass-through failure offset and checked once, so a record cut anywhere
+// leaves the offset at its first byte for the next Feed.
+func (d *StreamDecoder) records(b []byte, i int) (int, error) {
+	recs, table, nrec := d.t.Recs, d.table, int(d.nrec)
+	var err error
+	for len(recs) < nrec && len(b)-i >= minRecBytes {
+		var seq, node, thread, ctx, obj, op, wseq, static, ns, queue uint64
+		j := i + 2
+		seq, j = uvarint(b, j)
+		node, j = uvarint(b, j)
+		thread, j = uvarint(b, j)
+		ctx, j = uvarint(b, j)
+		obj, j = uvarint(b, j)
+		op, j = uvarint(b, j)
+		wseq, j = uvarint(b, j)
+		static, j = uvarint(b, j)
+		ns, j = uvarint(b, j)
+		if ns > 1<<16 {
+			err = fmt.Errorf("trace: unreasonable stack depth %d", ns)
+			break
+		}
+		frames := j
+		for k := ns; k > 0 && j <= len(b); k-- {
+			_, j = uvarint(b, j)
+		}
+		framesEnd := j
+		queue, j = uvarint(b, j)
+		if j > len(b) {
+			err = varintErr(b, j)
+			break
+		}
+		if top := max(node, obj, queue); top >= uint64(len(table)) {
+			err = fmt.Errorf("trace: string index %d out of range", top)
+			break
+		}
+		var stack []int32
+		if ns > 0 {
+			var ok bool
+			if stack, ok = d.stacks[string(b[frames:framesEnd])]; !ok {
+				stack = make([]int32, ns)
+				for k, p := 0, frames; k < len(stack); k++ {
+					var f uint64
+					f, p = uvarint(b, p)
+					stack[k] = int32(uint32(f))
+				}
+				d.stacks[string(b[frames:framesEnd])] = stack
 			}
-			f := int32(uint32(fv))
-			d.scratch = append(d.scratch, f)
-			d.key = append(d.key, byte(f), byte(f>>8), byte(f>>16), byte(f>>24))
 		}
-		st, ok := d.stacks[string(d.key)]
-		if !ok {
-			st = append([]int32(nil), d.scratch...)
-			d.stacks[string(d.key)] = st
+		if len(recs) == cap(recs) {
+			recs = reserve(recs, nrec, len(b)-i)
 		}
-		r.Stack = st
+		// Every field is stored in place: a Rec literal would be built on the
+		// stack and copied.
+		recs = recs[:len(recs)+1]
+		r := &recs[len(recs)-1]
+		r.Kind, r.CtxKind = Kind(b[i]), CtxKind(b[i+1])
+		r.Seq, r.Op, r.WriterSeq = seq, op, wseq
+		r.Node, r.Obj, r.Queue = table[node], table[obj], table[queue]
+		r.Thread, r.Ctx = int32(uint32(thread)), int32(uint32(ctx))
+		r.StaticID = int32(uint32(static)) - 1
+		r.Stack = stack
+		i = j
 	}
-	if r.Queue, err = d.lookup(c); err != nil {
-		return r, err
+	d.t.Recs = recs
+	if len(recs) == nrec {
+		d.phase = phaseDone
 	}
-	return r, nil
+	return i, err
 }
 
-// lookup reads a string-table index and resolves it, with Decode's range
-// check.
-func (d *StreamDecoder) lookup(c *cursor) (string, error) {
-	i, err := c.uvarint()
-	if err != nil {
-		return "", err
+// reserve returns recs with room for more records, sized from the input in
+// hand rather than from the declared count: the remaining bytes (the next
+// record included) cannot hold more than remaining/minRecBytes records, so
+// the slice grows by that or by doubling, whichever is more. Once that covers
+// half of what is still declared it takes all of it — a last partial regrowth
+// would copy the whole slice again. A one-shot decode therefore allocates
+// exactly once, and whatever count a header forges, capacity stays within
+// three times the records the input so far could encode. Earlier backing
+// arrays are left intact for windows taken of them.
+func reserve(recs []Rec, nrec, remaining int) []Rec {
+	n := max(remaining/minRecBytes, len(recs))
+	if left := nrec - len(recs); left <= 2*n {
+		n = left
 	}
-	if i >= uint64(len(d.table)) {
-		return "", fmt.Errorf("trace: string index %d out of range", i)
-	}
-	return d.table[i], nil
+	grown := make([]Rec, len(recs), len(recs)+n)
+	copy(grown, recs)
+	return grown
 }
 
 // Trace returns the trace decoded so far. Header fields (Program,
@@ -361,7 +413,7 @@ func (d *StreamDecoder) Consumed() int64 { return d.consumed }
 
 // BufferedBytes returns the retained unconsumed tail length — the decoder's
 // only input-proportional state besides the trace itself.
-func (d *StreamDecoder) BufferedBytes() int { return len(d.buf) - d.off }
+func (d *StreamDecoder) BufferedBytes() int { return len(d.buf) }
 
 // Finish validates completion and returns the decoded trace: an error means
 // the stream ended mid-header or before the declared record count.

@@ -45,45 +45,66 @@ func tracesEqual(t *testing.T, got, want *Trace) {
 	}
 }
 
-// The stream decoder fed arbitrary segmentations must agree with the batch
-// decoder on the same bytes — including the pathological one-byte-at-a-time
-// feed, which crosses every record mid-field.
+// feedSegments feeds data to a fresh decoder in segments of the given sizes,
+// cycling through them (a non-positive size feeds the rest).
+func feedSegments(data []byte, seg []int) (*StreamDecoder, error) {
+	d := NewStreamDecoder()
+	for k := 0; len(data) > 0; k++ {
+		sz := len(data)
+		if len(seg) > 0 && seg[k%len(seg)] > 0 {
+			sz = min(sz, seg[k%len(seg)])
+		}
+		if _, err := d.Feed(data[:sz]); err != nil {
+			return d, err
+		}
+		data = data[sz:]
+	}
+	return d, nil
+}
+
+// Decode runs through the stream decoder, so the oracle for both is the
+// trace that was encoded: every segmentation — one shot, the pathological
+// byte at a time, and a single cut at every offset of a small trace, which
+// crosses every varint, string and record boundary — must reproduce it
+// field by field.
 func TestStreamDecoderEquivalence(t *testing.T) {
+	check := func(src *Trace, data []byte, seg []int) {
+		t.Helper()
+		d, err := feedSegments(data, seg)
+		if err != nil {
+			t.Fatalf("n=%d seg=%v Feed: %v", len(src.Recs), seg, err)
+		}
+		got, err := d.Finish()
+		if err != nil {
+			t.Fatalf("n=%d seg=%v Finish: %v", len(src.Recs), seg, err)
+		}
+		tracesEqual(t, got, src)
+		if d.Consumed() != int64(len(data)) || d.BufferedBytes() != 0 {
+			t.Fatalf("n=%d seg=%v consumed %d of %d bytes, %d buffered",
+				len(src.Recs), seg, d.Consumed(), len(data), d.BufferedBytes())
+		}
+	}
 	for _, n := range []int{0, 1, 7, 200} {
-		data := randomTrace(int64(n)+1, n).Encode()
-		want, err := Decode(bytes.NewReader(data))
+		src := randomTrace(int64(n)+1, n)
+		data := src.Encode()
+		got, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("Decode: %v", err)
 		}
-		segmentations := [][]int{
-			{len(data)}, // one shot
-			{1},         // byte at a time
-			{13},        // small fixed segments
+		tracesEqual(t, got, src)
+		for _, seg := range [][]int{
+			nil,  // one shot
+			{1},  // byte at a time
+			{13}, // small fixed segments
 			{5, 64, 1, 7, 4096},
+		} {
+			check(src, data, seg)
 		}
-		for si, seg := range segmentations {
-			d := NewStreamDecoder()
-			pos, k := 0, 0
-			for pos < len(data) {
-				sz := seg[k%len(seg)]
-				k++
-				if pos+sz > len(data) {
-					sz = len(data) - pos
-				}
-				if _, err := d.Feed(data[pos : pos+sz]); err != nil {
-					t.Fatalf("n=%d seg=%d Feed at %d: %v", n, si, pos, err)
-				}
-				pos += sz
-			}
-			got, err := d.Finish()
-			if err != nil {
-				t.Fatalf("n=%d seg=%d Finish: %v", n, si, err)
-			}
-			tracesEqual(t, got, want)
-			if d.Consumed() != int64(len(data)) {
-				t.Fatalf("n=%d seg=%d consumed %d of %d bytes", n, si, d.Consumed(), len(data))
-			}
-		}
+	}
+	src := randomTrace(99, 7)
+	data := src.Encode()
+	for cut := 1; cut < len(data); cut++ {
+		check(src, data, []int{cut, 0})
 	}
 }
 
@@ -91,12 +112,8 @@ func TestStreamDecoderEquivalence(t *testing.T) {
 // complete records are visible, Finish reports truncation, and feeding the
 // remaining bytes completes the trace exactly.
 func TestStreamDecoderMidRecordResume(t *testing.T) {
-	tr := randomTrace(42, 50)
-	data := tr.Encode()
-	want, err := Decode(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
+	want := randomTrace(42, 50)
+	data := want.Encode()
 
 	// Find a cut point strictly inside a record: feed byte by byte and stop
 	// at a prefix where the header is done but the next record is partial.
@@ -159,8 +176,7 @@ func TestStreamDecoderErrors(t *testing.T) {
 		t.Fatal("accepted bad version")
 	}
 
-	// Trailing garbage after the declared record count is ignored, matching
-	// Decode.
+	// Trailing garbage after the declared record count is ignored.
 	d = NewStreamDecoder()
 	if _, err := d.Feed(append(append([]byte(nil), data...), "garbage"...)); err != nil {
 		t.Fatalf("trailing bytes rejected: %v", err)
@@ -168,4 +184,35 @@ func TestStreamDecoderErrors(t *testing.T) {
 	if _, err := d.Finish(); err != nil {
 		t.Fatalf("Finish with trailing bytes: %v", err)
 	}
+}
+
+// Bytes after the last declared record are dropped, not buffered: a small
+// trace followed by any amount of padding must leave the decoder holding
+// nothing but the trace.
+func TestStreamDecoderDropsTrailingBytes(t *testing.T) {
+	src := randomTrace(3, 10)
+	data := src.Encode()
+	junk := bytes.Repeat([]byte{0xff}, 64<<10)
+
+	d := NewStreamDecoder()
+	// The first padding arrives in the same segment as the last record.
+	if _, err := d.Feed(append(append([]byte(nil), data...), junk[:100]...)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if n, err := d.Feed(junk); n != 0 || err != nil {
+			t.Fatalf("Feed after Done = %d, %v", n, err)
+		}
+		if d.BufferedBytes() != 0 {
+			t.Fatalf("decoder holds %d trailing bytes after %d padded feeds", d.BufferedBytes(), i+1)
+		}
+	}
+	if d.Consumed() != int64(len(data)) {
+		t.Fatalf("consumed %d bytes, trace is %d", d.Consumed(), len(data))
+	}
+	got, err := d.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracesEqual(t, got, src)
 }

@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 )
 
@@ -26,255 +24,147 @@ const (
 	version = 1
 )
 
-// writeUvarint writes v byte by byte: a scratch array handed to w.Write
-// escapes to the heap, one allocation per varint.
-func writeUvarint(w *bufio.Writer, v uint64) {
-	for ; v >= 0x80; v >>= 7 {
-		w.WriteByte(byte(v) | 0x80)
+func appendUvarint(b []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
 	}
-	w.WriteByte(byte(v))
+	return binary.AppendUvarint(b, v)
 }
 
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s)
+func appendString(b []byte, s string) []byte {
+	return append(appendUvarint(b, uint64(len(s))), s...)
 }
 
-// EncodeTo writes the trace in binary form.
-func (t *Trace) EncodeTo(out io.Writer) error {
-	w := bufio.NewWriter(out)
-	w.WriteString(magic)
-	w.WriteByte(version)
-	writeString(w, t.Program)
+// uvarintLen is the number of bytes appendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// interner builds the string table over the records' node/obj/queue fields
+// in first-use order. A small direct-mapped cache sits in front of the index
+// map: traces draw these fields from a modest working set (nodes, queues, hot
+// objects), and a hit costs a short hash and a string compare, not a map
+// probe.
+type interner struct {
+	index map[string]uint64
+	table []string
+	cache [512]struct {
+		s string
+		n uint64 // table index + 1; 0 marks an empty slot
+	}
+}
+
+func (in *interner) id(s string) uint64 {
+	// FNV-1a over the length and the last eight bytes: names differ at the
+	// tail, and the compare below makes a collision merely a miss.
+	h := uint32(len(s))
+	for i := max(0, len(s)-8); i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	c := &in.cache[h%uint32(len(in.cache))]
+	if c.n != 0 && c.s == s {
+		return c.n - 1
+	}
+	i, ok := in.index[s]
+	if !ok {
+		i = uint64(len(in.table))
+		in.index[s] = i
+		in.table = append(in.table, s)
+	}
+	c.s, c.n = s, i+1
+	return i
+}
+
+// encode returns the encoding in two parts, header (through the record
+// count) and record body: the string table precedes the records on the wire
+// but is only known once they have all been interned, so the records are
+// encoded first, in the same pass that builds the table.
+func (t *Trace) encode() (head, body []byte) {
+	in := &interner{index: map[string]uint64{}}
+	body = make([]byte, 0, 16*len(t.Recs))
+	for i := range t.Recs {
+		r := &t.Recs[i]
+		body = append(body, byte(r.Kind), byte(r.CtxKind))
+		body = appendUvarint(body, r.Seq)
+		body = appendUvarint(body, in.id(r.Node))
+		body = appendUvarint(body, uint64(uint32(r.Thread)))
+		body = appendUvarint(body, uint64(uint32(r.Ctx)))
+		body = appendUvarint(body, in.id(r.Obj))
+		body = appendUvarint(body, r.Op)
+		body = appendUvarint(body, r.WriterSeq)
+		// StaticID may be -1; bias by 1.
+		body = appendUvarint(body, uint64(uint32(r.StaticID+1)))
+		body = appendUvarint(body, uint64(len(r.Stack)))
+		for _, s := range r.Stack {
+			body = appendUvarint(body, uint64(uint32(s)))
+		}
+		body = appendUvarint(body, in.id(r.Queue))
+	}
+
+	head = append(head, magic...)
+	head = append(head, version)
+	head = appendString(head, t.Program)
 	queues := make([]string, 0, len(t.QueueConsumers))
 	for q := range t.QueueConsumers {
 		queues = append(queues, q)
 	}
 	sort.Strings(queues)
-	writeUvarint(w, uint64(len(queues)))
+	head = appendUvarint(head, uint64(len(queues)))
 	for _, q := range queues {
-		writeString(w, q)
-		writeUvarint(w, uint64(t.QueueConsumers[q]))
+		head = appendString(head, q)
+		head = appendUvarint(head, uint64(t.QueueConsumers[q]))
 	}
+	head = appendUvarint(head, uint64(len(in.table)))
+	for _, s := range in.table {
+		head = appendString(head, s)
+	}
+	head = appendUvarint(head, uint64(len(t.Recs)))
+	return head, body
+}
 
-	// Build the string table over node/obj/queue fields.
-	index := map[string]uint64{}
-	var table []string
-	intern := func(s string) uint64 {
-		if i, ok := index[s]; ok {
-			return i
-		}
-		i := uint64(len(table))
-		index[s] = i
-		table = append(table, s)
-		return i
+// EncodeTo writes the trace in binary form: the header, then the record body
+// it had to build first (see encode).
+func (t *Trace) EncodeTo(out io.Writer) error {
+	head, body := t.encode()
+	if _, err := out.Write(head); err != nil {
+		return err
 	}
-	for i := range t.Recs {
-		intern(t.Recs[i].Node)
-		intern(t.Recs[i].Obj)
-		intern(t.Recs[i].Queue)
-	}
-	writeUvarint(w, uint64(len(table)))
-	for _, s := range table {
-		writeString(w, s)
-	}
-
-	writeUvarint(w, uint64(len(t.Recs)))
-	for i := range t.Recs {
-		r := &t.Recs[i]
-		w.WriteByte(byte(r.Kind))
-		w.WriteByte(byte(r.CtxKind))
-		writeUvarint(w, r.Seq)
-		writeUvarint(w, index[r.Node])
-		writeUvarint(w, uint64(uint32(r.Thread)))
-		writeUvarint(w, uint64(uint32(r.Ctx)))
-		writeUvarint(w, index[r.Obj])
-		writeUvarint(w, r.Op)
-		writeUvarint(w, r.WriterSeq)
-		// StaticID may be -1; bias by 1.
-		writeUvarint(w, uint64(uint32(r.StaticID+1)))
-		writeUvarint(w, uint64(len(r.Stack)))
-		for _, s := range r.Stack {
-			writeUvarint(w, uint64(uint32(s)))
-		}
-		writeUvarint(w, index[r.Queue])
-	}
-	return w.Flush()
+	_, err := out.Write(body)
+	return err
 }
 
 // Encode returns the binary encoding of the trace.
 func (t *Trace) Encode() []byte {
-	var buf bytes.Buffer
-	if err := t.EncodeTo(&buf); err != nil {
-		// bytes.Buffer writes cannot fail.
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-// countingWriter counts the bytes written to it and keeps none.
-type countingWriter int
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	*c += countingWriter(len(p))
-	return len(p), nil
+	head, body := t.encode()
+	return append(head, body...)
 }
 
 // EncodedSize returns the binary size in bytes (Tables 6 and 8) without
-// materializing the encoding.
+// materializing the encoding: it interns like encode and sums the length of
+// every field encode would write.
 func (t *Trace) EncodedSize() int {
-	var n countingWriter
-	t.EncodeTo(&n) // countingWriter.Write cannot fail
-	return int(n)
-}
-
-type reader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (d *reader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+	n := len(magic) + 1 + stringLen(t.Program) + uvarintLen(uint64(len(t.QueueConsumers)))
+	for q, consumers := range t.QueueConsumers {
+		n += stringLen(q) + uvarintLen(uint64(consumers))
 	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = fmt.Errorf("trace: corrupt varint: %w", err)
-	}
-	return v
-}
-
-func (d *reader) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > 1<<24 {
-		d.err = fmt.Errorf("trace: unreasonable string length %d", n)
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.err = fmt.Errorf("trace: truncated string: %w", err)
-		return ""
-	}
-	return string(b)
-}
-
-func (d *reader) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	b, err := d.r.ReadByte()
-	if err != nil {
-		d.err = fmt.Errorf("trace: truncated: %w", err)
-	}
-	return b
-}
-
-// Decode parses a binary trace.
-func Decode(in io.Reader) (*Trace, error) {
-	d := &reader{r: bufio.NewReader(in)}
-	var m [4]byte
-	if _, err := io.ReadFull(d.r, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: missing magic: %w", err)
-	}
-	if string(m[:]) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", m)
-	}
-	if v := d.byte(); v != version {
-		return nil, fmt.Errorf("trace: unsupported version %d", v)
-	}
-	t := &Trace{QueueConsumers: map[string]int{}}
-	t.Program = d.str()
-
-	nq := d.uvarint()
-	for i := uint64(0); i < nq && d.err == nil; i++ {
-		q := d.str()
-		t.QueueConsumers[q] = int(d.uvarint())
-	}
-
-	nstr := d.uvarint()
-	if nstr > 1<<24 {
-		return nil, fmt.Errorf("trace: unreasonable string table size %d", nstr)
-	}
-	// Grow incrementally with a capped initial capacity: the header counts
-	// are attacker-controlled on the dcatch-serve upload path, so a 4-byte
-	// varint must not be able to demand a table-sized allocation up front.
-	table := make([]string, 0, min(nstr, 1<<12))
-	for i := uint64(0); i < nstr && d.err == nil; i++ {
-		table = append(table, d.str())
-	}
-	lookup := func(i uint64) string {
-		if d.err != nil {
-			return ""
-		}
-		if i >= uint64(len(table)) {
-			d.err = fmt.Errorf("trace: string index %d out of range", i)
-			return ""
-		}
-		return table[i]
-	}
-
-	n := d.uvarint()
-	if n > 1<<28 {
-		return nil, fmt.Errorf("trace: unreasonable record count %d", n)
-	}
-	// Callstack interning: real traces repeat a small set of stacks across
-	// millions of records (every instrumented site logs the same frames each
-	// time it fires). Decoding each record into its own []int32 used to make
-	// the stack slices the dominant decode allocation; instead, distinct
-	// stacks are canonicalized through a map keyed by their byte image —
-	// m[string(key)] compiles to an allocation-free lookup — so repeated
-	// stacks share one backing array.
-	stacks := map[string][]int32{}
-	var scratch []int32
-	var key []byte
-	// Same capped preallocation as the string table: each record is at
-	// least 12 bytes on the wire, so the slice grows against real input,
-	// never against a forged count.
-	t.Recs = make([]Rec, 0, min(n, 1<<16))
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var r Rec
-		r.Kind = Kind(d.byte())
-		r.CtxKind = CtxKind(d.byte())
-		r.Seq = d.uvarint()
-		r.Node = lookup(d.uvarint())
-		r.Thread = int32(uint32(d.uvarint()))
-		r.Ctx = int32(uint32(d.uvarint()))
-		r.Obj = lookup(d.uvarint())
-		r.Op = d.uvarint()
-		r.WriterSeq = d.uvarint()
-		r.StaticID = int32(uint32(d.uvarint())) - 1
-		ns := d.uvarint()
-		if ns > 1<<16 {
-			return nil, fmt.Errorf("trace: unreasonable stack depth %d", ns)
-		}
-		if ns > 0 {
-			scratch = scratch[:0]
-			key = key[:0]
-			for j := uint64(0); j < ns; j++ {
-				f := int32(uint32(d.uvarint()))
-				scratch = append(scratch, f)
-				key = append(key, byte(f), byte(f>>8), byte(f>>16), byte(f>>24))
-			}
-			st, ok := stacks[string(key)]
-			if !ok {
-				st = append([]int32(nil), scratch...)
-				stacks[string(key)] = st
-			}
-			r.Stack = st
-		}
-		r.Queue = lookup(d.uvarint())
-		if d.err == nil {
-			t.Recs = append(t.Recs, r)
+	in := &interner{index: map[string]uint64{}}
+	n += uvarintLen(uint64(len(t.Recs)))
+	for i := range t.Recs {
+		r := &t.Recs[i]
+		n += 2 + uvarintLen(r.Seq) + uvarintLen(in.id(r.Node)) +
+			uvarintLen(uint64(uint32(r.Thread))) + uvarintLen(uint64(uint32(r.Ctx))) +
+			uvarintLen(in.id(r.Obj)) + uvarintLen(r.Op) + uvarintLen(r.WriterSeq) +
+			uvarintLen(uint64(uint32(r.StaticID+1))) + uvarintLen(uint64(len(r.Stack))) +
+			uvarintLen(in.id(r.Queue))
+		for _, s := range r.Stack {
+			n += uvarintLen(uint64(uint32(s)))
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	n += uvarintLen(uint64(len(in.table)))
+	for _, s := range in.table {
+		n += stringLen(s)
 	}
-	return t, nil
+	return n
 }
 
 // EncodeJSON writes the trace as JSON — the human-auditable export used by
