@@ -5,15 +5,20 @@
 //
 // Usage:
 //
-//	dcatch-trace -stats t.bin
-//	dcatch-trace -dump -n 50 t.bin
-//	dcatch-trace -analyze [-parallel N] [-reach chain] t.bin
-//	dcatch-trace -analyze -peers http://host:8081,http://host:8082 t.bin
-//	dcatch-trace -follow [-poll 50ms] growing.bin
+//	dcatch-trace t.bin                    # record breakdown (the default)
+//	dcatch-trace -dump -n 50 t.bin        # breakdown, then the first 50 records
+//	dcatch-trace -json t.bin
+//	dcatch-trace -analyze [-reach chain] [-mem-budget B [-chunk N [-parallel W]]] t.bin
+//	dcatch-trace -analyze -peers http://host:8081,http://host:8082 [-chunk N] t.bin
+//	dcatch-trace -follow [-poll 50ms] [same analysis flags, except -peers] growing.bin
 //
-// With -peers the analysis is sharded across dcatch-serve -worker
-// instances window by window; the report stays byte-identical to the
-// single-node chunked run over the same options.
+// -chunk N is the fallback for a trace whose reachability closure exceeds
+// -mem-budget: it is analyzed in N-record windows, -parallel of them in
+// flight (that is all -parallel does), optionally behind a -scancache-*
+// window-scan cache. With -peers the windows are sharded across
+// dcatch-serve -worker instances; the report stays byte-identical to the
+// single-node chunked run over the same options. -follow prints the same
+// final report as -analyze with the same flags.
 package main
 
 import (
@@ -57,7 +62,7 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: dcatch-trace [-dump] [-n N] [-analyze] [-follow] <trace-file>")
+		fmt.Fprintln(os.Stderr, "usage: dcatch-trace [-dump [-n N] | -json | -analyze | -follow] [analysis flags] <trace-file>  (no mode flag: record breakdown)")
 		os.Exit(2)
 	}
 	analysisOptions := func() core.Options {
@@ -202,50 +207,41 @@ func runFollow(path string, opts core.Options, poll, idle time.Duration) int {
 
 	var readBytes int64
 	candidates, retractions := 0, 0
-	an := stream.New(stream.Options{
-		HB: opts.HB, Detect: opts.Detect,
-		Provisional: true,
-		OnEvent: func(ev stream.Event) {
-			switch ev.Kind {
-			case stream.EventCandidate:
-				candidates++
-				fmt.Fprintf(os.Stderr, "follow: provisional candidate at record %d (%d bytes): %s S%d/S%d\n",
-					ev.Records, readBytes, ev.Pair.Obj, ev.Pair.AStatic, ev.Pair.BStatic)
-			case stream.EventRetract:
-				retractions++
-				fmt.Fprintf(os.Stderr, "follow: retracted: %s S%d/S%d\n",
-					ev.Pair.Obj, ev.Pair.AStatic, ev.Pair.BStatic)
-			}
-		},
+	var job *core.TraceJob
+	// The declared count is announced once, ahead of the first candidate the
+	// same segment may complete.
+	declared := false
+	declare := func() {
+		if want, ok := job.Expected(); ok && !declared {
+			declared = true
+			fmt.Fprintf(os.Stderr, "follow: %s: %d records declared\n", job.Trace().Program, want)
+		}
+	}
+	job = core.NewTraceJob(opts, func(ev stream.Event) {
+		declare()
+		switch ev.Kind {
+		case stream.EventCandidate:
+			candidates++
+			fmt.Fprintf(os.Stderr, "follow: provisional candidate at record %d (%d bytes): %s S%d/S%d\n",
+				ev.Records, readBytes, ev.Pair.Obj, ev.Pair.AStatic, ev.Pair.BStatic)
+		case stream.EventRetract:
+			retractions++
+			fmt.Fprintf(os.Stderr, "follow: retracted: %s S%d/S%d\n",
+				ev.Pair.Obj, ev.Pair.AStatic, ev.Pair.BStatic)
+		}
 	})
 
-	dec := trace.NewStreamDecoder()
 	buf := make([]byte, 256<<10)
-	metaSet := false
 	lastGrowth := time.Now()
-	for !dec.Done() {
+	for !job.Done() {
 		n, rerr := f.Read(buf)
 		if n > 0 {
 			readBytes += int64(n)
-			nrec, derr := dec.Feed(buf[:n])
-			if derr != nil {
-				fmt.Fprintln(os.Stderr, derr)
+			if _, err := job.Feed(buf[:n]); err != nil {
+				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
-			if !metaSet && dec.HeaderDone() {
-				t := dec.Trace()
-				an.SetMeta(t.Program, t.QueueConsumers)
-				metaSet = true
-				if want, ok := dec.Expected(); ok {
-					fmt.Fprintf(os.Stderr, "follow: %s: %d records declared\n", t.Program, want)
-				}
-			}
-			if nrec > 0 {
-				// Ingest without a second copy: the decoder owns the records
-				// and the analyzer adopts its trace once the stream ends.
-				recs := dec.Trace().Recs
-				an.IngestBatch(recs[an.Records():])
-			}
+			declare()
 			lastGrowth = time.Now()
 			continue
 		}
@@ -256,23 +252,22 @@ func runFollow(path string, opts core.Options, poll, idle time.Duration) int {
 		// At EOF but before the declared record count: the writer is still
 		// going — wait for growth.
 		if idle > 0 && time.Since(lastGrowth) > idle {
-			want, _ := dec.Expected()
+			want, _ := job.Expected()
 			fmt.Fprintf(os.Stderr, "follow: no growth for %v (%d of %d records); giving up\n",
-				idle, dec.Records(), want)
+				idle, len(job.Trace().Recs), want)
 			return 1
 		}
 		time.Sleep(poll)
 	}
 
-	tr, err := dec.Finish()
+	tr, err := job.Seal()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	an.AppendTrace(tr) // hand over the decoder's records, no copy
 	fmt.Fprintf(os.Stderr, "follow: trace complete: %d records, %d provisional candidates\n",
 		len(tr.Recs), candidates)
-	res, err := core.AnalyzeStreamed(an, opts)
+	res, err := job.Finish()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -3,6 +3,10 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"dcatch/internal/core"
+	"dcatch/internal/hb"
+	"dcatch/internal/trigger"
 )
 
 func TestTable3Inventory(t *testing.T) {
@@ -153,4 +157,112 @@ func TestTable8ChunkedRecoversOOMRows(t *testing.T) {
 	if !strings.Contains(out, "chunked") {
 		t.Fatalf("no row used the chunked fallback:\n%s", out)
 	}
+}
+
+// The two design-choice ablations EXPERIMENTS.md cites: reachability
+// representation (bit arrays vs vector clocks, §3.2.2) and trigger request
+// placement (analyzed vs naive, §7.2).
+//
+//	go test -run '^$' -bench 'Reachability|TriggerPlacement' ./internal/bench
+
+// detectScaledMR runs the standard pipeline on the scaled MapReduce
+// workload, the largest trace among the benchmarks.
+func detectScaledMR(b *testing.B) *core.Result {
+	b.Helper()
+	for _, bm := range Benchmarks() {
+		if bm.ID != "MR-3274" {
+			continue
+		}
+		res, err := Detect(bm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	b.Fatal("MR-3274 missing")
+	return nil
+}
+
+// BenchmarkReachabilityBitset measures DCatch's reachability representation
+// (§3.2.2): per-vertex bit arrays with constant-time queries.
+func BenchmarkReachabilityBitset(b *testing.B) {
+	res := detectScaledMR(b)
+	tr := res.Trace
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := hb.Build(tr, hb.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Query a spread of pairs, as detection does.
+		n := g.N()
+		for x := 0; x < n; x += 7 {
+			for y := x + 1; y < n; y += 97 {
+				g.Concurrent(x, y)
+			}
+		}
+	}
+}
+
+// BenchmarkReachabilityVectorClocks measures the rejected alternative: one
+// vector-clock dimension per handler/RPC instance (§3.2.2 "each event
+// handler and RPC function contributing one dimension").
+func BenchmarkReachabilityVectorClocks(b *testing.B) {
+	res := detectScaledMR(b)
+	tr := res.Trace
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := hb.Build(tr, hb.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		clocks := g.VectorClocks()
+		n := g.N()
+		for x := 0; x < n; x += 7 {
+			for y := x + 1; y < n; y += 97 {
+				clocks[x].Concurrent(clocks[y])
+			}
+		}
+	}
+}
+
+// BenchmarkTriggerPlacementAnalyzed validates every HB-4539 report with the
+// §5.2 placement analysis (the regionState pair's accesses share the region
+// server's single RPC worker thread, so placement decides triggerability).
+func BenchmarkTriggerPlacementAnalyzed(b *testing.B) {
+	benchmarkPlacement(b, false)
+}
+
+// BenchmarkTriggerPlacementNaive validates with requests attached directly
+// to the racing accesses — the baseline the paper reports failing for 23 of
+// 35 true races (§7.2). The benchmark reports how many reports each mode
+// confirms via the "confirmed" metric.
+func BenchmarkTriggerPlacementNaive(b *testing.B) {
+	benchmarkPlacement(b, true)
+}
+
+func benchmarkPlacement(b *testing.B, naive bool) {
+	var res *core.Result
+	for _, bm := range Benchmarks() {
+		if bm.ID == "HB-4539" {
+			r, err := core.Detect(bm.Workload, core.Options{Seed: bm.Seed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			res = r
+		}
+	}
+	b.ResetTimer()
+	confirmed, total := 0, 0
+	for i := 0; i < b.N; i++ {
+		vals := core.ValidateAll(res, core.TriggerOptions{MaxSteps: 200_000, Naive: naive})
+		confirmed, total = 0, len(vals)
+		for _, v := range vals {
+			if v.Verdict == trigger.VerdictHarmful || v.Verdict == trigger.VerdictBenign {
+				confirmed++
+			}
+		}
+	}
+	b.ReportMetric(float64(confirmed), "confirmed")
+	b.ReportMetric(float64(total), "reports")
 }

@@ -4,8 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dcatch/internal/hb"
 	"dcatch/internal/trace"
 )
+
+// The synthetic generators and IncrMemBudget are test fixtures: trace, stream,
+// window, core and serve tests build their inputs here. The ledger's
+// workloads use frozen copies (benchmark/gen.go), so editing this file cannot
+// move a benchmark number.
 
 // SyntheticTrace generates a deterministic, causally consistent trace of n
 // records for analysis-pipeline benchmarking: a 4-node cluster where worker
@@ -242,4 +248,43 @@ func SyntheticTraceBounded(n int, seed int64) *trace.Trace {
 		c.Emit(r)
 	}
 	return c.Trace()
+}
+
+// IncrMemBudget picks a reachability budget that forces the chunked path on
+// the full trace while leaving every window comfortable: four times the
+// largest per-window estimate, pulled under the full-build estimate if the
+// trace is too small for that margin. Estimates come from the same
+// admission predicate the analysis itself uses, so "forces chunking" is
+// exact, not heuristic.
+func IncrMemBudget(tr *trace.Trace, chunkSize int, cfg hb.Config) (int64, error) {
+	// estimate(t) = the smallest budget the full-build admission check
+	// accepts for t; FullBuildExceedsBudget is monotone in the budget.
+	estimate := func(t *trace.Trace) int64 {
+		lo, hi := int64(1), int64(1)<<40
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if hb.FullBuildExceedsBudget(t, hb.Config{ReachBackend: cfg.ReachBackend, MemBudget: mid}) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	full := estimate(tr)
+	var wmax int64
+	for _, wn := range hb.ChunkWindows(len(tr.Recs), chunkSize, 0) {
+		if est := estimate(tr.Window(wn[0], wn[1])); est > wmax {
+			wmax = est
+		}
+	}
+	budget := 4 * wmax
+	if budget >= full {
+		budget = wmax + (full-wmax)/2
+	}
+	if budget < wmax || budget >= full {
+		return 0, fmt.Errorf("bench: %d records in %d-record windows cannot force chunking (window estimate %d, full estimate %d)",
+			len(tr.Recs), chunkSize, wmax, full)
+	}
+	return budget, nil
 }

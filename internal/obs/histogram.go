@@ -184,7 +184,7 @@ type HistogramBucket struct {
 }
 
 // HistogramData is the exportable form of a histogram (registry snapshots,
-// the run manifest, BENCH_serve.json): summary statistics, the standard
+// the run manifest): summary statistics, the standard
 // quantiles, and the non-empty buckets for consumers that want the full
 // shape (the Prometheus exporter re-cumulates them).
 type HistogramData struct {

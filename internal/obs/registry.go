@@ -22,8 +22,8 @@ const RegistryVersion = 1
 // discipline and the analysis work done inside every job.
 //
 // Export formats: Prometheus text exposition (the default of Handler) and a
-// versioned JSON snapshot (?format=json), so both a scraper fleet and the
-// dcatch-bench load generator consume the same endpoint.
+// versioned JSON snapshot (?format=json), so both a scraper fleet and a
+// program that wants the whole registry consume the same endpoint.
 type Registry struct {
 	mu     sync.Mutex
 	recs   []*Recorder

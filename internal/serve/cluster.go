@@ -9,18 +9,17 @@ import (
 	"time"
 
 	"dcatch/internal/cluster"
-	"dcatch/internal/obs"
 	"dcatch/internal/trace"
 )
 
-// submitTraceCluster is submitTrace in coordinator mode: the upload is still
-// hashed and decoded segment by segment, but instead of feeding the local
-// streaming analyzer, every window that fills during ingest is dispatched to
-// a peer worker the moment it closes (the bounded per-peer queues
-// backpressure the body read). The job's run closure then folds the replies
-// in window order — re-running failed windows locally — and renders through
-// the shared RenderTrace, so the report is byte-identical to the single-node
-// chunked path over the same options.
+// submitTraceCluster is submitTrace in coordinator mode: the upload goes
+// through the same readUpload loop, but its feed is a bare decoder plus
+// coord.Notify instead of a core.TraceJob, so every window that fills during
+// ingest is dispatched to a peer worker the moment it closes (the bounded
+// per-peer queues backpressure the body read). The job's run closure then
+// folds the replies in window order — re-running failed windows locally —
+// and renders through the shared RenderTrace, so the report is
+// byte-identical to the single-node chunked path over the same options.
 func (s *Server) submitTraceCluster(body io.Reader, jopt JobOptions) (*job, error) {
 	if jopt.ChunkSize <= 0 {
 		jopt.ChunkSize = s.cfg.ClusterChunk
@@ -44,49 +43,18 @@ func (s *Server) submitTraceCluster(body io.Reader, jopt JobOptions) (*job, erro
 		return nil, err
 	}
 
-	h := sha256.New()
 	dec := trace.NewStreamDecoder()
-	dspan := tel.rec.Span("serve.decode")
-	buf := make([]byte, uploadSegmentBytes)
-	seg := 0
-	fail := func(err error) (*job, error) {
-		dspan.End()
+	tr, sum, err := readUpload(body, tel.rec, func(seg []byte) (int, error) {
+		_, err := dec.Feed(seg)
+		if err == nil {
+			coord.Notify(dec.Trace())
+		}
+		return dec.Records(), err
+	}, dec.Finish)
+	if err != nil {
 		coord.Close()
 		return nil, err
 	}
-	for {
-		n, rerr := body.Read(buf)
-		if n > 0 {
-			var ssp *obs.Span
-			if seg < maxSegmentSpans {
-				ssp = tel.rec.Span("serve.segment")
-			}
-			h.Write(buf[:n])
-			if _, derr := dec.Feed(buf[:n]); derr != nil {
-				ssp.End()
-				return fail(fmt.Errorf("serve: bad trace upload: %w", derr))
-			}
-			coord.Notify(dec.Trace())
-			ssp.Attr("bytes", n)
-			ssp.Attr("records", len(dec.Trace().Recs))
-			ssp.End()
-			seg++
-			tel.rec.Count("serve.upload_segments", 1)
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return fail(fmt.Errorf("serve: reading trace upload: %w", rerr))
-		}
-	}
-	tr, err := dec.Finish()
-	if err != nil {
-		return fail(fmt.Errorf("serve: bad trace upload: %w", err))
-	}
-	dspan.Attr("records", len(tr.Recs))
-	dspan.Attr("segments", seg)
-	dspan.End()
 
 	run := func() (*jobResult, error) {
 		t0 := time.Now()
@@ -97,7 +65,7 @@ func (s *Server) submitTraceCluster(body io.Reader, jopt JobOptions) (*job, erro
 		stats := res.Stats
 		return &jobResult{report: []byte(RenderTrace(res)), summary: res.Summary(), stats: &stats, oom: res.OOM}, nil
 	}
-	key := chunkedTraceCacheKey(h.Sum(nil), jopt)
+	key := chunkedTraceCacheKey(sum, jopt)
 	j, err := s.mgr.submit(KindTrace, tr.Program, key, jopt.MemBudget, tel, run)
 	if err != nil {
 		coord.Close()

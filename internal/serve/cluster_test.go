@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dcatch/internal/cluster"
 	"dcatch/internal/trace"
 )
 
@@ -233,5 +236,57 @@ func TestClusterShutdownDrains(t *testing.T) {
 	j.mu.Unlock()
 	if got != want {
 		t.Fatalf("drained cluster report differs:\n-- drained --\n%s\n-- single --\n%s", got, want)
+	}
+}
+
+// TestClusterWorkerDiesMidJob: a coordinated upload whose second worker
+// drops every connection after its first scan must still finish, with the
+// dead peer marked down, its windows re-run locally, and the same bytes as
+// the single-node chunked run — a dead peer degrades to slower, never to
+// wrong.
+func TestClusterWorkerDiesMidJob(t *testing.T) {
+	raw := clusterRacyTrace(2600).Encode()
+	want := clusterWant(t, raw)
+
+	ws, _ := newTestServer(t, Config{Worker: true, WorkerScans: 2})
+	var scans atomic.Int32
+	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == cluster.ScanPath && scans.Add(1) > 1 {
+			panic(http.ErrAbortHandler) // "killed": connection dropped
+		}
+		ws.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(dying.Close)
+
+	s, _ := newTestServer(t, Config{Peers: []string{newWorkerPool(t, 1)[0], dying.URL}})
+	req := httptest.NewRequest("POST", "/v1/jobs?mem_budget=100000&chunk_size=500", nil)
+	j, err := s.submitTrace(bytes.NewReader(raw), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	st, err := s.WaitTerminal(ctx, j.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("job with a dead worker finished %s: %s", st.State, st.Error)
+	}
+	j.mu.Lock()
+	got := string(j.result.report)
+	j.mu.Unlock()
+	if got != want {
+		t.Fatalf("report changed after worker death:\n-- cluster --\n%s\n-- single --\n%s", got, want)
+	}
+	ctr := j.rec.Counters()
+	if ctr["cluster.peers.down"] != 1 {
+		t.Errorf("cluster.peers.down = %d, want 1", ctr["cluster.peers.down"])
+	}
+	if ctr["cluster.windows.local"] == 0 {
+		t.Error("no window fell back to a local scan")
+	}
+	if ctr["cluster.windows.remote"] == 0 {
+		t.Error("the healthy worker scanned nothing")
 	}
 }

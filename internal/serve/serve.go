@@ -383,14 +383,13 @@ const maxSegmentSpans = 64
 // submitTrace ingests a binary trace straight off the request body: analysis
 // starts at the first segment instead of after the upload completes. Each
 // read is hashed (the content address covers the whole body, trailing bytes
-// included), fed to the incremental decoder, and newly completed records run
-// through the streaming engine's online provisional pass — so when the body
-// ends, the per-record work is already done and provisional candidates are
-// on the job's event stream. The authoritative finish runs in the job's run
-// closure under the usual queue/admission discipline and stays
-// byte-identical to the batch path (core.AnalyzeStreamed). Options ride in
-// query parameters: parallel, reach, scan, mem_budget, chunk_size,
-// max_group.
+// included) and fed to a core.TraceJob, whose online provisional pass runs
+// the newly completed records — so when the body ends, the per-record work
+// is already done and provisional candidates are on the job's event stream.
+// The authoritative finish runs in the job's run closure under the usual
+// queue/admission discipline and is byte-identical to core.AnalyzeTrace on
+// the decoded bytes. Options ride in query parameters: parallel, reach,
+// mem_budget, chunk_size, max_group.
 func (s *Server) submitTrace(body io.Reader, r *http.Request) (*job, error) {
 	jopt, err := traceQueryOptions(r)
 	if err != nil {
@@ -405,28 +404,22 @@ func (s *Server) submitTrace(body io.Reader, r *http.Request) (*job, error) {
 	}
 	tel := s.newJobTelemetry()
 	opts.Obs = tel.rec
+	opts.ScanCache = s.cfg.ScanCache
 
 	var firstCand bool
 	var readBytes int64
-	an := stream.New(stream.Options{
-		HB: opts.HB, Detect: opts.Detect, ChunkSize: opts.ChunkSize,
-		Provisional: true,
-		OnEvent: func(ev stream.Event) {
-			switch ev.Kind {
-			case stream.EventCandidate:
-				tel.rec.Count("stream.provisional_candidates", 1)
-				if !firstCand {
-					firstCand = true
-					tel.rec.Logf("stream: first provisional candidate at record %d (%d body bytes in)",
-						ev.Records, readBytes)
-				}
-			case stream.EventRetract:
-				tel.rec.Count("stream.retractions", 1)
+	tj := core.NewTraceJob(opts, func(ev stream.Event) {
+		switch ev.Kind {
+		case stream.EventCandidate:
+			tel.rec.Count("stream.provisional_candidates", 1)
+			if !firstCand {
+				firstCand = true
+				tel.rec.Logf("stream: first provisional candidate at record %d (%d body bytes in)",
+					ev.Records, readBytes)
 			}
-		},
-		Obs:   tel.rec,
-		Logf:  tel.rec.Logf,
-		Cache: s.cfg.ScanCache,
+		case stream.EventRetract:
+			tel.rec.Count("stream.retractions", 1)
+		}
 	})
 
 	// The live frontier gauge tracks ingests in flight; whatever this upload
@@ -435,78 +428,31 @@ func (s *Server) submitTrace(body io.Reader, r *http.Request) (*job, error) {
 	var lastFrontier int64
 	defer func() { s.streamFrontier.Add(-lastFrontier) }()
 
-	h := sha256.New()
-	dec := trace.NewStreamDecoder()
-	dspan := tel.rec.Span("serve.decode")
-	buf := make([]byte, uploadSegmentBytes)
-	seg := 0
-	metaSet := false
-	for {
-		n, rerr := body.Read(buf)
-		if n > 0 {
-			var ssp *obs.Span
-			if seg < maxSegmentSpans {
-				ssp = tel.rec.Span("serve.segment")
-			}
-			h.Write(buf[:n])
-			readBytes += int64(n)
-			nrec, derr := dec.Feed(buf[:n])
-			if derr != nil {
-				ssp.End()
-				dspan.End()
-				return nil, fmt.Errorf("serve: bad trace upload: %w", derr)
-			}
-			if !metaSet && dec.HeaderDone() {
-				t := dec.Trace()
-				an.SetMeta(t.Program, t.QueueConsumers)
-				metaSet = true
-			}
-			if nrec > 0 {
-				// Ingest without buffering: the decoder owns the records; the
-				// analyzer adopts its trace wholesale once the body ends.
-				recs := dec.Trace().Recs
-				an.IngestBatch(recs[an.Records():])
-			}
-			ssp.Attr("bytes", n)
-			ssp.Attr("records", an.Records())
-			ssp.End()
-			seg++
-			tel.rec.Count("serve.upload_segments", 1)
-			cur := an.FrontierBytes()
-			s.streamFrontier.Add(cur - lastFrontier)
-			lastFrontier = cur
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			dspan.End()
-			return nil, fmt.Errorf("serve: reading trace upload: %w", rerr)
-		}
-	}
-	tr, err := dec.Finish()
+	tr, sum, err := readUpload(body, tel.rec, func(seg []byte) (int, error) {
+		readBytes += int64(len(seg))
+		_, err := tj.Feed(seg)
+		cur := tj.FrontierBytes()
+		s.streamFrontier.Add(cur - lastFrontier)
+		lastFrontier = cur
+		return len(tj.Trace().Recs), err
+	}, tj.Seal)
 	if err != nil {
-		dspan.End()
-		return nil, fmt.Errorf("serve: bad trace upload: %w", err)
+		return nil, err
 	}
-	an.AppendTrace(tr) // adopt the decoder's records, no second copy
-	dspan.Attr("records", len(tr.Recs))
-	dspan.Attr("segments", seg)
-	dspan.End()
 	run := func() (*jobResult, error) {
-		res, err := core.AnalyzeStreamed(an, opts)
+		res, err := tj.Finish()
 		if err != nil {
 			return nil, err
 		}
 		stats := res.Stats
 		return &jobResult{report: []byte(RenderTrace(res)), summary: res.Summary(), stats: &stats, oom: res.OOM}, nil
 	}
-	key := traceCacheKey(h.Sum(nil), jopt)
+	key := traceCacheKey(sum, jopt)
 	if opts.ChunkSize > 0 && hb.FullBuildExceedsBudget(tr, opts.HB) {
 		// This job will take the windowed path, whose report is
 		// byte-identical to a coordinated cluster run over the same bytes
 		// and options — share one whole-report cache entry across both.
-		key = chunkedTraceCacheKey(h.Sum(nil), jopt)
+		key = chunkedTraceCacheKey(sum, jopt)
 	}
 	j, err := s.mgr.submit(KindTrace, tr.Program, key, jopt.MemBudget, tel, run)
 	if err != nil {
@@ -514,6 +460,53 @@ func (s *Server) submitTrace(body io.Reader, r *http.Request) (*job, error) {
 	}
 	s.reg.Register(tel.rec)
 	return j, nil
+}
+
+// readUpload is the one body-reading loop of trace uploads: each read of up
+// to uploadSegmentBytes is hashed, handed to feed — which decodes it, passes
+// on whatever it completed, and returns the records decoded so far — and
+// timed as a serve.segment span under serve.decode. At end of body seal
+// validates the stream and yields the complete trace. Errors come back
+// wrapped for the HTTP layer (a body past MaxBodyBytes stays matchable).
+func readUpload(body io.Reader, rec *obs.Recorder, feed func(seg []byte) (records int, err error), seal func() (*trace.Trace, error)) (tr *trace.Trace, bodySHA []byte, err error) {
+	h := sha256.New()
+	dspan := rec.Span("serve.decode")
+	defer dspan.End()
+	buf := make([]byte, uploadSegmentBytes)
+	seg := 0
+	for {
+		n, rerr := body.Read(buf)
+		if n > 0 {
+			var ssp *obs.Span
+			if seg < maxSegmentSpans {
+				ssp = rec.Span("serve.segment")
+			}
+			h.Write(buf[:n])
+			records, ferr := feed(buf[:n])
+			if ferr != nil {
+				ssp.End()
+				return nil, nil, fmt.Errorf("serve: bad trace upload: %w", ferr)
+			}
+			ssp.Attr("bytes", n)
+			ssp.Attr("records", records)
+			ssp.End()
+			seg++
+			rec.Count("serve.upload_segments", 1)
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return nil, nil, fmt.Errorf("serve: reading trace upload: %w", rerr)
+		}
+	}
+	tr, err = seal()
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: bad trace upload: %w", err)
+	}
+	dspan.Attr("records", len(tr.Recs))
+	dspan.Attr("segments", seg)
+	return tr, h.Sum(nil), nil
 }
 
 // traceQueryOptions parses trace-job options from query parameters. Unknown

@@ -14,7 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"dcatch/internal/bench"
 	"dcatch/internal/core"
+	"dcatch/internal/hb"
+	"dcatch/internal/obs"
+	"dcatch/internal/scancache"
+	"dcatch/internal/trace"
 	"dcatch/internal/trigger"
 )
 
@@ -168,6 +173,90 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if string(got) != want {
 		t.Errorf("served trace report differs from local analysis:\n-- served --\n%s\n-- local --\n%s", got, want)
+	}
+}
+
+// TestTraceIncrementalScanCache is the incremental re-analysis story through
+// the whole service: a server with a persistent window-scan cache analyzes a
+// base upload, then a copy whose mid-trace span was edited. The second job
+// misses the whole-report cache, rescans only the windows the edit touches,
+// serves the rest from the scan cache, and still reports exactly what an
+// uncached local analysis of the edited trace does; the hits show on
+// /metrics.
+func TestTraceIncrementalScanCache(t *testing.T) {
+	base := bench.SyntheticTraceBounded(3000, 9)
+	const chunk = 500
+	var opts core.Options
+	opts.HB.ReachBackend = hb.BackendChain
+	opts.ChunkSize = chunk
+	budget, err := bench.IncrMemBudget(base, chunk, opts.HB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.HB.MemBudget = budget
+	edited := &trace.Trace{Program: base.Program, QueueConsumers: base.QueueConsumers,
+		Recs: append([]trace.Rec(nil), base.Recs...)}
+	for i := 1500; i < 1650; i++ {
+		if edited.Recs[i].IsMem() {
+			edited.Recs[i].StaticID += 1 << 20
+		}
+	}
+	local, err := core.AnalyzeTrace(edited, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !local.Chunked {
+		t.Fatal("local oracle did not take the chunked path")
+	}
+	windows := int64(len(hb.ChunkWindows(len(base.Recs), chunk, 0)))
+
+	rec := obs.New()
+	sc, err := scancache.New(scancache.Config{Dir: t.TempDir(), Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c := newTestServer(t, Config{ScanCache: sc, Obs: rec})
+	jopt := JobOptions{Reach: "chain", ChunkSize: chunk, MemBudget: budget}
+	run := func(tr *trace.Trace) string {
+		st, err := c.SubmitTrace(bytes.NewReader(tr.Encode()), jopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = waitDone(t, c, st.ID); st.State != StateDone || st.CacheHit {
+			t.Fatalf("job finished %s (cache_hit=%v): %s", st.State, st.CacheHit, st.Error)
+		}
+		rep, err := c.Report(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(rep)
+	}
+	run(base)
+	cold := rec.Counters()
+	if cold["scancache.misses"] != windows || cold["scancache.hits"] != 0 {
+		t.Fatalf("base upload: %d hits / %d misses over %d windows, want every window scanned and stored",
+			cold["scancache.hits"], cold["scancache.misses"], windows)
+	}
+	if got := run(edited); got != RenderTrace(local) {
+		t.Fatalf("served report of the edited trace differs from the uncached local analysis:\n-- served --\n%s\n-- local --\n%s", got, RenderTrace(local))
+	}
+	warm := rec.Counters()
+	if m := warm["scancache.misses"] - windows; m <= 0 || m >= windows || warm["scancache.hits"] != windows-m {
+		t.Errorf("edited upload: %d hits / %d misses over %d windows, want only the dirty windows rescanned",
+			warm["scancache.hits"], m, windows)
+	}
+
+	resp, err := http.Get(c.Base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("dcatch_scancache_hits %d\n", warm["scancache.hits"]); !strings.Contains(string(body), want) {
+		t.Errorf("/metrics missing %q", want)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // run record by record so candidates surface while the trace is still being
 // written.
 //
-// Why it can be online at all (DESIGN.md §15):
+// Why it can be online at all (DESIGN.md §13):
 //
 //   - Chain assignment is first-appearance numbering of ctxKeys — already an
 //     online algorithm (hb.Config.CtxKey is the shared key).

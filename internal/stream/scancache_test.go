@@ -42,13 +42,32 @@ func openCache(t *testing.T, dir string, rec *obs.Recorder) *scancache.Cache {
 	return sc
 }
 
+// mutateSpan returns a copy of tr with the StaticIDs of the memory accesses
+// in its middle pct% of records rebased — the trace a rerun after a localized
+// code edit produces: most windows byte-identical, the edited region's not.
+func mutateSpan(tr *trace.Trace, pct int) *trace.Trace {
+	cp := *tr
+	cp.Recs = append([]trace.Rec(nil), tr.Recs...)
+	n := len(cp.Recs)
+	for i := n / 2; i < n/2+n*pct/100; i++ {
+		if cp.Recs[i].IsMem() {
+			cp.Recs[i].StaticID += 1 << 20
+		}
+	}
+	return &cp
+}
+
 // TestCacheDifferentialByteIdentity: over every backend × replay-pipeline
 // depth on the chunked path, a cache-populating run and a warm rerun against
 // the populated persistent directory must both be byte-identical to the
-// uncached oracle, and the warm rerun must not miss.
+// uncached oracle, and the warm rerun must not miss. A rerun of the trace
+// with a mutated mid-trace span then rescans only the windows the span
+// touches, and still equals its own uncached oracle.
 func TestCacheDifferentialByteIdentity(t *testing.T) {
 	tr := bench.SyntheticTraceBounded(3000, 5)
 	const chunk = 500
+	mut := mutateSpan(tr, 5)
+	windows := int64(len(hb.ChunkWindows(len(tr.Recs), chunk, 0)))
 	for _, backend := range []hb.Backend{hb.BackendDense, hb.BackendChain} {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s-par%d", backend, par), func(t *testing.T) {
@@ -72,6 +91,20 @@ func TestCacheDifferentialByteIdentity(t *testing.T) {
 				ctr := rec.Counters()
 				if ctr["scancache.misses"] != 0 || ctr["scancache.hits"] == 0 {
 					t.Errorf("warm rerun hits=%d misses=%d, want all hits", ctr["scancache.hits"], ctr["scancache.misses"])
+				}
+
+				mutWant := runWindowed(t, mut, hcfg, dopts, chunk, false, nil)
+				if mutWant == want {
+					t.Fatal("mutation did not change the report; the rerun would prove nothing")
+				}
+				rec = obs.New()
+				if got := runWindowed(t, mut, hcfg, dopts, chunk, false, openCache(t, dir, rec)); got != mutWant {
+					t.Fatal("rerun of the mutated trace diverged from its uncached oracle")
+				}
+				ctr = rec.Counters()
+				if m := ctr["scancache.misses"]; m == 0 || m >= windows || ctr["scancache.hits"] != windows-m {
+					t.Errorf("mutated rerun hits=%d misses=%d of %d windows, want only the dirty windows rescanned",
+						ctr["scancache.hits"], m, windows)
 				}
 			})
 		}

@@ -2,7 +2,7 @@
 // are appended one at a time (typically straight off trace.StreamDecoder),
 // provisional candidates are emitted long before the trace ends, and
 // Finish() produces a report byte-identical to hb.Build + detect.Find over
-// the same records (DESIGN.md §15).
+// the same records (DESIGN.md §13).
 //
 // Two modes share the Analyzer:
 //

@@ -5,7 +5,7 @@
 // coordinator and its workers — calls Engine.Scan (or its Lookup / Fresh /
 // Store parts) and folds the results through Fold; the window list comes
 // from hb.WindowCutter. Topologies differ only in who calls Scan and where
-// the records come from (DESIGN.md §18).
+// the records come from (DESIGN.md §16).
 package window
 
 import (
