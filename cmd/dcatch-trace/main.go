@@ -25,7 +25,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -127,24 +129,31 @@ func main() {
 		}
 		return
 	}
+	writeBreakdown(os.Stdout, tr, *dump, *n)
+}
+
+// writeBreakdown prints the Table 7 record breakdown, the queues by name,
+// and with dump the first n records (n <= 0: all).
+func writeBreakdown(w io.Writer, tr *trace.Trace, dump bool, n int) {
 	s := tr.Stats()
-	fmt.Printf("program %s: %d records\n", tr.Program, s.Total)
-	fmt.Printf("  mem=%d rpc=%d socket=%d event=%d thread=%d lock=%d zkpush=%d loopexit=%d\n",
+	fmt.Fprintf(w, "program %s: %d records\n", tr.Program, s.Total)
+	fmt.Fprintf(w, "  mem=%d rpc=%d socket=%d event=%d thread=%d lock=%d zkpush=%d loopexit=%d\n",
 		s.Mem, s.RPC, s.Socket, s.Event, s.Thread, s.Lock, s.ZKPush, s.Other)
-	for q, c := range tr.QueueConsumers {
+	for _, q := range slices.Sorted(maps.Keys(tr.QueueConsumers)) {
+		c := tr.QueueConsumers[q]
 		kind := "multi-consumer"
 		if c == 1 {
 			kind = "single-consumer"
 		}
-		fmt.Printf("  queue %s: %d consumer(s), %s\n", q, c, kind)
+		fmt.Fprintf(w, "  queue %s: %d consumer(s), %s\n", q, c, kind)
 	}
-	if *dump {
+	if dump {
 		for i := range tr.Recs {
-			if *n > 0 && i >= *n {
-				fmt.Printf("  ... %d more\n", len(tr.Recs)-i)
+			if n > 0 && i >= n {
+				fmt.Fprintf(w, "  ... %d more\n", len(tr.Recs)-i)
 				break
 			}
-			fmt.Printf("  %s\n", &tr.Recs[i])
+			fmt.Fprintf(w, "  %s\n", &tr.Recs[i])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"dcatch/internal/bench"
@@ -93,6 +94,51 @@ func TestTraceJobMatchesAnalyzeTrace(t *testing.T) {
 				step, got[i].chunked, got[i].oom, got[i].hits, got[i].misses, got[i].stats,
 				want[i].chunked, want[i].oom, want[i].hits, want[i].misses, want[i].stats,
 				got[i].report == want[i].report)
+		}
+	}
+}
+
+// TestTraceJobsNeverBuildIndex pins that trace analysis — full graph or
+// windows — only sweeps its graphs: no job builds the reachability index
+// (hb.reach.materialized stays 0), and a point query on the full job's graph
+// afterwards builds it exactly once, however many goroutines ask.
+func TestTraceJobsNeverBuildIndex(t *testing.T) {
+	tr := bench.SyntheticTraceBounded(3000, 12)
+	const chunk = 500
+	budget, err := bench.IncrMemBudget(tr, chunk, hb.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunked := range []bool{false, true} {
+		rec := obs.New()
+		opts := core.Options{Obs: rec}
+		if chunked {
+			opts.ChunkSize, opts.HB.MemBudget = chunk, budget
+		}
+		res, err := core.AnalyzeTrace(tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OOM || res.Chunked != chunked {
+			t.Fatalf("chunked=%v: job took the wrong path (chunked %v, oom %v)", chunked, res.Chunked, res.OOM)
+		}
+		if v, ok := rec.Counters()["hb.reach.materialized"]; !ok || v != 0 {
+			t.Fatalf("chunked=%v: hb.reach.materialized = %d (present %v), want 0", chunked, v, ok)
+		}
+		if chunked {
+			continue
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res.Graph.HappensBefore(w, res.Graph.N()-1)
+			}()
+		}
+		wg.Wait()
+		if v := rec.Counters()["hb.reach.materialized"]; v != 1 {
+			t.Fatalf("hb.reach.materialized = %d after point queries, want 1", v)
 		}
 	}
 }

@@ -51,8 +51,9 @@ func newChainSet(g *Graph) *chainSet {
 // count returns the number of chains.
 func (cs *chainSet) count() int { return len(cs.chainLen) }
 
-// indexBytes predicts the chain index footprint for n vertices: the n×C
-// int32 row matrix plus the decomposition arrays.
+// indexBytes is the chain index footprint for n vertices — the n×C int32
+// row matrix plus the decomposition arrays — both the admission check's
+// prediction and the bytes chainSeq allocates.
 func (cs *chainSet) indexBytes(n int) int64 {
 	c := int64(cs.count())
 	return int64(n)*c*4 + int64(2*n+cs.count())*4
@@ -70,21 +71,6 @@ type chainIndex struct {
 // reaches reports v ⇒ w for 0 <= v < w < n.
 func (x *chainIndex) reaches(v, w int) bool {
 	return x.rows[v*x.c+int(x.cs.chainOf[w])] <= x.cs.posOf[w]
-}
-
-// memBytes is the index's memory footprint.
-func (x *chainIndex) memBytes() int64 {
-	return int64(len(x.rows))*4 + int64(len(x.cs.chainOf)+len(x.cs.posOf)+len(x.cs.chainLen))*4
-}
-
-// chainIdx returns the graph's chain index, allocating the row matrix on
-// first use; Eserial closure rounds overwrite the same rows.
-func (g *Graph) chainIdx() *chainIndex {
-	if g.chain == nil {
-		c := g.chains.count()
-		g.chain = &chainIndex{cs: g.chains, c: c, rows: make([]int32, g.N()*c)}
-	}
-	return g.chain
 }
 
 // outCSR builds the forward adjacency (successor lists) in compressed
@@ -118,11 +104,11 @@ func (g *Graph) outCSR() (offs, dst []int32) {
 // semilattice) over all successors' rows, plus each successor's own
 // position; every successor of v has a higher trace index, so its row is
 // already final when v is processed.
-func (g *Graph) chainSeq() error {
-	x := g.chainIdx()
+func (g *Graph) chainSeq() {
+	cs := g.chains
+	c := cs.count()
+	rows := make([]int32, g.N()*c)
 	offs, dst := g.outCSR()
-	c := x.c
-	rows, cs := x.rows, x.cs
 	for v := g.N() - 1; v >= 0; v-- {
 		row := rows[v*c : (v+1)*c]
 		for k := range row {
@@ -140,7 +126,7 @@ func (g *Graph) chainSeq() error {
 			}
 		}
 	}
-	return nil
+	g.chain = &chainIndex{cs: cs, c: c, rows: rows}
 }
 
 // chainBits estimates the set-reachability-pair count of the chain index,

@@ -14,9 +14,9 @@ import (
 // the vertex's ancestors (itself included). Exactness follows from the same
 // two facts the chain backend rests on (DESIGN.md §10): Rule-Preg/Pnreg
 // totally orders every chain, and every edge points forward in trace time.
-// The sweep runs after Build, so g.in already carries every Table-2 rule
-// edge including the Rule-Eserial fixed point's — no re-joins are needed at
-// sweep time; monotone clock joins absorb late edges the same either way.
+// The sweep answers for the graph as it stands: Build runs one per
+// Rule-Eserial round (serialSweep) against that round's edges, and a sweep
+// after Build sees every Table-2 rule edge including the fixed point's.
 
 // ChainDecomposition is a trace's program-order chain decomposition under
 // one graph's ablation config: the grouping whose consecutive records

@@ -1,7 +1,9 @@
 // Package hb implements the DCatch happens-before model (paper §2) and its
 // trace analysis (§3.2): it turns a run trace into a DAG whose edges are the
-// MTEP rules, then computes per-vertex reachability bit arrays so that
-// "are these two accesses concurrent?" is a constant-time lookup.
+// MTEP rules. Detection walks that DAG once with a chain-clock sweep
+// (ChainClockSweep); the paper's per-vertex reachability index, which makes
+// "are these two accesses concurrent?" a constant-time lookup, is built only
+// when a caller first asks such a point query.
 //
 // Rules implemented (paper §2):
 //
@@ -24,7 +26,6 @@ package hb
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -35,9 +36,10 @@ import (
 	"dcatch/internal/vclock"
 )
 
-// ErrOutOfMemory is returned when the reachability bit arrays would exceed
-// Config.MemBudget — the paper's trace-analysis OOM on unselectively traced
-// runs (Table 8).
+// ErrOutOfMemory is returned by Build when the admitted reachability
+// footprint (MemBytes) would exceed Config.MemBudget — the paper's
+// trace-analysis OOM on unselectively traced runs (Table 8). The decision is
+// made up front, whether or not the index is ever built.
 var ErrOutOfMemory = errors.New("hb: reachability sets exceed memory budget")
 
 // Config controls graph construction.
@@ -93,12 +95,17 @@ type Graph struct {
 	in        [][]int32 // in[v] = predecessors of v, deduplicated lazily
 	edgeCount int
 
-	// backend is the resolved reachability representation; exactly one of
-	// reach (dense) and chain is populated after Build.
+	// backend is the resolved reachability representation; chains is the
+	// trace's chain decomposition when it resolved to chain.
 	backend Backend
-	reach   []*bitset.Set // dense: reach[v] = vertices that happen before v
-	chains  *chainSet     // chain/auto: the trace's chain decomposition
-	chain   *chainIndex   // chain: per-chain minimum reached positions
+	chains  *chainSet
+
+	// The reachability index is built by the first point query (ancestor),
+	// never by Build: once indexOnce has run, exactly one of reach (dense)
+	// and chain is populated.
+	indexOnce sync.Once
+	reach     []*bitset.Set // dense: reach[v] = vertices that happen before v
+	chain     *chainIndex   // chain: per-chain minimum reached positions
 
 	// dec memoizes ChainDecomposition on the dense backend, where no
 	// chainSet survives Build; a chainSet is immutable once constructed.
@@ -116,7 +123,11 @@ type Graph struct {
 	sp *obs.Span
 }
 
-// Build constructs the HB graph and its reachability closure.
+// Build constructs the HB graph: the admission check against MemBudget, the
+// rule edges, then Rule-Eserial's fixed point. It derives edges only; the
+// reachability index behind HappensBefore and the other point queries is
+// built on the first such query, so a caller that only sweeps the graph
+// (detect.Find) never pays for it.
 func Build(tr *trace.Trace, cfg Config) (*Graph, error) {
 	g := &Graph{Tr: tr, cfg: cfg}
 	n := len(tr.Recs)
@@ -131,27 +142,26 @@ func Build(tr *trace.Trace, cfg Config) (*Graph, error) {
 	g.sp.Attr("reach_backend", g.backend.String())
 
 	rules := g.sp.Child("hb.rules")
-	g.addProgramOrder()
-	g.addPairRules()
-	g.addPullEdges()
-	g.dedupEdges()
+	g.addRules()
 	rules.End()
-	if err := g.closure(g.sp); err != nil {
-		g.sp.End()
-		return nil, err
-	}
-	if err := g.eserialFixedPoint(); err != nil {
-		g.sp.End()
-		return nil, err
-	}
+	g.eserial()
 	g.recordBuildMetrics()
 	g.sp.End()
 	return g, nil
 }
 
+// addRules applies every rule but Rule-Eserial and dedups the adjacency
+// lists once they are complete.
+func (g *Graph) addRules() {
+	g.addProgramOrder()
+	g.addPairRules()
+	g.addPullEdges()
+	g.dedupEdges()
+}
+
 // recordBuildMetrics emits the whole-graph counters once construction is
-// complete; the reach-bit popcount is skipped entirely when observability
-// is off.
+// complete. hb.reach.materialized starts at 0; the index builder adds 1 and
+// the hb.reach.bits estimate if a point query ever builds the index.
 func (g *Graph) recordBuildMetrics() {
 	if g.sp == nil {
 		return
@@ -168,7 +178,7 @@ func (g *Graph) recordBuildMetrics() {
 	if g.backend == BackendChain {
 		g.sp.Count("hb.reach.chains", int64(g.chains.count()))
 	}
-	g.sp.Count("hb.reach.bits", g.reachBits())
+	g.sp.Count("hb.reach.materialized", 0)
 	g.sp.Count("hb.pull_pairs", int64(len(g.PullPairs)))
 }
 
@@ -213,25 +223,22 @@ func (g *Graph) Edges() int { return g.edgeCount }
 // to the concrete choice).
 func (g *Graph) Backend() Backend { return g.backend }
 
-// Chains returns the number of program-order chains of the chain index, or
-// 0 under the dense backend.
+// Chains returns the number of program-order chains the chain backend
+// indexes, or 0 under the dense backend.
 func (g *Graph) Chains() int {
-	if g.chain == nil {
+	if g.chains == nil {
 		return 0
 	}
-	return g.chain.c
+	return g.chains.count()
 }
 
-// MemBytes returns the reachability-closure memory footprint.
+// MemBytes returns the reachability index's footprint as admitted against
+// MemBudget: exactly the bytes the index holds once built.
 func (g *Graph) MemBytes() int64 {
-	if g.chain != nil {
-		return g.chain.memBytes()
+	if g.backend == BackendChain {
+		return g.chains.indexBytes(g.N())
 	}
-	var total int64
-	for _, s := range g.reach {
-		total += int64(s.Bytes())
-	}
-	return total
+	return DenseReachBytes(g.N())
 }
 
 // addEdge appends u as a predecessor of v and reports whether the edge was
@@ -462,34 +469,39 @@ func (g *Graph) addPullEdges() {
 	g.sp.Count("hb.edges.mpull", mpull)
 }
 
-// closure materializes the resolved backend's reachability index. addEdge
-// only ever accepts edges with u < v, so trace order is a topological order
-// of the DAG and each backend is one pass over it: an index entry depends
-// only on already-final neighbor entries.
-func (g *Graph) closure(parent *obs.Span) error {
+// buildIndex is the lazy index builder, run once under indexOnce by the
+// first point query: the only caller of closure.
+func (g *Graph) buildIndex() {
+	g.closure(g.sp)
+	if g.sp != nil {
+		g.sp.Count("hb.reach.materialized", 1)
+		g.sp.Count("hb.reach.bits", g.reachBits())
+	}
+}
+
+// closure materializes the resolved backend's reachability index over the
+// finished graph. addEdge only ever accepts edges with u < v, so trace order
+// is a topological order of the DAG and each backend is one pass over it: an
+// index entry depends only on already-final neighbor entries. The footprint
+// was admitted against MemBudget before any edge was built (resolveBackend).
+func (g *Graph) closure(parent *obs.Span) {
 	sp := parent.Child("hb.closure")
 	defer sp.End()
 	sp.Attr("backend", g.backend.String())
 	if g.backend == BackendChain {
-		return g.chainSeq()
+		g.chainSeq()
+		return
 	}
-	return g.closureSeq()
+	g.closureSeq()
 }
 
 // closureSeq is the dense closure: one pass in trace (= topological) order.
-func (g *Graph) closureSeq() error {
+func (g *Graph) closureSeq() {
 	n := g.N()
 	g.reach = make([]*bitset.Set, n)
-	var used int64
 	var srcs []*bitset.Set
 	for v := 0; v < n; v++ {
 		s := bitset.New(n)
-		used += int64(s.Bytes())
-		if g.cfg.MemBudget > 0 && used > g.cfg.MemBudget {
-			g.reach = nil
-			return fmt.Errorf("%w: exceeded %d bytes at vertex %d/%d",
-				ErrOutOfMemory, g.cfg.MemBudget, v, n)
-		}
 		srcs = srcs[:0]
 		for _, u := range g.in[v] {
 			srcs = append(srcs, g.reach[u])
@@ -500,24 +512,17 @@ func (g *Graph) closureSeq() error {
 		}
 		g.reach[v] = s
 	}
-	return nil
 }
 
-// eserialFixedPoint applies Rule-Eserial last (paper §3.2.1): repeatedly add
-// End(e1) ⇒ Begin(e2) for events of the same single-consumer queue whose
-// creations are already ordered, until no more edges appear.
-//
-// Each round scans queues against the closure state of the round's start, so
-// the edge set a round discovers is independent of scan order. An edge
-// passing the !HappensBefore check cannot already be in the graph (every
-// existing edge is covered by the closure), so accepted edges are counted
-// without a dedup probe.
-func (g *Graph) eserialFixedPoint() error {
-	if g.cfg.DisableEvent {
-		return nil
-	}
-	type ev struct{ create, begin, end int }
-	queues := map[string]map[uint64]*ev{}
+// serialEvent is one fully recorded event of a single-consumer queue: the
+// records of its creation, handler begin and handler end.
+type serialEvent struct{ create, begin, end int }
+
+// eserialWorklist groups the fully recorded events of every single-consumer
+// queue into a deterministic worklist: queues by name, events by creation
+// order, queues with fewer than two such events dropped.
+func (g *Graph) eserialWorklist() [][]serialEvent {
+	queues := map[string]map[uint64]*serialEvent{}
 	for i := range g.Tr.Recs {
 		r := &g.Tr.Recs[i]
 		if r.Queue == "" || !g.Tr.SingleConsumer(r.Queue) {
@@ -525,12 +530,12 @@ func (g *Graph) eserialFixedPoint() error {
 		}
 		q := queues[r.Queue]
 		if q == nil {
-			q = map[uint64]*ev{}
+			q = map[uint64]*serialEvent{}
 			queues[r.Queue] = q
 		}
 		e := q[r.Op]
 		if e == nil {
-			e = &ev{create: -1, begin: -1, end: -1}
+			e = &serialEvent{create: -1, begin: -1, end: -1}
 			q[r.Op] = e
 		}
 		switch r.Kind {
@@ -542,20 +547,18 @@ func (g *Graph) eserialFixedPoint() error {
 			e.end = i
 		}
 	}
-	// Flatten to a deterministic worklist: queues by name, fully-recorded
-	// events by creation order.
 	names := make([]string, 0, len(queues))
 	for name := range queues {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var worklist [][]*ev
+	var worklist [][]serialEvent
 	for _, name := range names {
 		q := queues[name]
-		evs := make([]*ev, 0, len(q))
+		evs := make([]serialEvent, 0, len(q))
 		for _, e := range q {
 			if e.create >= 0 && e.begin >= 0 && e.end >= 0 {
-				evs = append(evs, e)
+				evs = append(evs, *e)
 			}
 		}
 		if len(evs) < 2 {
@@ -564,50 +567,154 @@ func (g *Graph) eserialFixedPoint() error {
 		sort.Slice(evs, func(i, j int) bool { return evs[i].create < evs[j].create })
 		worklist = append(worklist, evs)
 	}
-	scan := func(evs []*ev) int {
-		added := 0
-		for _, e1 := range evs {
-			for _, e2 := range evs {
-				if e1 == e2 {
-					continue
+	return worklist
+}
+
+// serialQuery is one point of an Eserial sweep at which a queue's bits are
+// recorded: the creation (begin = false) or handler begin (begin = true) of
+// event j of worklist queue q.
+type serialQuery struct {
+	v, q, j int
+	begin   bool
+}
+
+// serialSweep answers one Eserial round's questions with one chain-clock
+// sweep of the graph as it stands. The sweep is projected onto the chains of
+// the events' Create and End records — the only records a question is ever
+// asked about — and records, per queue of k events, the k×k bits
+//
+//	before[i*k+j] = Create(e_i) ⇒ Create(e_j)   (at Create(e_j)'s visit)
+//	ended[i*k+j]  = End(e_i) ⇒ Begin(e_j)       (at Begin(e_j)'s visit)
+//
+// where u ⇒ v is u < v and v's clock has reached u's position in u's chain.
+type serialSweep struct {
+	g        *Graph
+	worklist [][]serialEvent
+	dec      ChainDecomposition
+	proj     []int32
+	width    int
+	queries  []serialQuery // sorted by vertex
+	next     int           // queries[next] is the running sweep's next point
+	before   []*bitset.Set
+	ended    []*bitset.Set
+}
+
+func (g *Graph) newSerialSweep(worklist [][]serialEvent) *serialSweep {
+	dec := g.ChainDecomposition()
+	s := &serialSweep{g: g, worklist: worklist, dec: dec, proj: make([]int32, dec.Chains())}
+	for c := range s.proj {
+		s.proj[c] = -1
+	}
+	track := func(u int) {
+		if c := dec.Of[u]; s.proj[c] < 0 {
+			s.proj[c] = int32(s.width)
+			s.width++
+		}
+	}
+	for q, evs := range worklist {
+		for j, e := range evs {
+			track(e.create)
+			track(e.end)
+			s.queries = append(s.queries,
+				serialQuery{v: e.create, q: q, j: j},
+				serialQuery{v: e.begin, q: q, j: j, begin: true})
+		}
+		s.before = append(s.before, bitset.New(len(evs)*len(evs)))
+		s.ended = append(s.ended, bitset.New(len(evs)*len(evs)))
+	}
+	slices.SortFunc(s.queries, func(a, b serialQuery) int { return a.v - b.v })
+	return s
+}
+
+// run sweeps the graph and refills every queue's bits.
+func (s *serialSweep) run() {
+	for q := range s.worklist {
+		s.before[q].Clear()
+		s.ended[q].Clear()
+	}
+	s.next = 0
+	s.g.ChainClockSweep(s.dec, s.proj, s.width, s.visit)
+}
+
+func (s *serialSweep) visit(v int, clock vclock.ChainClock) {
+	reached := func(u int) bool {
+		return u < v && clock[s.proj[s.dec.Of[u]]] >= s.dec.Pos[u]
+	}
+	for ; s.next < len(s.queries) && s.queries[s.next].v == v; s.next++ {
+		qp := s.queries[s.next]
+		evs := s.worklist[qp.q]
+		k := len(evs)
+		for i, e1 := range evs {
+			if qp.begin {
+				if reached(e1.end) {
+					s.ended[qp.q].Add(i*k + qp.j)
 				}
-				if g.HappensBefore(e1.create, e2.create) && !g.HappensBefore(e1.end, e2.begin) {
-					if g.addEdge(e1.end, e2.begin) {
-						added++
-					}
-				}
+			} else if reached(e1.create) {
+				s.before[qp.q].Add(i*k + qp.j)
 			}
 		}
-		return added
+	}
+}
+
+// eserial applies Rule-Eserial last (paper §3.2.1): repeatedly add
+// End(e1) ⇒ Begin(e2) for events of the same single-consumer queue whose
+// creations are already ordered, until no more edges appear.
+//
+// Each round answers every queue's questions against the graph as it stands
+// at the round's start, with one serialSweep, and only then adds the edges it
+// found; the edge set a round discovers is therefore independent of scan
+// order. An edge passing the !ended check cannot already be in the graph
+// (every existing edge is an ancestor relation), so accepted edges are
+// counted without a dedup probe.
+func (g *Graph) eserial() {
+	if g.cfg.DisableEvent {
+		return
+	}
+	worklist := g.eserialWorklist()
+	var sw *serialSweep
+	if len(worklist) > 0 {
+		sw = g.newSerialSweep(worklist)
 	}
 	var eserialTotal int64
 	for {
 		g.Rounds++
 		rsp := g.sp.Child("hb.eserial.round")
 		rsp.Attr("round", g.Rounds)
+		if sw != nil {
+			sw.run()
+		}
 		added := 0
-		for _, evs := range worklist {
-			added += scan(evs)
+		for q, evs := range worklist {
+			k := len(evs)
+			for i, e1 := range evs {
+				for j, e2 := range evs {
+					if i == j {
+						continue
+					}
+					if sw.before[q].Has(i*k+j) && !sw.ended[q].Has(i*k+j) {
+						if g.addEdge(e1.end, e2.begin) {
+							added++
+						}
+					}
+				}
+			}
 		}
 		rsp.Attr("edges_added", added)
+		rsp.End()
 		if added == 0 {
-			rsp.End()
 			g.sp.Count("hb.edges.eserial", eserialTotal)
-			return nil
+			return
 		}
 		eserialTotal += int64(added)
 		g.edgeCount += added
-		err := g.closure(rsp)
-		rsp.End()
-		if err != nil {
-			return err
-		}
 	}
 }
 
 // ancestor reports whether u happens before v for callers that guarantee
-// 0 <= u < v < N — the single hot-path query both backends answer in O(1).
+// 0 <= u < v < N — the single point query both backends answer in O(1),
+// building the index on first use.
 func (g *Graph) ancestor(u, v int) bool {
+	g.indexOnce.Do(g.buildIndex)
 	if g.chain != nil {
 		return g.chain.reaches(u, v)
 	}
