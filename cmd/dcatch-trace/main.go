@@ -50,9 +50,9 @@ func main() {
 	poll := flag.Duration("poll", 50*time.Millisecond, "with -follow: poll interval while waiting for the file to grow")
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "with -follow: give up if the file stops growing for this long before the declared record count (0 = wait forever)")
 	parallel := flag.Int("parallel", 0, "with -analyze/-follow and -chunk: windows analysed concurrently on the chunked path (0 = all CPUs)")
-	reach := flag.String("reach", "dense", "with -analyze/-follow: reachability backend (dense, chain, auto)")
+	reach := flag.String("reach", "dense", "with -analyze/-follow: memory-budget footprint model (dense, chain, auto)")
 	chunk := flag.Int("chunk", 0, "with -analyze/-follow: records per window for the chunked fallback (0 = disabled); with -peers: distributed window size (0 = default 50000)")
-	memBudget := flag.Int64("mem-budget", 0, "with -analyze/-follow: reachability memory budget in bytes (0 = unlimited)")
+	memBudget := flag.Int64("mem-budget", 0, "with -analyze/-follow: reachability admission budget in bytes (0 = unlimited)")
 	peers := flag.String("peers", "", "with -analyze: comma-separated dcatch-serve -worker base URLs to shard the analysis across")
 	scDir := flag.String("scancache-dir", "", "persistent window-scan cache directory: chunked/distributed reruns skip windows whose bytes and options match a cached scan")
 	scMem := flag.Int64("scancache-mem", 0, "in-memory window-scan cache budget in bytes (0 with no -scancache-dir disables the cache; 0 with -scancache-dir = default 256 MiB)")

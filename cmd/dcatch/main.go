@@ -46,7 +46,7 @@ func main() {
 		structure = flag.Bool("dump-structure", false, "print the cluster's concurrency structure (Fig. 4) and exit")
 		program   = flag.Bool("dump-program", false, "print the subject program listing and exit")
 		traceOut  = flag.String("trace-out", "", "write the binary trace to this file")
-		reach     = flag.String("reach", "dense", "reachability backend: dense (paper bit arrays), chain (O(V*C) chain index), or auto (dense if it fits the memory budget, else chain)")
+		reach     = flag.String("reach", "dense", "memory-budget footprint model: dense (the paper's V²/8 bit arrays), chain (the V×C chain-clock index), or auto (dense if it fits the memory budget, else chain); reports are identical under all three")
 		metrics   = flag.String("metrics-json", "", "write a versioned run manifest (spans, counters, stats) to this file")
 		verbose   = flag.Bool("v", false, "log pipeline progress to stderr")
 		explain   = flag.Int("explain", -1, "print the provenance of report pair N (reported pairs first, then pruned candidates) and exit")

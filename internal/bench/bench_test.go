@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dcatch/internal/core"
-	"dcatch/internal/hb"
 	"dcatch/internal/trigger"
 )
 
@@ -159,72 +158,11 @@ func TestTable8ChunkedRecoversOOMRows(t *testing.T) {
 	}
 }
 
-// The two design-choice ablations EXPERIMENTS.md cites: reachability
-// representation (bit arrays vs vector clocks, §3.2.2) and trigger request
-// placement (analyzed vs naive, §7.2).
+// The trigger request placement ablation EXPERIMENTS.md cites (analyzed vs
+// naive, §7.2); the §3.2.2 reachability representation benchmarks live in
+// internal/hb.
 //
-//	go test -run '^$' -bench 'Reachability|TriggerPlacement' ./internal/bench
-
-// detectScaledMR runs the standard pipeline on the scaled MapReduce
-// workload, the largest trace among the benchmarks.
-func detectScaledMR(b *testing.B) *core.Result {
-	b.Helper()
-	for _, bm := range Benchmarks() {
-		if bm.ID != "MR-3274" {
-			continue
-		}
-		res, err := Detect(bm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	b.Fatal("MR-3274 missing")
-	return nil
-}
-
-// BenchmarkReachabilityBitset measures DCatch's reachability representation
-// (§3.2.2): per-vertex bit arrays with constant-time queries.
-func BenchmarkReachabilityBitset(b *testing.B) {
-	res := detectScaledMR(b)
-	tr := res.Trace
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := hb.Build(tr, hb.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Query a spread of pairs, as detection does.
-		n := g.N()
-		for x := 0; x < n; x += 7 {
-			for y := x + 1; y < n; y += 97 {
-				g.Concurrent(x, y)
-			}
-		}
-	}
-}
-
-// BenchmarkReachabilityVectorClocks measures the rejected alternative: one
-// vector-clock dimension per handler/RPC instance (§3.2.2 "each event
-// handler and RPC function contributing one dimension").
-func BenchmarkReachabilityVectorClocks(b *testing.B) {
-	res := detectScaledMR(b)
-	tr := res.Trace
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := hb.Build(tr, hb.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clocks := g.VectorClocks()
-		n := g.N()
-		for x := 0; x < n; x += 7 {
-			for y := x + 1; y < n; y += 97 {
-				clocks[x].Concurrent(clocks[y])
-			}
-		}
-	}
-}
+//	go test -run '^$' -bench TriggerPlacement ./internal/bench
 
 // BenchmarkTriggerPlacementAnalyzed validates every HB-4539 report with the
 // §5.2 placement analysis (the regionState pair's accesses share the region

@@ -140,7 +140,7 @@ func SyntheticTrace(n int, seed int64) *trace.Trace {
 // generator models that: cross-node closes land on the receiver's regular
 // thread context, and only a fixed budget of event-handler instances get
 // fresh contexts. The chain count is therefore constant (~208) regardless of
-// n, which is the regime where the chain backend's O(V·C) footprint beats the
+// n, which is the regime where the chain model's O(V·C) footprint beats the
 // dense O(V²) bit matrix.
 func SyntheticTraceBounded(n int, seed int64) *trace.Trace {
 	rng := rand.New(rand.NewSource(seed))

@@ -53,15 +53,15 @@ type ScanRequest struct {
 	Window int
 	Start  int
 
-	// Reach names the hb reachability backend, as accepted by
-	// hb.ParseBackend.
+	// Reach names the footprint model hb's MemBudget admission charges, as
+	// accepted by hb.ParseBackend.
 	Reach string
 
 	// MaxGroup is detect.Options.MaxGroup (0 = default).
 	MaxGroup int
 
-	// MemBudget bounds the window's reachability closure in bytes and is
-	// the admission weight the worker charges against its memory gate
+	// MemBudget is hb's reachability admission budget for the window in
+	// bytes and the admission weight the worker charges against its memory gate
 	// (0 = the worker's default job size).
 	MemBudget int64
 }

@@ -6,25 +6,27 @@ import (
 	"dcatch/internal/trace"
 )
 
-// Backend selects the reachability representation the closure materializes.
+// Backend selects the reachability footprint model the up-front MemBudget
+// admission check charges. It does not pick an implementation: every graph
+// answers point queries from the one chain-clock index.
 //
-// The dense backend is the paper's §3.2.2 design: one bit array per vertex,
-// O(V²/8) bytes total. The chain backend exploits Rule-Preg/Pnreg: every
-// program-order context is a totally ordered chain, so "which vertices do I
-// reach?" collapses to "what is the earliest position I reach in each
-// chain?" — O(V·C·4) bytes for C chains, with the same O(1) query.
+// The dense model is the paper's §3.2.2 design, one bit array per vertex,
+// V²/8 bytes in total; it keeps the Table 8 OOM rows where the paper has
+// them, but it does not bound the index: a dense-admitted graph whose first
+// point query builds the clock matrix holds 4·V·C bytes, more than V²/8
+// whenever C > V/32. The chain model charges what the index actually holds:
+// a V×C int32 clock matrix plus the chain decomposition.
 type Backend uint8
 
 const (
-	// BackendDense is the per-vertex bit-array closure (the default; the
-	// zero value keeps every existing Config working unchanged, including
-	// the Table 8 OOM behavior under MemBudget).
+	// BackendDense charges the paper's per-vertex bit arrays (the default;
+	// the zero value keeps the Table 8 OOM behavior under MemBudget).
 	BackendDense Backend = iota
-	// BackendChain is the chain-decomposed int32 index.
+	// BackendChain charges the chain-clock index.
 	BackendChain
-	// BackendAuto picks dense when its predicted footprint fits MemBudget
-	// (or no budget is set), falling back to chain, and reports
-	// ErrOutOfMemory only when neither representation fits.
+	// BackendAuto picks dense when its footprint fits MemBudget (or no
+	// budget is set), falling back to chain, and reports ErrOutOfMemory
+	// only when neither fits.
 	BackendAuto
 )
 
@@ -54,10 +56,9 @@ func ParseBackend(s string) (Backend, error) {
 	return BackendDense, fmt.Errorf("hb: unknown reach backend %q (want dense, chain or auto)", s)
 }
 
-// DenseReachBytes predicts the dense backend's reachability footprint for an
-// n-vertex graph: n bit arrays of n bits each, rounded up to whole words.
-// Exposed so benchmarks can report the dense cost even where the backend
-// refuses to run under its budget.
+// DenseReachBytes is the dense model's footprint for an n-vertex graph: n
+// bit arrays of n bits each, rounded up to whole words. Exposed so
+// benchmarks can report the paper's cost even where admission refuses it.
 func DenseReachBytes(n int) int64 {
 	words := int64((n + 63) / 64)
 	return words * 8 * int64(n)
@@ -75,10 +76,17 @@ func FullBuildExceedsBudget(tr *trace.Trace, cfg Config) bool {
 	return g.resolveBackend() != nil
 }
 
-// resolveBackend fixes the backend the closure will use and performs the
-// up-front MemBudget admission check, before any edge construction. Dense
-// keeps its historical error message (tests compare it verbatim); chain and auto report their own footprint breakdown,
-// all wrapping ErrOutOfMemory.
+// indexBytes is the chain model's footprint for n vertices over c chains:
+// the n×c int32 clock matrix plus the decomposition's Of, Pos and Len
+// arrays — exactly what the index holds once built.
+func indexBytes(n, c int) int64 {
+	return int64(n)*int64(c)*4 + int64(2*n+c)*4
+}
+
+// resolveBackend fixes the admission model and performs the up-front
+// MemBudget check, before any edge construction. Dense keeps its
+// historical error message (tests compare it verbatim); chain and auto
+// report their own footprint breakdown, all wrapping ErrOutOfMemory.
 func (g *Graph) resolveBackend() error {
 	n := g.N()
 	budget := g.cfg.MemBudget
@@ -92,21 +100,21 @@ func (g *Graph) resolveBackend() error {
 		}
 	case BackendChain:
 		g.backend = BackendChain
-		g.chains = newChainSet(g)
-		if need := g.chains.indexBytes(n); budget > 0 && need > budget {
+		c := g.ChainDecomposition().Chains()
+		if need := indexBytes(n, c); budget > 0 && need > budget {
 			return fmt.Errorf("%w: chain index needs %d bytes (%d vertices x %d chains), budget %d",
-				ErrOutOfMemory, need, n, g.chains.count(), budget)
+				ErrOutOfMemory, need, n, c, budget)
 		}
 	case BackendAuto:
 		if budget <= 0 || dense <= budget {
 			g.backend = BackendDense
 			return nil
 		}
-		g.chains = newChainSet(g)
-		need := g.chains.indexBytes(n)
+		c := g.ChainDecomposition().Chains()
+		need := indexBytes(n, c)
 		if need > budget {
 			return fmt.Errorf("%w: auto backend: dense needs %d bytes, chain needs %d bytes (%d chains), budget %d",
-				ErrOutOfMemory, dense, need, g.chains.count(), budget)
+				ErrOutOfMemory, dense, need, c, budget)
 		}
 		g.backend = BackendChain
 	default:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dcatch/internal/trace"
@@ -13,7 +14,7 @@ import (
 // family: Preg on regular threads, Pnreg via per-instance RPC/message/watch
 // handler contexts, Tfork/Tjoin, Mrpc, Msoc, Mpush, and Eenq/Eserial over a
 // mix of single- and multi-consumer event queues. Used by the differential
-// tests to cross-check the dense and chain reachability backends.
+// tests to cross-check the chain-clock index and sweeps against the oracles.
 func randomMTEP(rng *rand.Rand, n int) *trace.Trace {
 	c := trace.NewCollector("mtep")
 	c.SetQueueInfo("n/q0", 1)
@@ -112,112 +113,57 @@ func randomMTEP(rng *rand.Rand, n int) *trace.Trace {
 	return c.Trace()
 }
 
-// diffBackends asserts the two graphs agree on every HappensBefore and
-// Concurrent query, and on the derived edge/round counts.
-func diffBackends(t *testing.T, label string, dense, chain *Graph) {
-	t.Helper()
-	if dense.Edges() != chain.Edges() {
-		t.Fatalf("%s: edge counts diverged: dense %d vs chain %d", label, dense.Edges(), chain.Edges())
-	}
-	if dense.Rounds != chain.Rounds {
-		t.Fatalf("%s: Eserial rounds diverged: dense %d vs chain %d", label, dense.Rounds, chain.Rounds)
-	}
-	n := dense.N()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dh, ch := dense.HappensBefore(i, j), chain.HappensBefore(i, j)
-			if dh != ch {
-				t.Fatalf("%s: HappensBefore(%d,%d): dense %v vs chain %v", label, i, j, dh, ch)
-			}
-			if dense.Concurrent(i, j) != chain.Concurrent(i, j) {
-				t.Fatalf("%s: Concurrent(%d,%d) diverged", label, i, j)
-			}
-			if dense.ConcurrentOrdered(i, j) != chain.ConcurrentOrdered(i, j) {
-				t.Fatalf("%s: ConcurrentOrdered(%d,%d) diverged", label, i, j)
-			}
-		}
-	}
+// pullTrace is a Rule-Mpull geometry: an RPC handler's poll read sees an
+// event handler's write, and the loop exit on another node follows it
+// (LoopReads {40: {21}}).
+func pullTrace() *trace.Trace {
+	c := trace.NewCollector("t")
+	c.Emit(trace.Rec{Node: "srv", Thread: 2, Ctx: 5, CtxKind: trace.CtxEvent, Kind: trace.KMemWrite, Obj: "srv/jMap", StaticID: 20})
+	c.Emit(trace.Rec{Node: "srv", Thread: 3, Ctx: 6, CtxKind: trace.CtxRPC, Kind: trace.KMemRead, Obj: "srv/jMap", StaticID: 21, WriterSeq: 1})
+	c.Emit(trace.Rec{Node: "nm", Thread: 1, Ctx: 1, CtxKind: trace.CtxRegular, Kind: trace.KLoopExit, Op: 40, StaticID: 40})
+	c.Emit(trace.Rec{Node: "nm", Thread: 1, Ctx: 1, CtxKind: trace.CtxRegular, Kind: trace.KMemRead, Obj: "nm/z", StaticID: 41})
+	return c.Trace()
 }
 
-// TestChainMatchesDenseRandom is the core differential property: on random
-// full-MTEP traces the chain backend answers every reachability query
-// exactly like the dense bit arrays.
+// TestChainMatchesDenseRandom is the index's core differential property: on
+// random full-MTEP traces the chain-clock index answers every reachability
+// query exactly like the paper's dense bit arrays and naive vector clocks.
 func TestChainMatchesDenseRandom(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tr := randomMTEP(rng, 300)
-		dense, err := Build(tr, Config{})
+		g, err := Build(randomMTEP(rand.New(rand.NewSource(seed)), 300), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dense.Backend() != BackendDense {
-			t.Fatalf("default backend is %v, want dense", dense.Backend())
-		}
-		chain, err := Build(tr, Config{ReachBackend: BackendChain})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if chain.Backend() != BackendChain || chain.Chains() == 0 {
-			t.Fatalf("chain backend not engaged: %v, %d chains", chain.Backend(), chain.Chains())
-		}
-		diffBackends(t, fmt.Sprintf("seed %d", seed), dense, chain)
+		checkIndex(t, fmt.Sprintf("seed %d", seed), g)
 	}
 }
 
-// TestChainMatchesDenseAblations repeats the differential check under every
-// Table 9 rule ablation (which also degrades Pnreg contexts, reshaping the
-// chain decomposition itself).
+// TestChainMatchesDenseAblations repeats the check under every Table 9 rule
+// configuration (ablations also degrade Pnreg contexts, reshaping the chain
+// decomposition itself).
 func TestChainMatchesDenseAblations(t *testing.T) {
-	cfgs := []Config{
-		{DisableEvent: true},
-		{DisableRPC: true},
-		{DisableSocket: true},
-		{DisablePush: true},
-		{DisableEvent: true, DisableRPC: true, DisableSocket: true, DisablePush: true},
-	}
 	for seed := int64(0); seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		tr := randomMTEP(rng, 200)
-		for ci, cfg := range cfgs {
-			dense, err := Build(tr, cfg)
+		tr := randomMTEP(rand.New(rand.NewSource(100+seed)), 200)
+		for ci, cfg := range table9Configs {
+			g, err := Build(tr, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ccfg := cfg
-			ccfg.ReachBackend = BackendChain
-			chain, err := Build(tr, ccfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffBackends(t, fmt.Sprintf("seed %d cfg %d", seed, ci), dense, chain)
+			checkIndex(t, fmt.Sprintf("seed %d cfg %d", seed, ci), g)
 		}
 	}
 }
 
-// TestChainMatchesDensePull checks Rule-Mpull edges land identically in both
-// backends, including the discovered pull-pair list.
+// TestChainMatchesDensePull checks Rule-Mpull edges reach the index.
 func TestChainMatchesDensePull(t *testing.T) {
-	c := trace.NewCollector("t")
-	emit := func(r trace.Rec) int { c.Emit(r); return c.Len() - 1 }
-	w := emit(trace.Rec{Node: "srv", Thread: 2, Ctx: 5, CtxKind: trace.CtxEvent, Kind: trace.KMemWrite, Obj: "srv/jMap", StaticID: 20})
-	emit(trace.Rec{Node: "srv", Thread: 3, Ctx: 6, CtxKind: trace.CtxRPC, Kind: trace.KMemRead, Obj: "srv/jMap", StaticID: 21, WriterSeq: uint64(w + 1)})
-	emit(trace.Rec{Node: "nm", Thread: 1, Ctx: 1, CtxKind: trace.CtxRegular, Kind: trace.KLoopExit, Op: 40, StaticID: 40})
-	emit(trace.Rec{Node: "nm", Thread: 1, Ctx: 1, CtxKind: trace.CtxRegular, Kind: trace.KMemRead, Obj: "nm/z", StaticID: 41})
-	tr := c.Trace()
-	cfg := Config{LoopReads: map[int32][]int32{40: {21}}}
-	dense, err := Build(tr, cfg)
+	g, err := Build(pullTrace(), Config{LoopReads: map[int32][]int32{40: {21}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ReachBackend = BackendChain
-	chain, err := Build(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if len(g.PullPairs) != 1 || !g.HappensBefore(0, 2) {
+		t.Fatalf("test geometry broken: pull pairs %v", g.PullPairs)
 	}
-	if len(chain.PullPairs) != len(dense.PullPairs) {
-		t.Fatalf("pull pairs diverged: %v vs %v", dense.PullPairs, chain.PullPairs)
-	}
-	diffBackends(t, "pull", dense, chain)
+	checkIndex(t, "pull", g)
 }
 
 // twoThreadTrace builds n records alternating between two regular threads —
@@ -232,8 +178,8 @@ func twoThreadTrace(n int) *trace.Trace {
 	return c.Trace()
 }
 
-// TestChainMemBudgetParity pins the MemBudget error paths: both backends
-// refuse a budget neither fits (wrapping ErrOutOfMemory), the chain backend
+// TestChainMemBudgetParity pins the MemBudget error paths: both models
+// refuse a budget neither fits (wrapping ErrOutOfMemory), the chain model
 // fits budgets the dense one cannot, and auto resolves accordingly.
 func TestChainMemBudgetParity(t *testing.T) {
 	tr := twoThreadTrace(200)
@@ -268,13 +214,9 @@ func TestChainMemBudgetParity(t *testing.T) {
 		t.Fatalf("auto under mid budget resolved to %v, want chain", auto.Backend())
 	}
 
-	// The budget-constrained graphs must still agree with unconstrained dense.
-	dense, err := Build(tr, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffBackends(t, "mid-budget chain", dense, chain)
-	diffBackends(t, "mid-budget auto", dense, auto)
+	// The budget-constrained graphs still answer every query exactly.
+	checkIndex(t, "mid-budget chain", chain)
+	checkIndex(t, "mid-budget auto", auto)
 
 	// Auto with room for dense (or no budget at all) stays dense.
 	for _, budget := range []int64{0, denseNeed * 2} {
@@ -306,35 +248,37 @@ func TestParseBackend(t *testing.T) {
 	}
 }
 
-// TestChainCommonAncestorsAndPath checks the explain-facing queries route
-// through the chain index identically.
+// TestChainCommonAncestorsAndPath checks the explain-facing queries against
+// the bit-array oracle: CommonAncestors lists the nearest common ancestors
+// in descending order, and Path exists exactly when the pair is ordered and
+// walks in-edges.
 func TestChainCommonAncestorsAndPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(300))
-	tr := randomMTEP(rng, 150)
-	dense, err := Build(tr, Config{})
+	tr := randomMTEP(rand.New(rand.NewSource(300)), 150)
+	g, err := Build(tr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := Build(tr, Config{ReachBackend: BackendChain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := dense.N()
+	bits := newBitReach(g)
+	n := g.N()
 	for i := 0; i < n; i += 7 {
 		for j := i + 1; j < n; j += 13 {
-			da := dense.CommonAncestors(i, j, 3)
-			ca := chain.CommonAncestors(i, j, 3)
-			if len(da) != len(ca) {
-				t.Fatalf("CommonAncestors(%d,%d) diverged: %v vs %v", i, j, da, ca)
-			}
-			for k := range da {
-				if da[k] != ca[k] {
-					t.Fatalf("CommonAncestors(%d,%d) diverged: %v vs %v", i, j, da, ca)
+			var want []int
+			for k := i - 1; k >= 0 && len(want) < 3; k-- {
+				if bits.hb(k, i) && bits.hb(k, j) {
+					want = append(want, k)
 				}
 			}
-			dp, cp := dense.Path(i, j), chain.Path(i, j)
-			if (dp == nil) != (cp == nil) {
-				t.Fatalf("Path(%d,%d) existence diverged", i, j)
+			if got := g.CommonAncestors(j, i, 3); !slices.Equal(got, want) {
+				t.Fatalf("CommonAncestors(%d,%d) = %v, oracle %v", j, i, got, want)
+			}
+			p := g.Path(i, j)
+			if (p != nil) != bits.hb(i, j) {
+				t.Fatalf("Path(%d,%d) = %v, oracle ordered %v", i, j, p, bits.hb(i, j))
+			}
+			for k := 0; k+1 < len(p); k++ {
+				if !slices.Contains(g.in[p[k+1]], int32(p[k])) {
+					t.Fatalf("Path(%d,%d) = %v: step %d is not an edge", i, j, p, k)
+				}
 			}
 		}
 	}

@@ -7,22 +7,22 @@ import (
 )
 
 // Chain-clock sweep — the edge-order clock propagation behind the one-pass
-// detector (internal/detect). Where the closure materializes a per-vertex
-// reachability index and answers point queries,
-// the sweep walks the final HB DAG once in trace (= topological) order and
+// detector (internal/detect), Rule-Eserial's rounds and the point-query
+// index. The sweep walks the HB DAG once in trace (= topological) order and
 // hands each vertex its chain clock: per chain, the highest position among
-// the vertex's ancestors (itself included). Exactness follows from the same
-// two facts the chain backend rests on (DESIGN.md §10): Rule-Preg/Pnreg
-// totally orders every chain, and every edge points forward in trace time.
-// The sweep answers for the graph as it stands: Build runs one per
-// Rule-Eserial round (serialSweep) against that round's edges, and a sweep
-// after Build sees every Table-2 rule edge including the fixed point's.
+// the vertex's ancestors (itself included). Exactness rests on two facts
+// (DESIGN.md §10): Rule-Preg/Pnreg totally orders every chain, and every
+// edge points forward in trace time. The sweep answers for the graph as it
+// stands: Build runs one per Rule-Eserial round (serialSweep) against that
+// round's edges, and a sweep after Build — detection's, or the one that
+// fills the index (buildIndex) — sees every rule edge including the fixed
+// point's.
 
 // ChainDecomposition is a trace's program-order chain decomposition under
 // one graph's ablation config: the grouping whose consecutive records
 // addProgramOrder links, so the records of one chain are totally ordered by
-// happens-before. The slices are views shared with the graph on the chain
-// backend — callers must treat them as read-only.
+// happens-before. The slices are views shared with the graph — callers must
+// treat them as read-only.
 type ChainDecomposition struct {
 	Of  []int32 // Of[v] = chain of vertex v (first-appearance numbering)
 	Pos []int32 // Pos[v] = v's position within its chain
@@ -32,17 +32,34 @@ type ChainDecomposition struct {
 // Chains returns the chain count.
 func (d ChainDecomposition) Chains() int { return len(d.Len) }
 
-// ChainDecomposition returns the graph's chain decomposition. The chain
-// backend already holds one and returns it directly; the dense backend
-// builds one on first call and memoizes it (a chainSet is immutable once
-// built, so concurrent callers share it safely behind the Once).
+// ChainDecomposition returns the graph's chain decomposition, computed on
+// the first call and shared by every later one (it is immutable once built,
+// so concurrent callers share it safely behind the Once).
 func (g *Graph) ChainDecomposition() ChainDecomposition {
-	cs := g.chains
-	if cs == nil {
-		g.decOnce.Do(func() { g.dec = newChainSet(g) })
-		cs = g.dec
+	g.decOnce.Do(g.decompose)
+	return g.dec
+}
+
+// decompose numbers the trace's chains in first-appearance order under the
+// graph's ablation config: the same ctxKey addProgramOrder uses, so chains
+// and Preg/Pnreg edges agree.
+func (g *Graph) decompose() {
+	n := g.N()
+	d := ChainDecomposition{Of: make([]int32, n), Pos: make([]int32, n)}
+	ids := make(map[int64]int32)
+	for i := range g.Tr.Recs {
+		k := g.ctxKey(&g.Tr.Recs[i])
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(ids))
+			ids[k] = id
+			d.Len = append(d.Len, 0)
+		}
+		d.Of[i] = id
+		d.Pos[i] = d.Len[id]
+		d.Len[id]++
 	}
-	return ChainDecomposition{Of: cs.chainOf, Pos: cs.posOf, Len: cs.chainLen}
+	g.dec = d
 }
 
 // SweepStats summarizes one ChainClockSweep for observability: the epoch

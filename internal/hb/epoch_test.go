@@ -21,11 +21,12 @@ func sweepClocks(g *Graph) (ChainDecomposition, []vclock.ChainClock, SweepStats)
 }
 
 // checkSweepMatchesReach asserts the sweep's domination test agrees with the
-// graph's reachability index on every ordered pair — the exactness property
-// the epoch detector rests on.
+// bit-array oracle on every ordered pair — the exactness property the epoch
+// detector and the point-query index rest on.
 func checkSweepMatchesReach(t *testing.T, label string, g *Graph) {
 	t.Helper()
 	dec, clocks, st := sweepClocks(g)
+	bits := newBitReach(g)
 	n := g.N()
 	for v := 0; v < n; v++ {
 		if !clocks[v].Dominates(vclock.MakeEpoch(dec.Of[v], dec.Pos[v])) {
@@ -33,9 +34,9 @@ func checkSweepMatchesReach(t *testing.T, label string, g *Graph) {
 		}
 		for u := 0; u < v; u++ {
 			got := clocks[v].Dominates(vclock.MakeEpoch(dec.Of[u], dec.Pos[u]))
-			want := g.HappensBefore(u, v)
+			want := bits.hb(u, v)
 			if got != want {
-				t.Fatalf("%s: pair (%d,%d): clock domination %v vs HappensBefore %v",
+				t.Fatalf("%s: pair (%d,%d): clock domination %v vs oracle %v",
 					label, u, v, got, want)
 			}
 		}
@@ -50,20 +51,15 @@ func checkSweepMatchesReach(t *testing.T, label string, g *Graph) {
 
 // TestChainClockSweepMatchesReachability is the sweep's core differential
 // property: on random full-MTEP traces, for every ordered pair (u, v) the
-// clock-domination test equals HappensBefore(u, v) — on both backends, so
-// the sweep is backend-independent (it reads only g.in and the chain
-// decomposition, never the reachability index).
+// clock-domination test equals u ⇒ v in the bit-array closure.
 func TestChainClockSweepMatchesReachability(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(400 + seed))
-		tr := randomMTEP(rng, 250)
-		for _, be := range []Backend{BackendDense, BackendChain} {
-			g, err := Build(tr, Config{ReachBackend: be})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSweepMatchesReach(t, fmt.Sprintf("seed %d backend %v", seed, be), g)
+		g, err := Build(randomMTEP(rng, 250), Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkSweepMatchesReach(t, fmt.Sprintf("seed %d", seed), g)
 	}
 }
 
@@ -72,18 +68,10 @@ func TestChainClockSweepMatchesReachability(t *testing.T) {
 // decomposition — and, via DisableEvent, drop the Eserial fixed point whose
 // late edges the sweep must still absorb when enabled.
 func TestChainClockSweepAblations(t *testing.T) {
-	cfgs := []Config{
-		{DisableEvent: true},
-		{DisableRPC: true},
-		{DisableSocket: true},
-		{DisablePush: true},
-		{DisableEvent: true, DisableRPC: true, DisableSocket: true, DisablePush: true},
-	}
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(500 + seed))
 		tr := randomMTEP(rng, 200)
-		for ci, cfg := range cfgs {
-			cfg.ReachBackend = BackendChain
+		for ci, cfg := range table9Configs[1:] {
 			g, err := Build(tr, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -110,7 +98,7 @@ func TestChainClockSweepEserial(t *testing.T) {
 	emit(trace.Rec{Node: "n", Thread: 9, Ctx: 101, CtxKind: trace.CtxEvent, Kind: trace.KMemRead, Obj: "n/x", StaticID: 7})
 	emit(trace.Rec{Node: "n", Thread: 9, Ctx: 101, CtxKind: trace.CtxEvent, Kind: trace.KEventEnd, Op: 2, Queue: "n/q", StaticID: 8})
 	tr := c.Trace()
-	g, err := Build(tr, Config{ReachBackend: BackendChain})
+	g, err := Build(tr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +120,7 @@ func TestChainClockSweepEserial(t *testing.T) {
 func TestChainClockSweepProjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(700))
 	tr := randomMTEP(rng, 250)
-	g, err := Build(tr, Config{ReachBackend: BackendChain})
+	g, err := Build(tr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +167,8 @@ func TestChainClockSweepEmpty(t *testing.T) {
 	}
 }
 
-// TestChainDecompositionAgrees checks the accessor returns the same
-// decomposition on both backends (the dense path computes it on demand).
+// TestChainDecompositionAgrees checks the admission model does not change
+// the decomposition: both models compute it from the same ctxKey grouping.
 func TestChainDecompositionAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
 	tr := randomMTEP(rng, 150)

@@ -1,6 +1,7 @@
 package hb
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -12,10 +13,9 @@ import (
 	"dcatch/internal/trace"
 )
 
-// closureFixedPoint is Rule-Eserial driven by point queries on a
-// materialized closure, rebuilt after every round that adds edges — the
-// fixed point as the paper states it, kept as the oracle for the
-// sweep-driven eserial.
+// closureFixedPoint is Rule-Eserial driven by point queries on a bit-array
+// closure, rebuilt after every round that adds edges — the fixed point as
+// the paper states it, kept as the oracle for the sweep-driven eserial.
 func closureFixedPoint(g *Graph) {
 	if g.cfg.DisableEvent {
 		return
@@ -23,7 +23,7 @@ func closureFixedPoint(g *Graph) {
 	worklist := g.eserialWorklist()
 	for {
 		g.Rounds++
-		g.closure(nil)
+		bits := newBitReach(g)
 		added := 0
 		for _, evs := range worklist {
 			for i, e1 := range evs {
@@ -31,7 +31,7 @@ func closureFixedPoint(g *Graph) {
 					if i == j {
 						continue
 					}
-					if g.closureHB(e1.create, e2.create) && !g.closureHB(e1.end, e2.begin) {
+					if bits.hb(e1.create, e2.create) && !bits.hb(e1.end, e2.begin) {
 						if g.addEdge(e1.end, e2.begin) {
 							added++
 						}
@@ -44,18 +44,6 @@ func closureFixedPoint(g *Graph) {
 		}
 		g.edgeCount += added
 	}
-}
-
-// closureHB is HappensBefore read straight from the index closure last
-// built, bypassing the lazy builder.
-func (g *Graph) closureHB(u, v int) bool {
-	if u >= v {
-		return false
-	}
-	if g.chain != nil {
-		return g.chain.reaches(u, v)
-	}
-	return g.reach[v].HasUnchecked(u)
 }
 
 // buildByClosure is Build with the oracle fixed point in place of eserial.
@@ -176,58 +164,51 @@ func checkEserialOracle(t *testing.T, label string, tr *trace.Trace, cfg Config)
 
 // TestEserialSweepMatchesClosureOracle is the sweep-driven fixed point's
 // differential property: on random full-MTEP traces under every Table 9
-// configuration and both index backends, on a queue cascade that needs
-// several rounds, and on out-of-order event records, it derives the oracle's
-// graph exactly.
+// configuration, on a queue cascade that needs several rounds, and on
+// out-of-order event records, it derives the oracle's graph exactly.
 func TestEserialSweepMatchesClosureOracle(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		tr := randomMTEP(rand.New(rand.NewSource(800+seed)), 300)
 		for ci, cfg := range table9Configs {
-			for _, be := range []Backend{BackendDense, BackendChain} {
-				cfg.ReachBackend = be
-				checkEserialOracle(t, fmt.Sprintf("seed %d cfg %d %v", seed, ci, be), tr, cfg)
-			}
+			checkEserialOracle(t, fmt.Sprintf("seed %d cfg %d", seed, ci), tr, cfg)
 		}
 	}
-	for _, be := range []Backend{BackendDense, BackendChain} {
-		g := checkEserialOracle(t, fmt.Sprintf("cascade %v", be), cascadeTrace(4), Config{ReachBackend: be})
-		if g.Rounds < 3 {
-			t.Fatalf("cascade %v: %d rounds, want at least 3", be, g.Rounds)
-		}
-		g = checkEserialOracle(t, fmt.Sprintf("out-of-order %v", be), outOfOrderTrace(), Config{ReachBackend: be})
-		if !g.HappensBefore(2, 3) {
-			t.Fatalf("out-of-order %v: test geometry broken, handlers not serialized", be)
-		}
+	g := checkEserialOracle(t, "cascade", cascadeTrace(4), Config{})
+	if g.Rounds < 3 {
+		t.Fatalf("cascade: %d rounds, want at least 3", g.Rounds)
+	}
+	g = checkEserialOracle(t, "out-of-order", outOfOrderTrace(), Config{})
+	if !g.HappensBefore(2, 3) {
+		t.Fatal("out-of-order: test geometry broken, handlers not serialized")
 	}
 }
 
 // TestSerialSweepBitsMatchHappensBefore checks one sweep's bits directly,
 // diagonal included: before and ended must hold exactly the answers of the
-// two HappensBefore questions the closure-driven fixed point asks.
+// two happens-before questions the closure-driven fixed point asks.
 func TestSerialSweepBitsMatchHappensBefore(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		tr := randomMTEP(rand.New(rand.NewSource(850+seed)), 300)
-		for _, be := range []Backend{BackendDense, BackendChain} {
-			g, err := Build(tr, Config{ReachBackend: be})
-			if err != nil {
-				t.Fatal(err)
-			}
-			worklist := g.eserialWorklist()
-			if len(worklist) == 0 {
-				t.Fatalf("seed %d: no serial queue to check", seed)
-			}
-			sw := g.newSerialSweep(worklist)
-			sw.run()
-			for q, evs := range worklist {
-				k := len(evs)
-				for i, e1 := range evs {
-					for j, e2 := range evs {
-						if got, want := sw.before[q].Has(i*k+j), g.HappensBefore(e1.create, e2.create); got != want {
-							t.Fatalf("seed %d %v queue %d: before(%d,%d) = %v, HappensBefore %v", seed, be, q, i, j, got, want)
-						}
-						if got, want := sw.ended[q].Has(i*k+j), g.HappensBefore(e1.end, e2.begin); got != want {
-							t.Fatalf("seed %d %v queue %d: ended(%d,%d) = %v, HappensBefore %v", seed, be, q, i, j, got, want)
-						}
+		g, err := Build(tr, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		worklist := g.eserialWorklist()
+		if len(worklist) == 0 {
+			t.Fatalf("seed %d: no serial queue to check", seed)
+		}
+		bits := newBitReach(g)
+		sw := g.newSerialSweep(worklist)
+		sw.run()
+		for q, evs := range worklist {
+			k := len(evs)
+			for i, e1 := range evs {
+				for j, e2 := range evs {
+					if got, want := sw.before[q][i*k+j], bits.hb(e1.create, e2.create); got != want {
+						t.Fatalf("seed %d queue %d: before(%d,%d) = %v, oracle %v", seed, q, i, j, got, want)
+					}
+					if got, want := sw.ended[q][i*k+j], bits.hb(e1.end, e2.begin); got != want {
+						t.Fatalf("seed %d queue %d: ended(%d,%d) = %v, oracle %v", seed, q, i, j, got, want)
 					}
 				}
 			}
@@ -236,67 +217,68 @@ func TestSerialSweepBitsMatchHappensBefore(t *testing.T) {
 }
 
 // TestIndexBuiltOnFirstQuery pins the lazy index: Build leaves it unbuilt
-// (hb.reach.materialized 0, no hb.closure span), and the first point query
-// builds it exactly once even when many goroutines ask at the same time.
+// (hb.reach.materialized 0, no hb.reach.index_bytes, no hb.closure span),
+// and the first point query builds it exactly once even when many
+// goroutines ask at the same time.
 func TestIndexBuiltOnFirstQuery(t *testing.T) {
 	tr := randomMTEP(rand.New(rand.NewSource(900)), 300)
-	for _, be := range []Backend{BackendDense, BackendChain} {
-		rec := obs.New()
-		sp := rec.Span("test")
-		g, err := Build(tr, Config{ReachBackend: be, Obs: sp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.reach != nil || g.chain != nil {
-			t.Fatalf("%v: Build materialized the index", be)
-		}
-		ctr := rec.Counters()
-		if v, ok := ctr["hb.reach.materialized"]; !ok || v != 0 {
-			t.Fatalf("%v: hb.reach.materialized = %d (present %v) after Build, want 0", be, v, ok)
-		}
-		if _, ok := ctr["hb.reach.bits"]; ok {
-			t.Fatalf("%v: hb.reach.bits emitted without an index", be)
-		}
+	rec := obs.New()
+	sp := rec.Span("test")
+	g, err := Build(tr, Config{Obs: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.clk != nil {
+		t.Fatal("Build materialized the index")
+	}
+	ctr := rec.Counters()
+	if v, ok := ctr["hb.reach.materialized"]; !ok || v != 0 {
+		t.Fatalf("hb.reach.materialized = %d (present %v) after Build, want 0", v, ok)
+	}
+	if _, ok := ctr["hb.reach.index_bytes"]; ok {
+		t.Fatal("hb.reach.index_bytes emitted without an index")
+	}
 
-		ref := buildByClosure(t, tr, Config{ReachBackend: be})
-		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < g.N(); i += 8 {
-					for j := i + 1; j < g.N(); j += 5 {
-						if g.HappensBefore(i, j) != ref.closureHB(i, j) {
-							t.Errorf("%v: HappensBefore(%d,%d) disagrees with the oracle", be, i, j)
-							return
-						}
+	bits := newBitReach(g)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < g.N(); i += 8 {
+				for j := i + 1; j < g.N(); j += 5 {
+					if g.HappensBefore(i, j) != bits.hb(i, j) {
+						t.Errorf("HappensBefore(%d,%d) disagrees with the oracle", i, j)
+						return
 					}
 				}
-			}(w)
-		}
-		wg.Wait()
-		sp.End()
-		ctr = rec.Counters()
-		if ctr["hb.reach.materialized"] != 1 {
-			t.Fatalf("%v: hb.reach.materialized = %d after concurrent queries, want 1", be, ctr["hb.reach.materialized"])
-		}
-		if ctr["hb.reach.bits"] <= 0 {
-			t.Fatalf("%v: hb.reach.bits missing once the index exists", be)
-		}
-		closures := 0
-		for _, s := range rec.Spans(0)[0].Children[0].Children {
-			if s.Name == "hb.closure" {
-				closures++
 			}
+		}(w)
+	}
+	wg.Wait()
+	sp.End()
+	ctr = rec.Counters()
+	if ctr["hb.reach.materialized"] != 1 {
+		t.Fatalf("hb.reach.materialized = %d after concurrent queries, want 1", ctr["hb.reach.materialized"])
+	}
+	if want := int64(4 * g.N() * g.ChainDecomposition().Chains()); ctr["hb.reach.index_bytes"] != want {
+		t.Fatalf("hb.reach.index_bytes = %d, want 4·V·C = %d", ctr["hb.reach.index_bytes"], want)
+	}
+	closures := 0
+	for _, s := range rec.Spans(0)[0].Children[0].Children {
+		if s.Name == "hb.closure" {
+			closures++
 		}
-		if closures != 1 {
-			t.Fatalf("%v: %d hb.closure spans, want 1", be, closures)
-		}
+	}
+	if closures != 1 {
+		t.Fatalf("%d hb.closure spans, want 1", closures)
 	}
 }
 
-// TestMemBytesIsMaterializedFootprint checks the admitted footprint MemBytes
-// reports without an index equals the bytes the index holds once built.
+// TestMemBytesIsMaterializedFootprint checks what MemBytes admits against
+// what the index holds once built: under the chain model exactly the clock
+// matrix plus the decomposition, under the dense model the paper's bit
+// arrays, which are never allocated.
 func TestMemBytesIsMaterializedFootprint(t *testing.T) {
 	tr := randomMTEP(rand.New(rand.NewSource(901)), 257)
 	for _, be := range []Backend{BackendDense, BackendChain} {
@@ -306,15 +288,48 @@ func TestMemBytesIsMaterializedFootprint(t *testing.T) {
 		}
 		admitted := g.MemBytes()
 		g.HappensBefore(0, 1)
-		var held int64
-		if g.chain != nil {
-			held = int64(len(g.chain.rows)+len(g.chains.chainOf)+len(g.chains.posOf)+len(g.chains.chainLen)) * 4
+		dec := g.ChainDecomposition()
+		held := int64(len(g.clk)+len(dec.Of)+len(dec.Pos)+len(dec.Len)) * 4
+		if len(g.clk) != g.N()*dec.Chains() {
+			t.Fatalf("%v: index holds %d clock entries, want V·C = %d", be, len(g.clk), g.N()*dec.Chains())
 		}
-		for _, s := range g.reach {
-			held += int64(s.Bytes())
+		want := held
+		if be == BackendDense {
+			want = DenseReachBytes(g.N())
 		}
-		if admitted != held || admitted == 0 {
-			t.Fatalf("%v: MemBytes %d, index holds %d bytes", be, admitted, held)
+		if admitted != want || admitted == 0 {
+			t.Fatalf("%v: MemBytes %d, want %d (index holds %d bytes)", be, admitted, want, held)
 		}
+	}
+}
+
+// TestDenseAdmissionDoesNotBoundIndex pins the documented gap between the
+// dense admission model and the index: on a graph with C > V/32, a budget of
+// exactly V²/8 admits it, the first point query still builds all 4·V·C
+// bytes, and the chain model refuses the same budget.
+func TestDenseAdmissionDoesNotBoundIndex(t *testing.T) {
+	tr := randomMTEP(rand.New(rand.NewSource(902)), 257)
+	budget := DenseReachBytes(len(tr.Recs))
+	rec := obs.New()
+	sp := rec.Span("test")
+	g, err := Build(tr, Config{MemBudget: budget, Obs: sp})
+	if err != nil {
+		t.Fatalf("dense admission at V²/8: %v", err)
+	}
+	n, c := g.N(), g.ChainDecomposition().Chains()
+	if c <= n/32 {
+		t.Fatalf("fixture has C = %d ≤ V/32 = %d; pick one where the index outgrows V²/8", c, n/32)
+	}
+	g.HappensBefore(0, 1)
+	sp.End()
+	held := rec.Counters()["hb.reach.index_bytes"]
+	if held != int64(4*n*c) || held <= budget {
+		t.Fatalf("index holds %d bytes, want 4·V·C = %d > admitted %d", held, 4*n*c, budget)
+	}
+	if g.MemBytes() != budget {
+		t.Fatalf("MemBytes %d after the index was built, want the admitted %d", g.MemBytes(), budget)
+	}
+	if _, err := Build(tr, Config{MemBudget: budget, ReachBackend: BackendChain}); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("chain admission at V²/8 = %d: err %v, want ErrOutOfMemory", budget, err)
 	}
 }

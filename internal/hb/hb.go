@@ -1,9 +1,10 @@
 // Package hb implements the DCatch happens-before model (paper §2) and its
 // trace analysis (§3.2): it turns a run trace into a DAG whose edges are the
 // MTEP rules. Detection walks that DAG once with a chain-clock sweep
-// (ChainClockSweep); the paper's per-vertex reachability index, which makes
-// "are these two accesses concurrent?" a constant-time lookup, is built only
-// when a caller first asks such a point query.
+// (ChainClockSweep). Point queries ("are these two accesses concurrent?",
+// which the paper answers from per-vertex bit arrays) read a per-vertex
+// chain-clock index that one such sweep fills, built only when a caller
+// first asks one.
 //
 // Rules implemented (paper §2):
 //
@@ -30,7 +31,6 @@ import (
 	"sort"
 	"sync"
 
-	"dcatch/internal/bitset"
 	"dcatch/internal/obs"
 	"dcatch/internal/trace"
 	"dcatch/internal/vclock"
@@ -56,14 +56,17 @@ type Config struct {
 	// yields Rule-Mpull edges and the pull-sync pair list.
 	LoopReads map[int32][]int32
 
-	// MemBudget bounds reachability memory in bytes (0 = unlimited).
+	// MemBudget is the admission budget in bytes (0 = unlimited): Build
+	// refuses a graph whose MemBytes under ReachBackend's model exceeds it.
+	// Under the dense model it does not bound the index the first point
+	// query builds (4·V·C bytes, more than V²/8 whenever C > V/32).
 	MemBudget int64
 
-	// ReachBackend selects the reachability representation: BackendDense
-	// (the default — per-vertex bit arrays, O(V²/8) bytes), BackendChain
-	// (per-chain minimum positions, O(V·C·4) bytes), or BackendAuto
-	// (dense if it fits MemBudget, else chain). Queries and reports are
-	// identical across backends; only memory and the OOM threshold change.
+	// ReachBackend selects the footprint model MemBudget admission charges:
+	// BackendDense (the default — the paper's bit arrays, V²/8 bytes),
+	// BackendChain (a V×C chain index), or BackendAuto (dense if it fits
+	// MemBudget, else chain). Queries and reports are identical across
+	// backends; only MemBytes and the OOM threshold change.
 	ReachBackend Backend
 
 	// Parallelism is how many windows the streaming analyzer's chunked
@@ -74,9 +77,9 @@ type Config struct {
 	Parallelism int
 
 	// Obs, when non-nil, is the parent span under which Build records its
-	// instrumentation: nested spans per construction phase, closure
-	// invocation and Eserial round, plus per-rule edge counters
-	// (hb.edges.*). Recording never influences the graph.
+	// instrumentation: nested spans per construction phase, Eserial round
+	// and (on the first point query) index build, plus per-rule edge
+	// counters (hb.edges.*). Recording never influences the graph.
 	Obs *obs.Span
 }
 
@@ -95,22 +98,20 @@ type Graph struct {
 	in        [][]int32 // in[v] = predecessors of v, deduplicated lazily
 	edgeCount int
 
-	// backend is the resolved reachability representation; chains is the
-	// trace's chain decomposition when it resolved to chain.
+	// backend is the admission model Build resolved.
 	backend Backend
-	chains  *chainSet
 
-	// The reachability index is built by the first point query (ancestor),
-	// never by Build: once indexOnce has run, exactly one of reach (dense)
-	// and chain is populated.
-	indexOnce sync.Once
-	reach     []*bitset.Set // dense: reach[v] = vertices that happen before v
-	chain     *chainIndex   // chain: per-chain minimum reached positions
-
-	// dec memoizes ChainDecomposition on the dense backend, where no
-	// chainSet survives Build; a chainSet is immutable once constructed.
+	// dec is the trace's chain decomposition, computed on first use (the
+	// chain admission check, an Eserial round or the index build) and
+	// immutable afterwards.
 	decOnce sync.Once
-	dec     *chainSet
+	dec     ChainDecomposition
+
+	// clk is the reachability index: clk[v*C+c] is vertex v's chain clock
+	// entry for chain c. The first point query (ancestor) fills it, never
+	// Build.
+	indexOnce sync.Once
+	clk       []int32
 
 	// PullPairs lists the pull-synchronization pairs discovered while
 	// applying Rule-Mpull.
@@ -161,7 +162,7 @@ func (g *Graph) addRules() {
 
 // recordBuildMetrics emits the whole-graph counters once construction is
 // complete. hb.reach.materialized starts at 0; the index builder adds 1 and
-// the hb.reach.bits estimate if a point query ever builds the index.
+// hb.reach.index_bytes if a point query ever builds the index.
 func (g *Graph) recordBuildMetrics() {
 	if g.sp == nil {
 		return
@@ -176,41 +177,10 @@ func (g *Graph) recordBuildMetrics() {
 	g.sp.Count("hb.reach.bytes."+g.backend.String(), g.MemBytes())
 	g.sp.CountMax("hb.reach.peak_bytes", g.MemBytes())
 	if g.backend == BackendChain {
-		g.sp.Count("hb.reach.chains", int64(g.chains.count()))
+		g.sp.Count("hb.reach.chains", int64(g.Chains()))
 	}
 	g.sp.Count("hb.reach.materialized", 0)
 	g.sp.Count("hb.pull_pairs", int64(len(g.PullPairs)))
-}
-
-// reachBits estimates the total number of ordered reachable pairs. Small
-// graphs are counted exactly; larger ones are sampled on a fixed vertex
-// stride (deterministic) and scaled, keeping the cost of the metric
-// bounded regardless of trace size. The dense backend counts ancestor bits;
-// the chain backend counts descendants per chain — the same total, sampled
-// from the other side.
-func (g *Graph) reachBits() int64 {
-	if g.chain != nil {
-		return g.chain.chainBits(g.N())
-	}
-	const exactLimit = 4096
-	const samples = 1024
-	n := len(g.reach)
-	if n == 0 {
-		return 0
-	}
-	stride := 1
-	if n > exactLimit {
-		stride = n / samples
-	}
-	var bits, counted int64
-	for v := 0; v < n; v += stride {
-		bits += int64(g.reach[v].Count())
-		counted++
-	}
-	if stride == 1 {
-		return bits
-	}
-	return bits * int64(n) / counted
 }
 
 // N returns the vertex count.
@@ -219,24 +189,27 @@ func (g *Graph) N() int { return len(g.Tr.Recs) }
 // Edges returns the edge count.
 func (g *Graph) Edges() int { return g.edgeCount }
 
-// Backend returns the reachability backend Build resolved (auto is resolved
-// to the concrete choice).
+// Backend returns the admission model Build resolved (auto is resolved to
+// the concrete choice).
 func (g *Graph) Backend() Backend { return g.backend }
 
-// Chains returns the number of program-order chains the chain backend
-// indexes, or 0 under the dense backend.
+// Chains returns the number of program-order chains the chain model
+// charges for, or 0 under the dense model.
 func (g *Graph) Chains() int {
-	if g.chains == nil {
+	if g.backend != BackendChain {
 		return 0
 	}
-	return g.chains.count()
+	return g.ChainDecomposition().Chains()
 }
 
-// MemBytes returns the reachability index's footprint as admitted against
-// MemBudget: exactly the bytes the index holds once built.
+// MemBytes returns the reachability footprint admitted against MemBudget:
+// DenseReachBytes under the dense model, indexBytes under the chain model.
+// The chain figure is exactly what the index holds once built; the dense
+// one is the paper's bit arrays, which are never allocated, and may be
+// smaller than the index (hb.reach.index_bytes reports what is held).
 func (g *Graph) MemBytes() int64 {
 	if g.backend == BackendChain {
-		return g.chains.indexBytes(g.N())
+		return indexBytes(g.N(), g.ChainDecomposition().Chains())
 	}
 	return DenseReachBytes(g.N())
 }
@@ -470,48 +443,20 @@ func (g *Graph) addPullEdges() {
 }
 
 // buildIndex is the lazy index builder, run once under indexOnce by the
-// first point query: the only caller of closure.
+// first point query: one full-width chain-clock sweep, each vertex's clock
+// copied into its row of clk. The span is named hb.closure because the
+// benchmark's hb.closure_ms reads it.
 func (g *Graph) buildIndex() {
-	g.closure(g.sp)
-	if g.sp != nil {
-		g.sp.Count("hb.reach.materialized", 1)
-		g.sp.Count("hb.reach.bits", g.reachBits())
-	}
-}
-
-// closure materializes the resolved backend's reachability index over the
-// finished graph. addEdge only ever accepts edges with u < v, so trace order
-// is a topological order of the DAG and each backend is one pass over it: an
-// index entry depends only on already-final neighbor entries. The footprint
-// was admitted against MemBudget before any edge was built (resolveBackend).
-func (g *Graph) closure(parent *obs.Span) {
-	sp := parent.Child("hb.closure")
-	defer sp.End()
-	sp.Attr("backend", g.backend.String())
-	if g.backend == BackendChain {
-		g.chainSeq()
-		return
-	}
-	g.closureSeq()
-}
-
-// closureSeq is the dense closure: one pass in trace (= topological) order.
-func (g *Graph) closureSeq() {
-	n := g.N()
-	g.reach = make([]*bitset.Set, n)
-	var srcs []*bitset.Set
-	for v := 0; v < n; v++ {
-		s := bitset.New(n)
-		srcs = srcs[:0]
-		for _, u := range g.in[v] {
-			srcs = append(srcs, g.reach[u])
-		}
-		s.OrAll(srcs)
-		for _, u := range g.in[v] {
-			s.Add(int(u))
-		}
-		g.reach[v] = s
-	}
+	sp := g.sp.Child("hb.closure")
+	dec := g.ChainDecomposition()
+	c := dec.Chains()
+	g.clk = make([]int32, g.N()*c)
+	g.ChainClockSweep(dec, nil, 0, func(v int, clock vclock.ChainClock) {
+		copy(g.clk[v*c:(v+1)*c], clock)
+	})
+	sp.End()
+	g.sp.Count("hb.reach.materialized", 1)
+	g.sp.Count("hb.reach.index_bytes", int64(len(g.clk))*4)
 }
 
 // serialEvent is one fully recorded event of a single-consumer queue: the
@@ -595,8 +540,8 @@ type serialSweep struct {
 	width    int
 	queries  []serialQuery // sorted by vertex
 	next     int           // queries[next] is the running sweep's next point
-	before   []*bitset.Set
-	ended    []*bitset.Set
+	before   [][]bool
+	ended    [][]bool
 }
 
 func (g *Graph) newSerialSweep(worklist [][]serialEvent) *serialSweep {
@@ -619,8 +564,8 @@ func (g *Graph) newSerialSweep(worklist [][]serialEvent) *serialSweep {
 				serialQuery{v: e.create, q: q, j: j},
 				serialQuery{v: e.begin, q: q, j: j, begin: true})
 		}
-		s.before = append(s.before, bitset.New(len(evs)*len(evs)))
-		s.ended = append(s.ended, bitset.New(len(evs)*len(evs)))
+		s.before = append(s.before, make([]bool, len(evs)*len(evs)))
+		s.ended = append(s.ended, make([]bool, len(evs)*len(evs)))
 	}
 	slices.SortFunc(s.queries, func(a, b serialQuery) int { return a.v - b.v })
 	return s
@@ -629,8 +574,8 @@ func (g *Graph) newSerialSweep(worklist [][]serialEvent) *serialSweep {
 // run sweeps the graph and refills every queue's bits.
 func (s *serialSweep) run() {
 	for q := range s.worklist {
-		s.before[q].Clear()
-		s.ended[q].Clear()
+		clear(s.before[q])
+		clear(s.ended[q])
 	}
 	s.next = 0
 	s.g.ChainClockSweep(s.dec, s.proj, s.width, s.visit)
@@ -646,11 +591,9 @@ func (s *serialSweep) visit(v int, clock vclock.ChainClock) {
 		k := len(evs)
 		for i, e1 := range evs {
 			if qp.begin {
-				if reached(e1.end) {
-					s.ended[qp.q].Add(i*k + qp.j)
-				}
-			} else if reached(e1.create) {
-				s.before[qp.q].Add(i*k + qp.j)
+				s.ended[qp.q][i*k+qp.j] = reached(e1.end)
+			} else {
+				s.before[qp.q][i*k+qp.j] = reached(e1.create)
 			}
 		}
 	}
@@ -691,7 +634,7 @@ func (g *Graph) eserial() {
 					if i == j {
 						continue
 					}
-					if sw.before[q].Has(i*k+j) && !sw.ended[q].Has(i*k+j) {
+					if sw.before[q][i*k+j] && !sw.ended[q][i*k+j] {
 						if g.addEdge(e1.end, e2.begin) {
 							added++
 						}
@@ -711,14 +654,11 @@ func (g *Graph) eserial() {
 }
 
 // ancestor reports whether u happens before v for callers that guarantee
-// 0 <= u < v < N — the single point query both backends answer in O(1),
-// building the index on first use.
+// 0 <= u < v < N: v's clock has reached u's position in u's chain. It is
+// the one point query, O(1), building the index on first use.
 func (g *Graph) ancestor(u, v int) bool {
 	g.indexOnce.Do(g.buildIndex)
-	if g.chain != nil {
-		return g.chain.reaches(u, v)
-	}
-	return g.reach[v].HasUnchecked(u)
+	return g.clk[v*g.dec.Chains()+int(g.dec.Of[u])] >= g.dec.Pos[u]
 }
 
 // HappensBefore reports whether record i happens before record j (indices
@@ -766,33 +706,6 @@ func (g *Graph) CommonAncestors(i, j, limit int) []int {
 // indices.
 func (g *Graph) ConcurrentOrdered(i, j int) bool {
 	return !g.ancestor(i, j)
-}
-
-// VectorClocks computes a per-vertex vector clock with one dimension per
-// program-order context — the representation DCatch rejects as too slow for
-// large HB graphs (§3.2.2). Exposed for cross-validation tests and the
-// reachability-representation benchmark.
-func (g *Graph) VectorClocks() []vclock.Clock {
-	n := g.N()
-	clocks := make([]vclock.Clock, n)
-	dims := map[int64]int{}
-	dimOf := func(k int64) int {
-		d, ok := dims[k]
-		if !ok {
-			d = len(dims)
-			dims[k] = d
-		}
-		return d
-	}
-	for v := 0; v < n; v++ {
-		c := vclock.New()
-		for _, u := range g.in[v] {
-			c.Join(clocks[u])
-		}
-		c.Tick(dimOf(g.ctxKey(&g.Tr.Recs[v])))
-		clocks[v] = c
-	}
-	return clocks
 }
 
 // Path returns the vertex indices of one happens-before chain from i to j

@@ -57,10 +57,10 @@ type JobOptions struct {
 	// concurrently (dcatch-trace -parallel); reports are byte-identical at
 	// any setting, so it is not part of the report-cache key.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Reach selects the reachability backend: "", "dense", "chain", "auto"
-	// (dcatch -reach).
+	// Reach picks the footprint model MemBudget admission charges: "",
+	// "dense", "chain", "auto" (dcatch -reach).
 	Reach string `json:"reach,omitempty"`
-	// MemBudget bounds analysis reachability memory in bytes; it also
+	// MemBudget is hb's reachability admission budget in bytes; it also
 	// drives the service's admission control (a job is not started until
 	// its budget fits under the server-wide memory budget).
 	MemBudget int64 `json:"mem_budget,omitempty"`

@@ -1,14 +1,18 @@
+// Package vclock implements chain clocks: the dense, chain-indexed clock
+// representation behind every reachability answer in internal/hb — the
+// one-pass detector's sweep, Rule-Eserial's rounds and the point-query
+// index. A ChainClock is fixed to one HB graph's chain decomposition: entry
+// c holds the highest position in chain c known to happen at-or-before the
+// clock's owner. Because every chain is totally ordered by Rule-Preg/Pnreg,
+// a single int32 per chain represents the full ancestor set exactly — the
+// FastTrack/Djit epoch idea (Kini et al., "Dynamic Race Prediction in Linear
+// Time"; SHB) transplanted onto DCatch's chain decomposition.
+//
+// DCatch §3.2.2 rejects naive vector timestamps (one dimension per handler
+// and RPC instance, joined over every edge) as too slow and uses per-vertex
+// bit arrays instead; both survive as test oracles and benchmarks in
+// internal/hb.
 package vclock
-
-// Chain clocks: the dense, chain-indexed clock representation behind the
-// one-pass detector (internal/detect's chain-clock sweep). Where the sparse
-// Clock above maps arbitrary dimensions to timestamps, a ChainClock is fixed
-// to one HB graph's chain decomposition: entry c holds the highest position
-// in chain c known to happen at-or-before the clock's owner. Because every
-// chain is totally ordered by Rule-Preg/Pnreg, a single int32 per chain
-// represents the full ancestor set exactly — the FastTrack/Djit epoch idea
-// (Kini et al., "Dynamic Race Prediction in Linear Time"; SHB) transplanted
-// onto DCatch's chain decomposition.
 
 import "fmt"
 
