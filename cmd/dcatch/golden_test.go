@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -75,5 +77,41 @@ func TestGoldenReports(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGoldenTraceDigests pins the schedule of the unselective detection run
+// byte for byte: the sha256 of each subject's -full trace encodes every
+// scheduler pick of that run, so any change to the order of RNG draws (or to
+// which threads are runnable when one is drawn) changes the digest. The
+// -validate goldens pin the triggering replays' step counts. Regenerate with
+//
+//	go test ./cmd/dcatch -run TestGoldenTraceDigests -update
+func TestGoldenTraceDigests(t *testing.T) {
+	for _, id := range goldenSubjects {
+		t.Run(id, func(t *testing.T) {
+			bin := filepath.Join(t.TempDir(), "trace.bin")
+			runMain(t, []string{"-bench", id, "-full", "-trace-out", bin})
+			b, err := os.ReadFile(bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			got := hex.EncodeToString(sum[:]) + "\n"
+			path := filepath.Join("testdata", id+".full-trace.sha256")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if got != string(want) {
+				t.Fatalf("-full trace of %s hashes to %s, %s pins %s", id, strings.TrimSpace(got), path, strings.TrimSpace(string(want)))
+			}
+		})
 	}
 }

@@ -204,3 +204,31 @@ func benchmarkPlacement(b *testing.B, naive bool) {
 	b.ReportMetric(float64(confirmed), "confirmed")
 	b.ReportMetric(float64(total), "reports")
 }
+
+// BenchmarkValidateSubjects runs the paper's whole pipeline — detection and
+// the triggering module on every report — over the seven Table 4 subjects,
+// the shape of the ledger's subjects job. Nearly all of it is scheduler
+// steps of the triggering replays.
+//
+//	go test -run '^$' -bench ValidateSubjects ./internal/bench
+func BenchmarkValidateSubjects(b *testing.B) {
+	benches := Benchmarks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	steps := 0
+	for i := 0; i < b.N; i++ {
+		steps = 0
+		for _, bm := range benches {
+			res, err := core.Detect(bm.Workload, core.Options{Seed: bm.Seed, MaxSteps: bm.MaxSteps})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, v := range core.ValidateAll(res, core.TriggerOptions{MaxSteps: 200_000}) {
+				for _, at := range v.Attempts {
+					steps += at.Result.Steps
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(steps), "steps/op")
+}

@@ -376,6 +376,10 @@ func ValidateAll(res *Result, opts TriggerOptions) []trigger.Validation {
 		vsp.Attr("verdict", fmt.Sprint(v.Verdict))
 		vsp.End()
 		opts.Obs.Count("trigger.validations", 1)
+		for _, at := range v.Attempts {
+			opts.Obs.Count("trigger.steps", int64(at.Result.Steps))
+			opts.Obs.Count("trigger.attempts."+attemptOutcome(at), 1)
+		}
 		opts.Obs.Logf("trigger pair %d: %s", i, v.Summary())
 		out = append(out, v)
 	}
@@ -383,6 +387,26 @@ func ValidateAll(res *Result, opts TriggerOptions) []trigger.Validation {
 }
 
 func seedOf(res *Result) int64 { return res.seed }
+
+// attemptOutcome names how a controlled run ended, for the
+// trigger.attempts.* counters: it exhausted the step budget, a lone party
+// was released on patience expiry (timeout) or because the cluster quiesced
+// (forced), both parties were parked together (arrived), or neither point
+// was reached (untriggered).
+func attemptOutcome(at trigger.Attempt) string {
+	switch {
+	case at.Result.Hang && strings.HasPrefix(at.Result.HangInfo, "step budget"):
+		return "budget"
+	case at.TimedOut > 0:
+		return "timeout"
+	case at.Forced > 0:
+		return "forced"
+	case at.BothArrived:
+		return "arrived"
+	default:
+		return "untriggered"
+	}
+}
 
 // Summary renders the pipeline outcome.
 func (r *Result) Summary() string {

@@ -62,8 +62,19 @@ type cluster struct {
 	nextCtxID    int32
 	nextTag      uint64
 
-	// baton: the active thread hands control back to the scheduler.
-	baton chan struct{}
+	// done receives the baton back from the thread whose scheduler pick
+	// ended the run, and from each thread teardown unwinds.
+	done chan struct{}
+	// stopping is set once Run has read the result: threads killed by
+	// teardown unwind without running the scheduler again.
+	stopping bool
+
+	// runBuf and parkBuf are next's reused runnable and trigger-parked
+	// sets; trigInstance counts BeforeStmt calls per static ID for
+	// TrigInfo.Instance (allocated only when a trigger is attached).
+	runBuf       []*thread
+	parkBuf      []int32
+	trigInstance []int
 
 	fatalErr error
 }
@@ -84,19 +95,45 @@ func Run(w *Workload, opts Options) (*Result, error) {
 		nodes:    map[string]*node{},
 		zk:       zk.NewStore(),
 		maxSteps: opts.MaxSteps,
-		baton:    make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	if c.maxSteps <= 0 {
 		c.maxSteps = defaultMaxSteps
 	}
-	c.setup()
-	c.loop()
-	if c.fatalErr != nil {
-		return nil, c.fatalErr
+	if opts.Trigger != nil {
+		c.trigInstance = make([]int, c.prog.NumStmts())
 	}
-	c.finishResult()
-	res := c.res
+	c.setup()
+	if t := c.next(); t != nil {
+		t.resume <- struct{}{}
+		<-c.done
+	}
+	err := c.fatalErr
+	var res Result
+	if err == nil {
+		c.finishResult()
+		res = c.res
+	}
+	c.teardown()
+	if err != nil {
+		return nil, err
+	}
 	return &res, nil
+}
+
+// teardown kills every thread that is not done and resumes each in turn,
+// waiting while it unwinds, so no thread goroutine outlives Run. Killed
+// threads emit no records and make no trigger calls.
+func (c *cluster) teardown() {
+	c.stopping = true
+	for _, t := range c.threads {
+		if t.state == tsDone {
+			continue
+		}
+		t.killed = true
+		t.resume <- struct{}{}
+		<-c.done
+	}
 }
 
 func (c *cluster) setup() {
@@ -108,6 +145,9 @@ func (c *cluster) setup() {
 			locks:     map[string]*lockState{},
 			queues:    map[string]*queue{},
 			rpcActive: map[uint64]*thread{},
+		}
+		if c.opts.Trigger != nil {
+			n.trigSeq = make([]int, c.prog.NumStmts())
 		}
 		c.nodes[spec.Name] = n
 		c.nodeOrder = append(c.nodeOrder, spec.Name)
@@ -154,14 +194,16 @@ func (c *cluster) setup() {
 func (c *cluster) newThread(n *node, name string, daemon bool) *thread {
 	c.nextThreadID++
 	t := &thread{
-		id:      c.nextThreadID,
-		c:       c,
-		node:    n,
-		daemon:  daemon,
-		name:    name,
-		state:   tsRunnable,
-		resume:  make(chan struct{}),
-		trigSeq: map[int32]int{},
+		id:     c.nextThreadID,
+		c:      c,
+		node:   n,
+		daemon: daemon,
+		name:   name,
+		state:  tsRunnable,
+		resume: make(chan struct{}),
+	}
+	if c.opts.Trigger != nil {
+		t.trigSeq = make([]int, c.prog.NumStmts())
 	}
 	n.threads = append(n.threads, t)
 	c.threads = append(c.threads, t)
@@ -169,7 +211,9 @@ func (c *cluster) newThread(n *node, name string, daemon bool) *thread {
 }
 
 // start launches the thread goroutine around body. The goroutine waits for
-// its first scheduling slot, runs body, and parks forever as done.
+// its first scheduling slot, runs body, hands the baton on and exits. An
+// interpreter panic becomes the run's fatal error, which ends the run at the
+// next scheduler pick.
 func (c *cluster) start(t *thread, body func()) {
 	go func() {
 		defer func() {
@@ -177,9 +221,7 @@ func (c *cluster) start(t *thread, body func()) {
 				if c.fatalErr == nil {
 					c.fatalErr = fmt.Errorf("rt: internal panic in %s at %s: %v", t, t.pos, r)
 				}
-				t.state = tsDone
-				t.endThread()
-				c.baton <- struct{}{}
+				t.finish()
 			}
 		}()
 		<-t.resume
@@ -188,6 +230,15 @@ func (c *cluster) start(t *thread, body func()) {
 		}
 		t.finish()
 	}()
+}
+
+// handTo passes the baton to t, or back to Run when t is nil.
+func (c *cluster) handTo(t *thread) {
+	if t == nil {
+		c.done <- struct{}{}
+		return
+	}
+	t.resume <- struct{}{}
 }
 
 func (c *cluster) newCtx() int32 {
@@ -227,12 +278,15 @@ func (c *cluster) emitF(t *thread, fr *frame, r trace.Rec) uint64 {
 	return c.col.Emit(r)
 }
 
-// loop is the cooperative scheduler: exactly one thread step or one message
-// delivery per iteration, chosen pseudo-randomly.
-func (c *cluster) loop() {
+// next is the cooperative scheduler, run by whichever goroutine gives up
+// the baton: exactly one thread step or one message delivery per iteration,
+// chosen pseudo-randomly. Deliveries happen in place; next returns at the
+// first iteration that picks a thread, or nil when the run is over
+// (quiesced, step budget exhausted, or an interpreter panic).
+func (c *cluster) next() *thread {
 	for {
 		if c.fatalErr != nil {
-			return
+			return nil
 		}
 		// Wake sleepers whose deadline arrived.
 		for _, t := range c.threads {
@@ -241,17 +295,16 @@ func (c *cluster) loop() {
 			}
 		}
 		runnable := c.runnable()
-		quiesced := len(runnable) == 0 && len(c.network) == 0 && !c.anySleeper()
 
 		if c.opts.Trigger != nil {
 			if parked := c.trigParked(); len(parked) > 0 {
+				quiesced := len(runnable) == 0 && len(c.network) == 0 && !c.anySleeper()
 				for _, id := range c.opts.Trigger.Release(parked, quiesced) {
 					if t := c.threadByID(id); t != nil && t.state == tsTrigParked {
 						c.wake(t)
 					}
 				}
 				runnable = c.runnable()
-				quiesced = len(runnable) == 0 && len(c.network) == 0 && !c.anySleeper()
 			}
 		}
 
@@ -264,55 +317,58 @@ func (c *cluster) loop() {
 				}
 				continue
 			}
-			return // quiesced: finishResult classifies
+			return nil // quiesced: finishResult classifies
 		}
 
 		if c.steps >= c.maxSteps {
 			c.res.Hang = true
 			c.res.HangInfo = fmt.Sprintf("step budget (%d) exhausted; live: %s", c.maxSteps, c.liveInfo())
 			c.res.Failures = append(c.res.Failures, Failure{Kind: FailHang, Node: "-", Msg: c.res.HangInfo, StaticID: -1})
-			return
+			return nil
 		}
 		c.steps++
 
 		pick := c.rng.Intn(len(runnable) + len(c.network))
 		if pick < len(runnable) {
-			t := runnable[pick]
-			t.resume <- struct{}{}
-			<-c.baton
-		} else {
-			c.deliver(pick - len(runnable))
+			return runnable[pick]
 		}
+		c.deliver(pick - len(runnable))
 	}
 }
 
+// runnable returns the runnable threads in creation order, in a buffer the
+// next call reuses.
 func (c *cluster) runnable() []*thread {
-	var rs []*thread
+	rs := c.runBuf[:0]
 	for _, t := range c.threads {
 		if t.state == tsRunnable {
 			rs = append(rs, t)
 		}
 	}
+	c.runBuf = rs
 	return rs
 }
 
+// trigParked returns the IDs of the trigger-parked threads, in a buffer the
+// next call reuses.
 func (c *cluster) trigParked() []int32 {
-	var ids []int32
+	ids := c.parkBuf[:0]
 	for _, t := range c.threads {
 		if t.state == tsTrigParked {
 			ids = append(ids, t.id)
 		}
 	}
+	c.parkBuf = ids
 	return ids
 }
 
+// threadByID returns the thread with the given ID: IDs count up from 1 in
+// creation order, so thread id sits at c.threads[id-1].
 func (c *cluster) threadByID(id int32) *thread {
-	for _, t := range c.threads {
-		if t.id == id {
-			return t
-		}
+	if id < 1 || int(id) > len(c.threads) {
+		return nil
 	}
-	return nil
+	return c.threads[id-1]
 }
 
 func (c *cluster) anySleeper() bool {
@@ -378,7 +434,7 @@ func (c *cluster) finishResult() {
 	c.res.Steps = c.steps
 }
 
-// deliver processes network message i. Runs in scheduler context.
+// deliver processes network message i, inside next.
 func (c *cluster) deliver(i int) {
 	m := c.network[i]
 	c.network = append(c.network[:i], c.network[i+1:]...)

@@ -170,7 +170,7 @@ func (t *thread) invoke(fn *ir.Func, args []ir.Value, callSite int32, parent *fr
 // step runs the pre-statement hooks: the trigger controller's request point
 // and the per-statement scheduler yield. Returns false if the thread was
 // killed while parked.
-func (t *thread) step(fr *frame, st ir.Stmt) bool {
+func (t *thread) step(st ir.Stmt) bool {
 	m := st.Meta()
 	t.pos = m.Pos
 	// Scheduling point first, trigger hook second: the hook must run in
@@ -181,15 +181,20 @@ func (t *thread) step(fr *frame, st ir.Stmt) bool {
 		return false
 	}
 	if trig := t.c.opts.Trigger; trig != nil {
-		id := int32(m.ID)
+		id := m.ID
 		t.trigSeq[id]++
-		info := TrigInfo{Thread: t.id, Node: t.node.name, StaticID: id, Stack: fr.stack(), Seq: t.trigSeq[id]}
+		t.c.trigInstance[id]++
+		t.node.trigSeq[id]++
+		info := TrigInfo{
+			Thread: t.id, Node: t.node.name, StaticID: int32(id),
+			Seq: t.trigSeq[id], Instance: t.c.trigInstance[id], NodeSeq: t.node.trigSeq[id],
+		}
 		if trig.BeforeStmt(info) {
 			t.state = tsTrigParked
 			if !t.yield() {
 				return false
 			}
-			t.after = &info
+			t.after, t.hasAfter = info, true
 		}
 	}
 	return true
@@ -197,14 +202,15 @@ func (t *thread) step(fr *frame, st ir.Stmt) bool {
 
 func (t *thread) execBlock(fr *frame, body []ir.Stmt) flow {
 	for _, st := range body {
-		if !t.step(fr, st) {
+		if !t.step(st) {
 			return flow{kind: flowKill}
 		}
 		fl := t.execStmt(fr, st)
-		if t.after != nil {
-			info := *t.after
-			t.after = nil
-			t.c.opts.Trigger.AfterStmt(info)
+		if t.hasAfter {
+			t.hasAfter = false
+			if !t.c.stopping {
+				t.c.opts.Trigger.AfterStmt(t.after)
+			}
 		}
 		if fl.kind != flowNormal {
 			return fl

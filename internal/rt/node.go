@@ -75,6 +75,9 @@ type node struct {
 	rpcActive map[uint64]*thread // tag -> caller
 	crashed   bool
 	threads   []*thread
+	// trigSeq counts BeforeStmt calls on this node per static ID for
+	// TrigInfo.NodeSeq (allocated only when a trigger is attached).
+	trigSeq []int
 }
 
 func memKey(v string, key ir.Value, hasKey bool) string {

@@ -67,10 +67,13 @@ func (f *frame) stack() []int32 {
 }
 
 // thread is one simulated thread. Each thread runs in its own goroutine but
-// executes only while holding the scheduler's baton: the scheduler resumes
-// it via the resume channel, the thread runs one step, then hands the baton
-// back on the cluster's done channel. Exactly one goroutine is ever active,
-// so cluster state needs no locking.
+// executes only while holding the baton. There is no scheduler goroutine:
+// the thread giving up the baton runs the scheduler itself (cluster.next)
+// and hands the baton straight to the thread it picked by sending on that
+// thread's resume channel, or to Run on the cluster's done channel when the
+// run is over. A thread that picks itself keeps running without any channel
+// operation. Exactly one goroutine is ever active, so cluster state needs no
+// locking.
 type thread struct {
 	id     int32
 	c      *cluster
@@ -100,13 +103,15 @@ type thread struct {
 	// pos tracks the last statement for hang diagnostics.
 	pos string
 
-	// trigSeq counts dynamic instances per static ID for TrigInfo.Seq.
-	trigSeq map[int32]int
+	// trigSeq counts dynamic instances per static ID for TrigInfo.Seq,
+	// indexed by static ID (allocated only when a trigger is attached).
+	trigSeq []int
 
 	// after holds the TrigInfo of a statement the trigger controller
 	// parked, so AfterStmt (the confirm message) fires right after it
-	// executes.
-	after *TrigInfo
+	// executes; hasAfter says whether it is set.
+	after    TrigInfo
+	hasAfter bool
 }
 
 func (t *thread) String() string {
@@ -140,11 +145,19 @@ func throwFlow(exc, msg string, static int32) flow {
 	return flow{kind: flowThrow, exc: exc, msg: msg, excStatic: static}
 }
 
-// yield hands the baton back to the scheduler and waits to be resumed.
-// Returns false when the thread was killed while parked.
+// yield ends the thread's current step: it runs the scheduler to pick the
+// next step and, unless that is its own, hands the baton to the picked
+// thread (or to Run when the run is over) and parks until resumed. Returns
+// false when the thread was killed while parked, and always during teardown.
 func (t *thread) yield() bool {
-	t.c.baton <- struct{}{}
-	<-t.resume
+	c := t.c
+	if c.stopping {
+		return false
+	}
+	if next := c.next(); next != t {
+		c.handTo(next)
+		<-t.resume
+	}
 	return !t.killed
 }
 
@@ -156,11 +169,18 @@ func (t *thread) block(r blockReason) bool {
 	return t.yield()
 }
 
-// finish marks the thread done and hands the baton back permanently.
+// finish marks the thread done and hands the baton on for good: to the
+// thread the scheduler picks next, or to Run when the run is over or being
+// torn down. The goroutine exits right after.
 func (t *thread) finish() {
 	t.state = tsDone
 	t.endThread()
-	t.c.baton <- struct{}{}
+	c := t.c
+	if c.stopping {
+		c.done <- struct{}{}
+		return
+	}
+	c.handTo(c.next())
 }
 
 // endThread emits the thread-End record (once) and wakes joiners.

@@ -205,8 +205,11 @@ type TrigInfo struct {
 	Thread   int32
 	Node     string
 	StaticID int32
-	Stack    []int32
-	Seq      int // per-(thread,staticID) dynamic instance counter, 1-based
+	// Dynamic instance counters of StaticID, 1-based, counting this call:
+	// Seq on this thread, Instance cluster-wide, NodeSeq on this node.
+	Seq      int
+	Instance int
+	NodeSeq  int
 }
 
 // TriggerController is implemented by internal/trigger. The runtime calls

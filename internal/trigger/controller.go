@@ -35,14 +35,14 @@ func (p Point) String() string {
 	return fmt.Sprintf("stmt %d (instance %d)", p.StaticID, p.Instance)
 }
 
-func (p Point) matches(info rt.TrigInfo, globalCount, nodeCount int) bool {
+func (p Point) matches(info rt.TrigInfo) bool {
 	if p.StaticID != info.StaticID {
 		return false
 	}
 	if p.Node != "" {
-		return p.Node == info.Node && p.Seq == nodeCount
+		return p.Node == info.Node && p.Seq == info.NodeSeq
 	}
-	return globalCount == p.Instance
+	return info.Instance == p.Instance
 }
 
 type phase uint8
@@ -63,11 +63,9 @@ type Controller struct {
 	// order[0] is the party index granted first.
 	order [2]int
 
-	counts     map[int32]int   // global dynamic instance counter per static ID
-	nodeCounts map[nodeKey]int // per-node dynamic instance counter
-	arrived    [2]int32        // thread IDs parked at each party's point (0 = not arrived)
-	served     [2]bool         // party's point already intercepted
-	confirm    [2]bool         // party's statement executed (confirm received)
+	arrived [2]int32 // thread IDs parked at each party's point (0 = not arrived)
+	served  [2]bool  // party's point already intercepted
+	confirm [2]bool  // party's statement executed (confirm received)
 
 	ph phase
 
@@ -90,34 +88,19 @@ type Controller struct {
 
 const defaultPatience = 40_000
 
-type nodeKey struct {
-	static int32
-	node   string
-}
-
 // NewController builds a controller that makes party `first` (0 or 1) win
 // the race.
 func NewController(a, b Point, first int) *Controller {
-	c := &Controller{
-		points:     [2]Point{a, b},
-		counts:     map[int32]int{},
-		nodeCounts: map[nodeKey]int{},
-	}
-	c.order = [2]int{first, 1 - first}
-	return c
+	return &Controller{points: [2]Point{a, b}, order: [2]int{first, 1 - first}}
 }
 
 // BeforeStmt implements rt.TriggerController: it is the request call site.
 func (c *Controller) BeforeStmt(info rt.TrigInfo) bool {
-	c.counts[info.StaticID]++
-	n := c.counts[info.StaticID]
-	c.nodeCounts[nodeKey{info.StaticID, info.Node}]++
-	nn := c.nodeCounts[nodeKey{info.StaticID, info.Node}]
 	if c.ph == phDone {
 		return false
 	}
 	for party := 0; party < 2; party++ {
-		if c.served[party] || !c.points[party].matches(info, n, nn) {
+		if c.served[party] || !c.points[party].matches(info) {
 			continue
 		}
 		c.served[party] = true

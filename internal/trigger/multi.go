@@ -16,11 +16,9 @@ type MultiController struct {
 	points []Point
 	order  []int // grant sequence: order[0] runs first
 
-	counts     map[int32]int
-	nodeCounts map[nodeKey]int
-	arrived    []int32
-	served     []bool
-	confirm    []bool
+	arrived []int32
+	served  []bool
+	confirm []bool
 
 	granted int // how many of order[] have been granted
 	waiting int
@@ -48,27 +46,21 @@ func NewMultiController(points []Point, order []int) (*MultiController, error) {
 		seen[o] = true
 	}
 	return &MultiController{
-		points:     append([]Point(nil), points...),
-		order:      append([]int(nil), order...),
-		counts:     map[int32]int{},
-		nodeCounts: map[nodeKey]int{},
-		arrived:    make([]int32, len(points)),
-		served:     make([]bool, len(points)),
-		confirm:    make([]bool, len(points)),
+		points:  append([]Point(nil), points...),
+		order:   append([]int(nil), order...),
+		arrived: make([]int32, len(points)),
+		served:  make([]bool, len(points)),
+		confirm: make([]bool, len(points)),
 	}, nil
 }
 
 // BeforeStmt implements rt.TriggerController.
 func (c *MultiController) BeforeStmt(info rt.TrigInfo) bool {
-	c.counts[info.StaticID]++
-	n := c.counts[info.StaticID]
-	c.nodeCounts[nodeKey{info.StaticID, info.Node}]++
-	nn := c.nodeCounts[nodeKey{info.StaticID, info.Node}]
 	if c.done {
 		return false
 	}
 	for party := range c.points {
-		if c.served[party] || !c.points[party].matches(info, n, nn) {
+		if c.served[party] || !c.points[party].matches(info) {
 			continue
 		}
 		c.served[party] = true

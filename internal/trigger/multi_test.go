@@ -60,7 +60,7 @@ func TestMultiControllerGrantSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, static := range []int32{10, 20, 30} {
-		if !c.BeforeStmt(info(int32(i+1), "n", static, 1)) {
+		if !c.BeforeStmt(info(int32(i+1), "n", static, 1, 1)) {
 			t.Fatalf("party %d not parked", i)
 		}
 	}
@@ -80,7 +80,7 @@ func TestMultiControllerGrantSequence(t *testing.T) {
 			t.Fatalf("step %d: premature release %v", step, rel2)
 		}
 		static := pts[c.order[step]].StaticID
-		c.AfterStmt(info(wantThread, "n", static, 1))
+		c.AfterStmt(info(wantThread, "n", static, 1, 1))
 	}
 	if rel := c.Release(parked, false); len(rel) != 0 {
 		t.Fatal("release after completion")

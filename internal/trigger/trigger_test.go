@@ -10,18 +10,21 @@ import (
 	"dcatch/internal/trace"
 )
 
-func info(thread int32, node string, static int32, seq int) rt.TrigInfo {
-	return rt.TrigInfo{Thread: thread, Node: node, StaticID: static, Seq: seq}
+// info builds the TrigInfo of the instance-th cluster-wide execution of
+// static, which is its nodeSeq-th on node. The controllers do not read the
+// per-thread Seq; it is set to instance.
+func info(thread int32, node string, static int32, instance, nodeSeq int) rt.TrigInfo {
+	return rt.TrigInfo{Thread: thread, Node: node, StaticID: static, Seq: instance, Instance: instance, NodeSeq: nodeSeq}
 }
 
 func TestControllerHappyPath(t *testing.T) {
 	c := NewController(Point{StaticID: 10, Instance: 1}, Point{StaticID: 20, Instance: 1}, 1)
 	// Unrelated statement: no park.
-	if c.BeforeStmt(info(5, "n", 99, 1)) {
+	if c.BeforeStmt(info(5, "n", 99, 1, 1)) {
 		t.Fatal("parked on unrelated statement")
 	}
 	// Party A arrives.
-	if !c.BeforeStmt(info(1, "n1", 10, 1)) {
+	if !c.BeforeStmt(info(1, "n1", 10, 1, 1)) {
 		t.Fatal("party A not parked")
 	}
 	if c.BothArrived {
@@ -32,7 +35,7 @@ func TestControllerHappyPath(t *testing.T) {
 		t.Fatalf("premature release: %v", rel)
 	}
 	// Party B arrives.
-	if !c.BeforeStmt(info(2, "n2", 20, 1)) {
+	if !c.BeforeStmt(info(2, "n2", 20, 1, 1)) {
 		t.Fatal("party B not parked")
 	}
 	if !c.BothArrived {
@@ -47,23 +50,23 @@ func TestControllerHappyPath(t *testing.T) {
 	if rel := c.Release([]int32{1}, false); len(rel) != 0 {
 		t.Fatalf("released before confirm: %v", rel)
 	}
-	c.AfterStmt(info(2, "n2", 20, 1))
+	c.AfterStmt(info(2, "n2", 20, 1, 1))
 	rel = c.Release([]int32{1}, false)
 	if len(rel) != 1 || rel[0] != 1 {
 		t.Fatalf("second release = %v, want [1]", rel)
 	}
 	// Later instances of the points don't park after completion.
-	if c.BeforeStmt(info(3, "n1", 10, 2)) {
+	if c.BeforeStmt(info(3, "n1", 10, 2, 2)) {
 		t.Fatal("parked after exploration done")
 	}
 }
 
 func TestControllerSecondInstance(t *testing.T) {
 	c := NewController(Point{StaticID: 10, Instance: 2}, Point{StaticID: 20, Instance: 1}, 0)
-	if c.BeforeStmt(info(1, "n", 10, 1)) {
+	if c.BeforeStmt(info(1, "n", 10, 1, 1)) {
 		t.Fatal("parked on wrong instance")
 	}
-	if !c.BeforeStmt(info(1, "n", 10, 2)) {
+	if !c.BeforeStmt(info(1, "n", 10, 2, 2)) {
 		t.Fatal("second instance not parked")
 	}
 }
@@ -71,17 +74,17 @@ func TestControllerSecondInstance(t *testing.T) {
 func TestControllerNodeMatching(t *testing.T) {
 	c := NewController(Point{StaticID: 10, Node: "zk1", Seq: 1}, Point{StaticID: 20, Instance: 1}, 0)
 	// Same statement on another node: no park.
-	if c.BeforeStmt(info(1, "zk2", 10, 1)) {
+	if c.BeforeStmt(info(1, "zk2", 10, 1, 1)) {
 		t.Fatal("parked on wrong node")
 	}
-	if !c.BeforeStmt(info(2, "zk1", 10, 1)) {
+	if !c.BeforeStmt(info(2, "zk1", 10, 2, 1)) {
 		t.Fatal("right node not parked")
 	}
 }
 
 func TestControllerForcedOnQuiesce(t *testing.T) {
 	c := NewController(Point{StaticID: 10, Instance: 1}, Point{StaticID: 20, Instance: 1}, 0)
-	if !c.BeforeStmt(info(1, "n", 10, 1)) {
+	if !c.BeforeStmt(info(1, "n", 10, 1, 1)) {
 		t.Fatal("not parked")
 	}
 	rel := c.Release([]int32{1}, true) // cluster quiesced
@@ -99,7 +102,7 @@ func TestControllerForcedOnQuiesce(t *testing.T) {
 func TestControllerPatienceTimeout(t *testing.T) {
 	c := NewController(Point{StaticID: 10, Instance: 1}, Point{StaticID: 20, Instance: 1}, 0)
 	c.Patience = 5
-	if !c.BeforeStmt(info(1, "n", 10, 1)) {
+	if !c.BeforeStmt(info(1, "n", 10, 1, 1)) {
 		t.Fatal("not parked")
 	}
 	var released bool
