@@ -1,12 +1,12 @@
-// Command dcatch-trigger is the triggering module as a tool: it validates a
-// benchmark's DCbug reports by exploring both orders of each candidate pair
-// (the default), or runs the stand-alone TCP message-controller server for
-// manually instrumented systems (paper §5.1).
+// Command dcatch-trigger runs the triggering module's stand-alone TCP
+// message-controller server for manually instrumented systems (paper §5.1):
+// each party sends a REQUEST at its point and a CONFIRM after it, and the
+// server grants the two parties in the configured order. Validating a
+// benchmark's reports is dcatch -bench <id> -validate.
 //
 // Usage:
 //
-//	dcatch-trigger -bench MR-3274 [-naive]
-//	dcatch-trigger -serve 127.0.0.1:9999 -first A -second B
+//	dcatch-trigger -serve 127.0.0.1:9999 -first A -second B [-debug-addr 127.0.0.1:6060]
 package main
 
 import (
@@ -15,20 +15,16 @@ import (
 	"os"
 	"os/signal"
 
-	"dcatch/internal/bench"
-	"dcatch/internal/core"
 	"dcatch/internal/obs"
 	"dcatch/internal/trigger"
 )
 
 func main() {
 	var (
-		benchID   = flag.String("bench", "", "benchmark whose reports to validate")
-		naive     = flag.Bool("naive", false, "disable the placement analysis (§7.2 baseline)")
 		serve     = flag.String("serve", "", "run the TCP controller server on this address")
-		first     = flag.String("first", "A", "with -serve: party granted first")
-		second    = flag.String("second", "B", "with -serve: party granted second")
-		debugAddr = flag.String("debug-addr", "", "with -serve: serve pprof and expvar (/debug/pprof/, /debug/vars) on this address")
+		first     = flag.String("first", "A", "party granted first")
+		second    = flag.String("second", "B", "party granted second")
+		debugAddr = flag.String("debug-addr", "", "serve pprof and expvar (/debug/pprof/, /debug/vars) on this address")
 		version   = flag.Bool("version", false, "print the tool version and exit")
 	)
 	flag.Parse()
@@ -37,35 +33,11 @@ func main() {
 		fmt.Println(obs.Version())
 		return
 	}
-	if *serve != "" {
-		runServer(*serve, *first, *second, *debugAddr)
-		return
-	}
-
-	var found bool
-	for _, b := range bench.Benchmarks() {
-		if b.ID != *benchID {
-			continue
-		}
-		found = true
-		res, err := core.Detect(b.Workload, core.Options{Seed: b.Seed, MaxSteps: b.MaxSteps})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(res.Summary())
-		vals := core.ValidateAll(res, core.TriggerOptions{MaxSteps: 200_000, Naive: *naive})
-		for _, v := range vals {
-			fmt.Printf("%s\n  %s\n", v.Pair.Describe(b.Workload.Program), v.Summary())
-			if kind := b.KnownKind(&v.Pair); kind != "" {
-				fmt.Printf("  ground truth: %s\n", kind)
-			}
-		}
-	}
-	if !found {
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q (use dcatch -list)\n", *benchID)
+	if *serve == "" {
+		flag.Usage()
 		os.Exit(2)
 	}
+	runServer(*serve, *first, *second, *debugAddr)
 }
 
 func runServer(addr, first, second, debugAddr string) {

@@ -65,11 +65,13 @@ func main() {
 	fmt.Print(res.Final.Format(p))
 
 	fmt.Println("\n== triggering: expiry delete wins over enable's must-delete ==")
-	ctrl := trigger.NewController(
-		trigger.Point{StaticID: subjects.ZKDeleteOf(p, "HM.expireServer"), Instance: 1},
-		trigger.Point{StaticID: subjects.ZKDeleteOf(p, "HM.doEnable"), Instance: 1},
-		0,
-	)
+	ctrl, err := trigger.NewController([]trigger.Point{
+		{StaticID: subjects.ZKDeleteOf(p, "HM.expireServer"), Instance: 1},
+		{StaticID: subjects.ZKDeleteOf(p, "HM.doEnable"), Instance: 1},
+	}, []int{0, 1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	bad, err := rt.Run(bench.Workload, rt.Options{Seed: bench.Seed, MaxSteps: 150_000, Trigger: ctrl})
 	if err != nil {
 		log.Fatal(err)

@@ -47,11 +47,13 @@ func main() {
 	}
 
 	fmt.Println("\n== 3. triggering the buggy order: Cancel (#3) before Get Task (#2) ==")
-	ctrl := trigger.NewController(
-		trigger.Point{StaticID: remove, Instance: 1},
-		trigger.Point{StaticID: read, Instance: 1},
-		0, // remove wins the race
-	)
+	ctrl, err := trigger.NewController([]trigger.Point{
+		{StaticID: remove, Instance: 1},
+		{StaticID: read, Instance: 1},
+	}, []int{0, 1}) // remove wins the race
+	if err != nil {
+		log.Fatal(err)
+	}
 	bad, err := rt.Run(bench.Workload, rt.Options{Seed: bench.Seed, MaxSteps: 60_000, Trigger: ctrl})
 	if err != nil {
 		log.Fatal(err)
@@ -62,11 +64,13 @@ func main() {
 	}
 
 	fmt.Println("\n== 4. the benign order: Get Task before Cancel ==")
-	ctrl2 := trigger.NewController(
-		trigger.Point{StaticID: read, Instance: 1},
-		trigger.Point{StaticID: remove, Instance: 1},
-		0, // read wins
-	)
+	ctrl2, err := trigger.NewController([]trigger.Point{
+		{StaticID: read, Instance: 1},
+		{StaticID: remove, Instance: 1},
+	}, []int{0, 1}) // read wins
+	if err != nil {
+		log.Fatal(err)
+	}
 	good, err := rt.Run(bench.Workload, rt.Options{Seed: bench.Seed, MaxSteps: 200_000, Trigger: ctrl2})
 	if err != nil {
 		log.Fatal(err)

@@ -29,9 +29,8 @@ type Config struct {
 	Peers []string
 
 	// ChunkSize is the window length in records (required, > 0);
-	// ChunkOverlap defaults to ChunkSize/4, exactly as hb.ChunkWindows.
-	ChunkSize    int
-	ChunkOverlap int
+	// consecutive windows share ChunkSize/4 records, as hb.ChunkWindows.
+	ChunkSize int
 
 	// HB and Detect are the per-window analysis options. They serve two
 	// roles: their wire-expressible subset (backend, MaxGroup, MemBudget)
@@ -262,7 +261,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		rec:  cfg.Obs,
 		logf: cfg.Logf,
 		eng:  window.New(cfg.HB, cfg.Detect, cfg.Cache),
-		cut:  hb.NewWindowCutter(cfg.ChunkSize, cfg.ChunkOverlap),
+		cut:  hb.NewWindowCutter(cfg.ChunkSize, 0),
 	}
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}

@@ -241,8 +241,8 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 		rec.Logf("trace analysis: budget exceeded, falling back to %d-record windows", opts.ChunkSize)
 		wan := stream.New(stream.Options{
 			HB: cfg, Detect: dopt,
-			ChunkSize: opts.ChunkSize, ChunkOverlap: 0,
-			Cache: opts.ScanCache,
+			ChunkSize: opts.ChunkSize,
+			Cache:     opts.ScanCache,
 		})
 		wan.AppendTrace(res.Trace)
 		wres := wan.Finish()
@@ -401,7 +401,7 @@ func attemptOutcome(at trigger.Attempt) string {
 		return "timeout"
 	case at.Forced > 0:
 		return "forced"
-	case at.BothArrived:
+	case at.Arrived:
 		return "arrived"
 	default:
 		return "untriggered"

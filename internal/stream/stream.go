@@ -59,11 +59,9 @@ type Options struct {
 	// ChunkSize enables windowed analysis: in eager mode it is the window
 	// length; in non-eager mode it is the fallback window length when the
 	// full closure exceeds HB.MemBudget, exactly as core.AnalyzeTrace's
-	// chunked fallback. 0 disables both.
+	// chunked fallback. 0 disables both. Consecutive windows share
+	// ChunkSize/4 records (the hb.ChunkConfig default).
 	ChunkSize int
-	// ChunkOverlap is how many records consecutive windows share; defaults
-	// to ChunkSize/4 (the hb.ChunkConfig default).
-	ChunkOverlap int
 
 	// Eager analyzes windows as they fill and releases records behind the
 	// current window. Requires ChunkSize > 0.

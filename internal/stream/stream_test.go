@@ -339,8 +339,9 @@ func TestStreamFallbackMatchesBatchChunked(t *testing.T) {
 // later window under it, at most HB.Parallelism further windows are built
 // before the error is returned, and the error is the reference's.
 func TestStreamReplayStopsAfterFailedWindow(t *testing.T) {
-	// Window 0 has one chain per record, the rest of the trace two chains in
-	// all, so a chain-index budget between the two refuses only window 0.
+	// Window 0 has one chain per record. The later windows share at most its
+	// last chunk/4 records and hold two more chains, so a chain-index budget
+	// of twice the largest later window refuses only window 0.
 	const chunk, n = 128, 2200
 	c := trace.NewCollector("wide-head")
 	for i := 0; i < n; i++ {
@@ -353,7 +354,7 @@ func TestStreamReplayStopsAfterFailedWindow(t *testing.T) {
 	}
 	tr := c.Trace()
 	hcfg := hb.Config{ReachBackend: hb.BackendChain}
-	windows := hb.ChunkWindows(n, chunk, 1)
+	windows := hb.ChunkWindows(n, chunk, 0)
 	if len(windows) < 16 {
 		t.Fatalf("only %d windows", len(windows))
 	}
@@ -364,7 +365,7 @@ func TestStreamReplayStopsAfterFailedWindow(t *testing.T) {
 		}
 		hcfg.MemBudget = max(hcfg.MemBudget, 2*g.MemBytes())
 	}
-	_, want := hb.BuildChunked(tr, hb.ChunkConfig{Base: hcfg, ChunkSize: chunk, ChunkOverlap: 1})
+	_, want := hb.BuildChunked(tr, hb.ChunkConfig{Base: hcfg, ChunkSize: chunk})
 	if want == nil {
 		t.Fatal("the reference built window 0")
 	}
@@ -373,7 +374,7 @@ func TestStreamReplayStopsAfterFailedWindow(t *testing.T) {
 		sp := rec.Span("test")
 		cfg := hcfg
 		cfg.Parallelism, cfg.Obs = p, sp
-		an := stream.New(stream.Options{HB: cfg, ChunkSize: chunk, ChunkOverlap: 1})
+		an := stream.New(stream.Options{HB: cfg, ChunkSize: chunk})
 		an.AppendTrace(tr)
 		res := an.Finish()
 		sp.End()

@@ -32,7 +32,7 @@ type windowed struct {
 func newWindowed(a *Analyzer) *windowed {
 	return &windowed{
 		a:    a,
-		cut:  hb.NewWindowCutter(a.opts.ChunkSize, a.opts.ChunkOverlap),
+		cut:  hb.NewWindowCutter(a.opts.ChunkSize, 0),
 		eng:  window.New(a.opts.HB, a.opts.Detect, a.opts.Cache),
 		fold: window.NewFold(a.opts.Detect),
 	}
@@ -120,7 +120,7 @@ func (a *Analyzer) replayWindows() *Result {
 	cfg := a.opts.HB
 	bsp := cfg.Obs.Child("hb.build_chunked")
 	cfg.Obs = bsp
-	windows := hb.ChunkWindows(len(a.tr.Recs), a.opts.ChunkSize, a.opts.ChunkOverlap)
+	windows := hb.ChunkWindows(len(a.tr.Recs), a.opts.ChunkSize, 0)
 	bsp.Attr("windows", len(windows))
 	bsp.Count("hb.chunk_windows", int64(len(windows)))
 

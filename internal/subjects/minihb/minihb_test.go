@@ -155,11 +155,13 @@ func TestRule2PlacementUsed(t *testing.T) {
 func TestExpireFirstCrashesMaster(t *testing.T) {
 	bench := BenchHB4729()
 	p := bench.Workload.Program
-	ctrl := trigger.NewController(
-		trigger.Point{StaticID: subjects.ZKDeleteOf(p, "HM.expireServer"), Instance: 1},
-		trigger.Point{StaticID: subjects.ZKDeleteOf(p, "HM.doEnable"), Instance: 1},
-		0, // expiry delete first
-	)
+	ctrl, err := trigger.NewController([]trigger.Point{
+		{StaticID: subjects.ZKDeleteOf(p, "HM.expireServer"), Instance: 1},
+		{StaticID: subjects.ZKDeleteOf(p, "HM.doEnable"), Instance: 1},
+	}, []int{0, 1}) // expiry delete first
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := rt.Run(bench.Workload, rt.Options{Seed: bench.Seed, MaxSteps: 150_000, Trigger: ctrl})
 	if err != nil {
 		t.Fatal(err)

@@ -112,11 +112,13 @@ func TestHangManifestsUnderBadOrder(t *testing.T) {
 	p := b.Workload.Program
 	read := subjects.ReadOf(p, "AM.getTask", "jMap")
 	remove := subjects.RemoveOf(p, "AM.unregisterTask", "jMap")
-	ctrl := trigger.NewController(
-		trigger.Point{StaticID: remove, Instance: 1},
-		trigger.Point{StaticID: read, Instance: 1},
-		0, // remove first
-	)
+	ctrl, err := trigger.NewController([]trigger.Point{
+		{StaticID: remove, Instance: 1},
+		{StaticID: read, Instance: 1},
+	}, []int{0, 1}) // remove first
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := rt.Run(b.Workload, rt.Options{Seed: b.Seed, MaxSteps: 60_000, Trigger: ctrl})
 	if err != nil {
 		t.Fatal(err)

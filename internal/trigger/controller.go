@@ -1,13 +1,15 @@
 // Package trigger implements DCatch's bug triggering and validation module
-// (paper §5): an infrastructure for manipulating the timing of two program
+// (paper §5): an infrastructure for manipulating the timing of program
 // points in a distributed run, a placement analysis that chooses where to
 // attach the request/confirm coordination calls so the exploration cannot
 // hang, and a validator that explores both orders of a DCbug candidate and
-// classifies it as serial, benign, or harmful.
+// classifies it as serial, benign, or harmful. ExploreAll restarts a run
+// once per ordering permutation of N points.
 package trigger
 
 import (
 	"fmt"
+	"slices"
 
 	"dcatch/internal/rt"
 )
@@ -45,69 +47,78 @@ func (p Point) matches(info rt.TrigInfo) bool {
 	return info.Instance == p.Instance
 }
 
-type phase uint8
-
-const (
-	phWaiting       phase = iota // waiting for both parties' requests
-	phFirstRunning               // first party granted, awaiting its confirm
-	phSecondRunning              // second party granted
-	phDone
-)
-
-// Controller coordinates one controlled run: it parks the two parties when
-// they reach their points and grants them permission in the configured
-// order, mirroring the paper's message-controller server (§5.1). It
-// implements rt.TriggerController.
+// Controller coordinates one controlled run over N parties, mirroring the
+// paper's message-controller server (§5.1): it parks every party when it
+// reaches its point, grants order[0] once all are parked together, and
+// grants each later party only after the previous one confirmed. When the
+// cluster quiesces while a party waits, or a lone party outlives its
+// patience, it releases the waiters instead of reporting an artificial hang
+// (§5.2). It implements rt.TriggerController.
 type Controller struct {
-	points [2]Point
-	// order[0] is the party index granted first.
-	order [2]int
+	points []Point
+	order  []int // grant sequence: order[0] is granted first
 
-	arrived [2]int32 // thread IDs parked at each party's point (0 = not arrived)
-	served  [2]bool  // party's point already intercepted
-	confirm [2]bool  // party's statement executed (confirm received)
+	arrived []int32 // thread parked at each party's point (0 = not arrived)
+	served  []bool  // party's point already intercepted
+	confirm []bool  // party's statement executed (confirm received)
 
-	ph phase
+	granted int  // how many of order have been granted
+	done    bool // exploration over: no more parks or grants
 
-	// BothArrived records whether the two parties were ever parked
-	// simultaneously — the evidence that the pair is truly concurrent.
-	BothArrived bool
+	// Arrived records whether every party was parked simultaneously — the
+	// evidence that the parties are truly concurrent.
+	Arrived bool
 	// Forced counts releases granted only because the cluster had
-	// quiesced (the other party could not arrive): evidence of ordering.
+	// quiesced (a party could not arrive or proceed): evidence of ordering.
 	Forced int
 	// TimedOut counts patience-expiry releases: a party waited so long
-	// for its peer (while the cluster kept running, e.g. spinning in a
+	// for its peers (while the cluster kept running, e.g. spinning in a
 	// poll loop) that the controller gave up — also ordering evidence.
 	TimedOut int
 
-	// Patience is how many scheduler iterations a lone party may wait
-	// for its peer before being released. 0 selects the default.
-	Patience int
+	// patience is how many scheduler iterations a party may wait for its
+	// peers to arrive before being released.
+	patience int
 	waiting  int
 }
 
 const defaultPatience = 40_000
 
-// NewController builds a controller that makes party `first` (0 or 1) win
-// the race.
-func NewController(a, b Point, first int) *Controller {
-	return &Controller{points: [2]Point{a, b}, order: [2]int{first, 1 - first}}
+// NewController builds a controller for len(points) parties granted in the
+// given order, a permutation of 0..len(points)-1.
+func NewController(points []Point, order []int) (*Controller, error) {
+	if len(points) != len(order) {
+		return nil, fmt.Errorf("trigger: %d points but %d order entries", len(points), len(order))
+	}
+	seen := make([]bool, len(order))
+	for _, o := range order {
+		if o < 0 || o >= len(order) || seen[o] {
+			return nil, fmt.Errorf("trigger: order %v is not a permutation", order)
+		}
+		seen[o] = true
+	}
+	return &Controller{
+		points:   append([]Point(nil), points...),
+		order:    append([]int(nil), order...),
+		arrived:  make([]int32, len(points)),
+		served:   make([]bool, len(points)),
+		confirm:  make([]bool, len(points)),
+		patience: defaultPatience,
+	}, nil
 }
 
 // BeforeStmt implements rt.TriggerController: it is the request call site.
 func (c *Controller) BeforeStmt(info rt.TrigInfo) bool {
-	if c.ph == phDone {
+	if c.done {
 		return false
 	}
-	for party := 0; party < 2; party++ {
+	for party := range c.points {
 		if c.served[party] || !c.points[party].matches(info) {
 			continue
 		}
 		c.served[party] = true
 		c.arrived[party] = info.Thread
-		if c.arrived[0] != 0 && c.arrived[1] != 0 && c.ph == phWaiting {
-			c.BothArrived = true
-		}
+		c.Arrived = !slices.Contains(c.arrived, 0)
 		return true
 	}
 	return false
@@ -115,13 +126,10 @@ func (c *Controller) BeforeStmt(info rt.TrigInfo) bool {
 
 // AfterStmt implements rt.TriggerController: the confirm call site.
 func (c *Controller) AfterStmt(info rt.TrigInfo) {
-	for party := 0; party < 2; party++ {
+	for party := range c.points {
 		if c.served[party] && !c.confirm[party] && c.arrived[party] == info.Thread &&
 			c.points[party].StaticID == info.StaticID {
 			c.confirm[party] = true
-			if party == c.order[0] && c.ph == phFirstRunning {
-				c.ph = phSecondRunning
-			}
 			return
 		}
 	}
@@ -130,53 +138,55 @@ func (c *Controller) AfterStmt(info rt.TrigInfo) {
 // Release implements rt.TriggerController; the scheduler calls it each
 // iteration with the trigger-parked threads.
 func (c *Controller) Release(parked []int32, quiesced bool) []int32 {
-	has := func(id int32) bool {
-		for _, p := range parked {
-			if p == id {
-				return true
-			}
-		}
-		return false
-	}
-	switch c.ph {
-	case phWaiting:
-		if c.BothArrived && has(c.arrived[c.order[0]]) && has(c.arrived[c.order[1]]) {
-			c.ph = phFirstRunning
-			return []int32{c.arrived[c.order[0]]}
-		}
-	case phSecondRunning:
-		second := c.arrived[c.order[1]]
-		if has(second) {
-			c.ph = phDone
-			return []int32{second}
+	if !c.done && c.Arrived {
+		switch {
+		case c.granted == 0 && c.allParked(parked):
+			return c.grant()
+		case c.granted > 0 && c.confirm[c.order[c.granted-1]] &&
+			slices.Contains(parked, c.arrived[c.order[c.granted]]):
+			return c.grant()
 		}
 	}
 	if quiesced && len(parked) > 0 {
-		// The cluster cannot make progress while a party waits: the
-		// other party is causally blocked behind it. Release to avoid
-		// an artificial hang; this is evidence the pair is ordered.
+		// The cluster cannot make progress while a party waits: another
+		// party is causally blocked behind it. Release to avoid an
+		// artificial hang; this is evidence the parties are ordered.
 		c.Forced++
-		if c.ph == phWaiting {
-			c.ph = phDone
+		if c.granted == 0 {
+			c.done = true
 		}
 		return parked
 	}
-	// Patience: a lone party whose peer never shows up while the rest of
-	// the cluster keeps running (e.g. spinning in a poll loop that the
-	// parked party gates) is eventually released.
-	if c.ph == phWaiting && len(parked) > 0 && !c.BothArrived {
-		patience := c.Patience
-		if patience <= 0 {
-			patience = defaultPatience
-		}
+	// Patience: a party whose peers never show up while the rest of the
+	// cluster keeps running (e.g. spinning in a poll loop that the parked
+	// party gates) is eventually released.
+	if !c.done && c.granted == 0 && len(parked) > 0 && !c.Arrived {
 		c.waiting++
-		if c.waiting > patience {
+		if c.waiting > c.patience {
 			c.TimedOut++
-			c.ph = phDone
+			c.done = true
 			return parked
 		}
 	} else {
 		c.waiting = 0
 	}
 	return nil
+}
+
+// allParked reports whether every party's thread is among the parked ones.
+func (c *Controller) allParked(parked []int32) bool {
+	for _, id := range c.arrived {
+		if !slices.Contains(parked, id) {
+			return false
+		}
+	}
+	return true
+}
+
+// grant releases the next party in order.
+func (c *Controller) grant() []int32 {
+	next := c.arrived[c.order[c.granted]]
+	c.granted++
+	c.done = c.granted == len(c.order)
+	return []int32{next}
 }

@@ -36,26 +36,29 @@ func TestPermutations(t *testing.T) {
 	}
 }
 
-func TestNewMultiControllerValidation(t *testing.T) {
+func TestNewControllerValidation(t *testing.T) {
 	pts := []Point{{StaticID: 1, Instance: 1}, {StaticID: 2, Instance: 1}}
-	if _, err := NewMultiController(pts, []int{0}); err == nil {
+	if _, err := NewController(pts, []int{0}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := NewMultiController(pts, []int{0, 0}); err == nil {
+	if _, err := NewController(pts, []int{0, 0}); err == nil {
 		t.Fatal("non-permutation accepted")
 	}
-	if _, err := NewMultiController(pts, []int{1, 0}); err != nil {
+	if _, err := NewController(pts, []int{0, 2}); err == nil {
+		t.Fatal("out-of-range order accepted")
+	}
+	if _, err := NewController(pts, []int{1, 0}); err != nil {
 		t.Fatalf("valid order rejected: %v", err)
 	}
 }
 
-func TestMultiControllerGrantSequence(t *testing.T) {
+func TestControllerGrantSequence(t *testing.T) {
 	pts := []Point{
 		{StaticID: 10, Instance: 1},
 		{StaticID: 20, Instance: 1},
 		{StaticID: 30, Instance: 1},
 	}
-	c, err := NewMultiController(pts, []int{2, 0, 1})
+	c, err := NewController(pts, []int{2, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +67,8 @@ func TestMultiControllerGrantSequence(t *testing.T) {
 			t.Fatalf("party %d not parked", i)
 		}
 	}
-	if !c.AllArrived {
-		t.Fatal("AllArrived not set")
+	if !c.Arrived {
+		t.Fatal("Arrived not set")
 	}
 	parked := []int32{1, 2, 3}
 	// Grant order: party 2 (thread 3), then 0 (thread 1), then 1 (thread 2).
@@ -149,7 +152,7 @@ func TestExploreAllFindsTheOnePoisonOrder(t *testing.T) {
 	}
 	failures := 0
 	for _, at := range attempts {
-		if !at.AllArrived {
+		if !at.Arrived {
 			t.Errorf("order %v: parties did not co-arrive (%s)", at.Order, at.Result.Summary())
 			continue
 		}
@@ -159,13 +162,62 @@ func TestExploreAllFindsTheOnePoisonOrder(t *testing.T) {
 			if !(at.Order[0] == 0 && at.Order[1] == 1 && at.Order[2] == 2) {
 				t.Errorf("unexpected failing order %v", at.Order)
 			}
+			if !strings.Contains(strings.ToLower(at.Result.Summary()), "abort") {
+				t.Errorf("order %v: summary lacks the failure: %s", at.Order, at.Result.Summary())
+			}
 		}
 	}
 	if failures != 1 {
-		t.Fatalf("%d failing orders, want exactly 1\n%s", failures, SummarizeAttempts(attempts))
+		t.Fatalf("%d failing orders, want exactly 1", failures)
 	}
-	if !strings.Contains(SummarizeAttempts(attempts), "ABORT") &&
-		!strings.Contains(SummarizeAttempts(attempts), "abort") {
-		t.Fatalf("summary lacks the failure:\n%s", SummarizeAttempts(attempts))
+}
+
+// blockedGrantWorkload: thread A's point is its own Sync on lk; thread B's
+// point is a write inside the same Sync. B parks holding lk, so granting A
+// first blocks A on the lock and the cluster quiesces: only a forced release
+// of B lets the run finish.
+func blockedGrantWorkload() (*rt.Workload, []Point) {
+	b := ir.NewProgram("blockedgrant")
+	m := b.Func("main")
+	m.Spawn("h1", "tA")
+	m.Spawn("h2", "tB")
+	m.Join("h1")
+	m.Join("h2")
+	for _, fn := range []string{"tA", "tB"} {
+		b.Func(fn).Sync("lk", nil, func(l *ir.BlockBuilder) {
+			l.Write("x", nil, ir.S(fn))
+		})
+	}
+	p := b.MustBuild()
+	syncA := p.FindStmt("tA", func(st ir.Stmt) bool { _, ok := st.(*ir.Sync); return ok })
+	writeB := p.FindStmt("tB", func(st ir.Stmt) bool { _, ok := st.(*ir.Write); return ok })
+	w := &rt.Workload{Name: "blockedgrant", Program: p, Nodes: []rt.NodeSpec{
+		{Name: "n1", Mains: []rt.MainSpec{{Fn: "main"}}},
+	}}
+	return w, []Point{
+		{StaticID: int32(syncA.Meta().ID), Instance: 1},
+		{StaticID: int32(writeB.Meta().ID), Instance: 1},
+	}
+}
+
+func TestExploreAllForcesBlockedGrant(t *testing.T) {
+	w, points := blockedGrantWorkload()
+	attempts, err := ExploreAll(w, points, Options{Seed: 1, MaxSteps: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(attempts) != 2 {
+		t.Fatalf("%d attempts, want 2", len(attempts))
+	}
+	for _, at := range attempts {
+		if !at.Arrived {
+			t.Errorf("order %v: parties did not co-arrive (%s)", at.Order, at.Result.Summary())
+		}
+		if at.Result.Hang {
+			t.Errorf("order %v: %s", at.Order, at.Result.Summary())
+		}
+	}
+	if at := attempts[0]; at.Order[0] != 0 || at.Forced == 0 {
+		t.Errorf("order %v: no forced release (%s)", at.Order, at.Result.Summary())
 	}
 }

@@ -17,8 +17,17 @@ func info(thread int32, node string, static int32, instance, nodeSeq int) rt.Tri
 	return rt.TrigInfo{Thread: thread, Node: node, StaticID: static, Seq: instance, Instance: instance, NodeSeq: nodeSeq}
 }
 
+func newController(t *testing.T, points []Point, order []int) *Controller {
+	t.Helper()
+	c, err := NewController(points, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestControllerHappyPath(t *testing.T) {
-	c := NewController(Point{StaticID: 10, Instance: 1}, Point{StaticID: 20, Instance: 1}, 1)
+	c := newController(t, []Point{{StaticID: 10, Instance: 1}, {StaticID: 20, Instance: 1}}, []int{1, 0})
 	// Unrelated statement: no park.
 	if c.BeforeStmt(info(5, "n", 99, 1, 1)) {
 		t.Fatal("parked on unrelated statement")
@@ -27,8 +36,8 @@ func TestControllerHappyPath(t *testing.T) {
 	if !c.BeforeStmt(info(1, "n1", 10, 1, 1)) {
 		t.Fatal("party A not parked")
 	}
-	if c.BothArrived {
-		t.Fatal("BothArrived too early")
+	if c.Arrived {
+		t.Fatal("Arrived too early")
 	}
 	// Nothing released while only one waits (not quiesced).
 	if rel := c.Release([]int32{1}, false); len(rel) != 0 {
@@ -38,10 +47,10 @@ func TestControllerHappyPath(t *testing.T) {
 	if !c.BeforeStmt(info(2, "n2", 20, 1, 1)) {
 		t.Fatal("party B not parked")
 	}
-	if !c.BothArrived {
-		t.Fatal("BothArrived not set")
+	if !c.Arrived {
+		t.Fatal("Arrived not set")
 	}
-	// order=1 means party B (thread 2) goes first.
+	// Order [1 0] means party B (thread 2) goes first.
 	rel := c.Release([]int32{1, 2}, false)
 	if len(rel) != 1 || rel[0] != 2 {
 		t.Fatalf("first release = %v, want [2]", rel)
@@ -62,7 +71,7 @@ func TestControllerHappyPath(t *testing.T) {
 }
 
 func TestControllerSecondInstance(t *testing.T) {
-	c := NewController(Point{StaticID: 10, Instance: 2}, Point{StaticID: 20, Instance: 1}, 0)
+	c := newController(t, []Point{{StaticID: 10, Instance: 2}, {StaticID: 20, Instance: 1}}, []int{0, 1})
 	if c.BeforeStmt(info(1, "n", 10, 1, 1)) {
 		t.Fatal("parked on wrong instance")
 	}
@@ -72,7 +81,7 @@ func TestControllerSecondInstance(t *testing.T) {
 }
 
 func TestControllerNodeMatching(t *testing.T) {
-	c := NewController(Point{StaticID: 10, Node: "zk1", Seq: 1}, Point{StaticID: 20, Instance: 1}, 0)
+	c := newController(t, []Point{{StaticID: 10, Node: "zk1", Seq: 1}, {StaticID: 20, Instance: 1}}, []int{0, 1})
 	// Same statement on another node: no park.
 	if c.BeforeStmt(info(1, "zk2", 10, 1, 1)) {
 		t.Fatal("parked on wrong node")
@@ -83,7 +92,7 @@ func TestControllerNodeMatching(t *testing.T) {
 }
 
 func TestControllerForcedOnQuiesce(t *testing.T) {
-	c := NewController(Point{StaticID: 10, Instance: 1}, Point{StaticID: 20, Instance: 1}, 0)
+	c := newController(t, []Point{{StaticID: 10, Instance: 1}, {StaticID: 20, Instance: 1}}, []int{0, 1})
 	if !c.BeforeStmt(info(1, "n", 10, 1, 1)) {
 		t.Fatal("not parked")
 	}
@@ -94,14 +103,14 @@ func TestControllerForcedOnQuiesce(t *testing.T) {
 	if c.Forced != 1 {
 		t.Fatalf("Forced = %d", c.Forced)
 	}
-	if c.BothArrived {
-		t.Fatal("BothArrived after forced release")
+	if c.Arrived {
+		t.Fatal("Arrived after forced release")
 	}
 }
 
 func TestControllerPatienceTimeout(t *testing.T) {
-	c := NewController(Point{StaticID: 10, Instance: 1}, Point{StaticID: 20, Instance: 1}, 0)
-	c.Patience = 5
+	c := newController(t, []Point{{StaticID: 10, Instance: 1}, {StaticID: 20, Instance: 1}}, []int{0, 1})
+	c.patience = 5
 	if !c.BeforeStmt(info(1, "n", 10, 1, 1)) {
 		t.Fatal("not parked")
 	}
@@ -125,8 +134,8 @@ func TestClassify(t *testing.T) {
 		attempts []Attempt
 		want     Verdict
 	}{
-		{"harmful", []Attempt{{BothArrived: true, Result: ok}, {BothArrived: true, Result: bad}}, VerdictHarmful},
-		{"benign", []Attempt{{BothArrived: true, Result: ok}, {BothArrived: true, Result: ok}}, VerdictBenign},
+		{"harmful", []Attempt{{Arrived: true, Result: ok}, {Arrived: true, Result: bad}}, VerdictHarmful},
+		{"benign", []Attempt{{Arrived: true, Result: ok}, {Arrived: true, Result: ok}}, VerdictBenign},
 		{"serial-forced", []Attempt{{Forced: 1, Result: ok}, {Forced: 1, Result: ok}}, VerdictSerial},
 		{"serial-timeout", []Attempt{{TimedOut: 1, Result: ok}, {TimedOut: 1, Result: ok}}, VerdictSerial},
 		{"untriggered", []Attempt{{Result: ok}, {Result: ok}}, VerdictUntriggered},

@@ -41,11 +41,11 @@ func (v Verdict) String() string {
 
 // Attempt is one controlled run.
 type Attempt struct {
-	FirstParty  int // which party (0=A, 1=B) was granted first
-	BothArrived bool
-	Forced      int
-	TimedOut    int
-	Result      *rt.Result
+	Order    []int // grant sequence: Order[0] is the party granted first
+	Arrived  bool  // every party was parked simultaneously
+	Forced   int
+	TimedOut int
+	Result   *rt.Result
 }
 
 // Validation is the outcome of validating one candidate.
@@ -62,7 +62,7 @@ func (v *Validation) Summary() string {
 	fmt.Fprintf(&b, "%s (%s)", v.Verdict, v.Pair.Obj)
 	for _, at := range v.Attempts {
 		fmt.Fprintf(&b, " [first=%d arrived=%v forced=%d timeout=%d %s]",
-			at.FirstParty, at.BothArrived, at.Forced, at.TimedOut, at.Result.Summary())
+			at.Order[0], at.Arrived, at.Forced, at.TimedOut, at.Result.Summary())
 	}
 	return b.String()
 }
@@ -95,26 +95,72 @@ func Validate(w *rt.Workload, pair detect.Pair, tr *trace.Trace, g *hb.Graph, op
 		v.Placement = Place(&pair, tr, g, rpcWorkers)
 	}
 
-	for first := 0; first < 2; first++ {
-		ctrl := NewController(v.Placement[0].Point, v.Placement[1].Point, first)
-		res, err := rt.Run(w, rt.Options{
-			Seed:     opts.Seed,
-			MaxSteps: opts.MaxSteps,
-			Trigger:  ctrl,
-		})
+	points := []Point{v.Placement[0].Point, v.Placement[1].Point}
+	v.Attempts = explore(w, points, [][]int{{0, 1}, {1, 0}}, opts)
+	v.Verdict = classify(v.Attempts)
+	return v
+}
+
+// ExploreAll restarts the workload once per ordering permutation of the
+// given points (paper §5.1: "until all ordering permutations among all the
+// request parties are explored") and returns every attempt.
+func ExploreAll(w *rt.Workload, points []Point, opts Options) ([]Attempt, error) {
+	orders, err := Permutations(len(points))
+	if err != nil {
+		return nil, err
+	}
+	return explore(w, points, orders, opts), nil
+}
+
+// explore runs the workload once per grant order. A runtime error ends its
+// attempt as a hang.
+func explore(w *rt.Workload, points []Point, orders [][]int, opts Options) []Attempt {
+	attempts := make([]Attempt, 0, len(orders))
+	for _, order := range orders {
+		ctrl, err := NewController(points, order)
+		if err != nil {
+			panic(err) // orders are permutations of the points by construction
+		}
+		res, err := rt.Run(w, rt.Options{Seed: opts.Seed, MaxSteps: opts.MaxSteps, Trigger: ctrl})
 		if err != nil {
 			res = &rt.Result{Hang: true, HangInfo: "runtime error: " + err.Error()}
 		}
-		v.Attempts = append(v.Attempts, Attempt{
-			FirstParty:  first,
-			BothArrived: ctrl.BothArrived,
-			Forced:      ctrl.Forced,
-			TimedOut:    ctrl.TimedOut,
-			Result:      res,
+		attempts = append(attempts, Attempt{
+			Order:    order,
+			Arrived:  ctrl.Arrived,
+			Forced:   ctrl.Forced,
+			TimedOut: ctrl.TimedOut,
+			Result:   res,
 		})
 	}
-	v.Verdict = classify(v.Attempts)
-	return v
+	return attempts
+}
+
+// Permutations returns every permutation of 0..n-1. n is capped at 6 (720
+// restarts) to keep explorations bounded.
+func Permutations(n int) ([][]int, error) {
+	if n < 1 || n > 6 {
+		return nil, fmt.Errorf("trigger: permutation exploration supports 1..6 parties, got %d", n)
+	}
+	var out [][]int
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	var rec func(k int)
+	rec = func(k int) {
+		if k == n {
+			out = append(out, append([]int(nil), perm...))
+			return
+		}
+		for i := k; i < n; i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			rec(k + 1)
+			perm[k], perm[i] = perm[i], perm[k]
+		}
+	}
+	rec(0)
+	return out, nil
 }
 
 func classify(attempts []Attempt) Verdict {
@@ -122,10 +168,10 @@ func classify(attempts []Attempt) Verdict {
 	anyReached := false
 	anyFailed := false
 	for _, at := range attempts {
-		if at.BothArrived {
+		if at.Arrived {
 			anyArrived = true
 		}
-		if at.BothArrived || at.Forced > 0 || at.TimedOut > 0 {
+		if at.Arrived || at.Forced > 0 || at.TimedOut > 0 {
 			anyReached = true
 		}
 		if at.Result != nil && at.Result.Failed() {
