@@ -3,14 +3,13 @@ package bench
 import (
 	"flag"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 	"text/tabwriter"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/tables.golden")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files")
 
 // cellSep splits a rendered table row into cells: the tabwriter pads every
 // column with at least two spaces, and no cell holds two spaces in a row.
@@ -52,23 +51,7 @@ func TestTablesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := maskTimings(out)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(tablesGolden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(tablesGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(tablesGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("tables differ from %s (-update to regenerate)\n--- got\n%s--- want\n%s", tablesGolden, got, want)
-	}
+	checkGolden(t, tablesGolden, maskTimings(out))
 }
 
 // goldenTables splits the golden text into its tables, keyed by their

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dcatch/internal/detect"
+	"dcatch/internal/obs"
 	"dcatch/internal/stream"
 	"dcatch/internal/trace"
 )
@@ -20,14 +21,14 @@ import (
 // dcatch-trace -follow — where the run that produced the trace is not
 // reproducible locally. Options is honored for everything that doesn't need
 // the program: HB rule ablation, the reachability backend and memory budget,
-// detection tuning, the chunked-analysis fallback and its scan cache;
-// results are byte-identical to the TA stage Detect would compute on the
-// same trace.
+// detection tuning, the chunked-analysis fallback and its scan cache. The
+// analysis is Detect's TA stage itself (analyzeTrace), so results are
+// byte-identical to what Detect computes on the same trace.
 func AnalyzeTrace(tr *trace.Trace, opts Options) (*Result, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("core: AnalyzeTrace: nil trace")
 	}
-	j := newTraceJob(opts, false, nil)
+	j := &TraceJob{opts: opts, an: newAnalyzer(opts, false, nil)}
 	j.an.AppendTrace(tr)
 	return j.Finish()
 }
@@ -37,8 +38,8 @@ func AnalyzeTrace(tr *trace.Trace, opts Options) (*Result, error) {
 // upload body, a growing file), every record a segment completes runs
 // through the streaming analyzer's online provisional pass, and Finish
 // produces the Result AnalyzeTrace computes on the decoded trace — the same
-// analyzer, built from the same Options by the same function, so the two
-// cannot drift. Not safe for concurrent use.
+// analyzer, built from the same Options by the same function, finished by
+// the same stage, so the two cannot drift. Not safe for concurrent use.
 type TraceJob struct {
 	opts   Options
 	an     *stream.Analyzer
@@ -50,19 +51,17 @@ type TraceJob struct {
 // onEvent, when non-nil, receives the provisional candidates and, during
 // Finish, their retractions.
 func NewTraceJob(opts Options, onEvent func(stream.Event)) *TraceJob {
-	j := newTraceJob(opts, true, onEvent)
-	j.dec = trace.NewStreamDecoder()
-	return j
+	return &TraceJob{opts: opts, an: newAnalyzer(opts, true, onEvent), dec: trace.NewStreamDecoder()}
 }
 
-// newTraceJob is the one place a trace job's stream.Options are derived
-// from core.Options.
-func newTraceJob(opts Options, provisional bool, onEvent func(stream.Event)) *TraceJob {
-	return &TraceJob{opts: opts, an: stream.New(stream.Options{
+// newAnalyzer is the one place a trace analysis's stream.Options are
+// derived from core.Options.
+func newAnalyzer(opts Options, provisional bool, onEvent func(stream.Event)) *stream.Analyzer {
+	return stream.New(stream.Options{
 		HB: opts.HB, Detect: opts.Detect, ChunkSize: opts.ChunkSize,
 		Provisional: provisional, OnEvent: onEvent,
 		Obs: opts.Obs, Logf: opts.Obs.Logf, Cache: opts.ScanCache,
-	})}
+	})
 }
 
 // Feed decodes the next segment of the trace and runs the records it
@@ -119,15 +118,26 @@ func (j *TraceJob) Finish() (*Result, error) {
 	}
 	rec := j.opts.Obs
 	rec.Logf("analyze trace %s: %d records", tr.Program, len(tr.Recs))
+	res := newTraceResult(tr)
+	res.seed = j.opts.Seed
+	res.analyzeTrace(j.an, rec)
+	if !res.OOM {
+		res.countStage(rec, "final", res.Final)
+	}
+	return res, nil
+}
 
+// analyzeTrace is the pipeline's one trace-analysis stage — the "TA" column
+// of Table 5 — behind Detect and every trace job: it finishes an, which
+// holds the whole trace, under a core.trace_analysis span and fills the TA
+// report, Graph, Chunked/OOM and the analysis stats from the outcome.
+func (res *Result) analyzeTrace(an *stream.Analyzer, rec *obs.Recorder) {
 	sp := rec.Span("core.trace_analysis")
 	t0 := time.Now()
-	j.an.SetSpans(sp)
-	sr := j.an.Finish()
-	elapsed := time.Since(t0)
-	res := TraceResult(tr, sr.Report, sr.HBMemBytes, sr.Backend, sr.Chunked)
-	res.seed = j.opts.Seed
-	res.Stats.AnalysisTime = elapsed
+	an.SetSpans(sp)
+	sr := an.Finish()
+	res.fillTA(sr.Report, sr.HBMemBytes, sr.Backend, sr.Chunked)
+	res.Stats.AnalysisTime = time.Since(t0)
 	if res.OOM {
 		sp.Attr("oom", true)
 		sp.End()
@@ -136,7 +146,7 @@ func (j *TraceJob) Finish() (*Result, error) {
 		} else {
 			rec.Logf("trace analysis: OUT OF MEMORY (%v)", sr.Err)
 		}
-		return res, nil
+		return
 	}
 	if sr.Chunked {
 		sp.Attr("chunked", true)
@@ -146,32 +156,44 @@ func (j *TraceJob) Finish() (*Result, error) {
 	}
 	sp.End()
 	res.countStage(rec, "ta", res.TA)
-	res.countStage(rec, "final", res.Final)
-	rec.Logf("trace analysis: %d/%d candidates in %v",
-		res.Stats.TAStatic, res.Stats.TACallstack, res.Stats.AnalysisTime)
-	return res, nil
+	rec.Logf("trace analysis: %d vertices, %d edges, %d/%d candidates in %v",
+		res.Stats.HBVertices, res.Stats.HBEdges, res.Stats.TAStatic, res.Stats.TACallstack, res.Stats.AnalysisTime)
 }
 
 // TraceResult is the Result of a trace-analysis-only job — no workload and
 // no IR, so TA, SP and Final all hold rep — filled from what the analysis
 // produced: the merged or full-graph report (nil: the analysis ran out of
-// memory), the peak reachability footprint and the resolved backend. Every
-// topology that analyzes a bare trace (TraceJob, the cluster coordinator)
-// builds its Result here, so their stats cannot drift apart.
+// memory), the peak reachability footprint and the resolved backend. The
+// cluster coordinator builds its Result here, with the same fill the
+// trace-analysis stage applies, so their stats cannot drift apart.
 func TraceResult(tr *trace.Trace, rep *detect.Report, peakBytes int64, backend string, chunked bool) *Result {
-	res := &Result{Trace: tr, Chunked: chunked, OOM: rep == nil}
+	res := newTraceResult(tr)
+	res.fillTA(rep, peakBytes, backend, chunked)
+	return res
+}
+
+// newTraceResult returns a Result carrying tr and its size stats.
+func newTraceResult(tr *trace.Trace) *Result {
+	res := &Result{Trace: tr}
 	res.Stats.TraceRecords = len(tr.Recs)
 	res.Stats.TraceBytes = tr.EncodedSize()
+	return res
+}
+
+// fillTA records a trace-analysis outcome as a trace-analysis-only result:
+// TA, SP and Final all hold rep (Detect overwrites SP and Final with its
+// later stages), and a nil rep marks the analysis out of memory.
+func (res *Result) fillTA(rep *detect.Report, peakBytes int64, backend string, chunked bool) {
+	res.Chunked, res.OOM = chunked, rep == nil
 	if rep == nil {
-		return res
+		return
 	}
 	res.TA, res.SP, res.Final = rep, rep, rep
-	res.Stats.HBVertices = len(tr.Recs)
+	res.Stats.HBVertices = len(res.Trace.Recs)
 	res.Stats.HBMemBytes = peakBytes
 	res.Stats.ReachBackend = backend
 	res.Stats.TAStatic = rep.StaticCount()
 	res.Stats.TACallstack = rep.CallstackCount()
 	res.Stats.SPStatic, res.Stats.SPCallstack = res.Stats.TAStatic, res.Stats.TACallstack
 	res.Stats.LPStatic, res.Stats.LPCallstack = res.Stats.TAStatic, res.Stats.TACallstack
-	return res
 }

@@ -23,7 +23,6 @@ import (
 	"dcatch/internal/obs"
 	"dcatch/internal/rt"
 	"dcatch/internal/scancache"
-	"dcatch/internal/stream"
 	"dcatch/internal/trace"
 	"dcatch/internal/trigger"
 )
@@ -210,64 +209,14 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 		}
 	}
 
-	// Trace analysis without Rule-Mpull: the "TA" stage of Table 5.
-	sp = rec.Span("core.trace_analysis")
-	t0 = time.Now()
-	cfg := opts.HB
-	cfg.LoopReads = nil
-	cfg.Obs = sp
-	dopt := opts.Detect
-	dopt.Obs = sp
-	g0, err := hb.Build(res.Trace, cfg)
-	switch {
-	case err == nil:
-		res.TA = detect.Find(g0, dopt)
-		res.Stats.HBVertices = g0.N()
-		res.Stats.HBEdges = g0.Edges()
-		res.Stats.HBMemBytes = g0.MemBytes()
-		res.Stats.ReachBackend = g0.Backend().String()
-		res.Graph = g0
-	case opts.ChunkSize <= 0:
-		res.OOM = true
-		res.Stats.AnalysisTime = time.Since(t0)
-		sp.Attr("oom", true)
-		sp.End()
-		rec.Logf("trace analysis: OUT OF MEMORY (%v)", err)
+	// Trace analysis without Rule-Mpull: the "TA" stage of Table 5, the
+	// same stage AnalyzeTrace and every trace job run.
+	an := newAnalyzer(opts, false, nil)
+	an.AppendTrace(res.Trace)
+	res.analyzeTrace(an, rec)
+	if res.OOM {
 		return res, nil
-	default:
-		// Chunked fallback (§7.2): analyze window by window through the
-		// stream layer's replay of the one window engine, with the scan
-		// cache consulted per window when configured.
-		rec.Logf("trace analysis: budget exceeded, falling back to %d-record windows", opts.ChunkSize)
-		wan := stream.New(stream.Options{
-			HB: cfg, Detect: dopt,
-			ChunkSize: opts.ChunkSize,
-			Cache:     opts.ScanCache,
-		})
-		wan.AppendTrace(res.Trace)
-		wres := wan.Finish()
-		if wres.OOM {
-			res.OOM = true
-			res.Stats.AnalysisTime = time.Since(t0)
-			sp.Attr("oom", true)
-			sp.End()
-			rec.Logf("chunked analysis: OUT OF MEMORY (%v)", wres.Err)
-			return res, nil
-		}
-		res.Chunked = true
-		res.TA = wres.Report
-		res.Stats.HBVertices = len(res.Trace.Recs)
-		res.Stats.HBMemBytes = wres.HBMemBytes
-		res.Stats.ReachBackend = wres.Backend
-		sp.Attr("chunked", true)
 	}
-	res.Stats.TAStatic = res.TA.StaticCount()
-	res.Stats.TACallstack = res.TA.CallstackCount()
-	res.Stats.AnalysisTime = time.Since(t0)
-	sp.End()
-	res.countStage(rec, "ta", res.TA)
-	rec.Logf("trace analysis: %d vertices, %d edges, %d/%d candidates in %v",
-		res.Stats.HBVertices, res.Stats.HBEdges, res.Stats.TAStatic, res.Stats.TACallstack, res.Stats.AnalysisTime)
 
 	// Static pruning (§4).
 	sp = rec.Span("core.static_pruning")
@@ -292,11 +241,12 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 	res.Final = res.SP
 	if !res.Chunked && !opts.SkipLoopSync && len(loopReads) > 0 {
 		sp = rec.Span("core.loop_sync_analysis")
+		cfg := opts.HB
 		cfg.LoopReads = loopReads
 		cfg.Obs = sp
 		g1, err := hb.Build(res.Trace, cfg)
 		if err == nil {
-			opt2 := dopt
+			opt2 := opts.Detect
 			opt2.SuppressPull = true
 			opt2.Obs = sp
 			lp := detect.Find(g1, opt2)

@@ -40,9 +40,9 @@ type WindowScan struct {
 }
 
 // Merge folds a scanned window into the global map; windows must arrive in
-// ascending start order. Returns how many callstack pairs were new.
-func (m *ChunkMerger) Merge(ws WindowScan, start int) int {
-	return m.merge(ws.fm, ws.tab, start)
+// ascending start order.
+func (m *ChunkMerger) Merge(ws WindowScan, start int) {
+	m.merge(ws.fm, ws.tab, start)
 }
 
 // merge folds one window's candidate map into the global one. Remapping
@@ -50,7 +50,7 @@ func (m *ChunkMerger) Merge(ws WindowScan, start int) int {
 // distinct stack per window; representative record indices and the rep sort
 // key rebase onto the full trace by start (both packed halves shift, and the
 // low half cannot carry into the high one — trace indices fit in 32 bits).
-func (m *ChunkMerger) merge(fm map[uint64]*foundPair, tab *internTable, start int) int {
+func (m *ChunkMerger) merge(fm map[uint64]*foundPair, tab *internTable, start int) {
 	m.windows++
 	remap := make([]int32, len(tab.strs))
 	for id, s := range tab.strs {
@@ -61,7 +61,6 @@ func (m *ChunkMerger) merge(fm map[uint64]*foundPair, tab *internTable, start in
 		}
 		remap[id] = gid
 	}
-	added := 0
 	for k, fp := range fm {
 		gk := packStackIDs(remap[k>>32], remap[k&0xffffffff])
 		if ex, ok := m.merged[gk]; ok {
@@ -72,9 +71,7 @@ func (m *ChunkMerger) merge(fm map[uint64]*foundPair, tab *internTable, start in
 		fp.pair.BRec += start
 		fp.rep += int64(start)<<32 + int64(start)
 		m.merged[gk] = fp
-		added++
 	}
-	return added
 }
 
 // Candidates returns the number of distinct callstack pairs merged so far.

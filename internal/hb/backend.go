@@ -68,7 +68,7 @@ func DenseReachBytes(n int) int64 {
 // cfg would be refused by the up-front admission check — i.e. whether a
 // pipeline with chunking enabled will take the windowed path. It runs the
 // same resolveBackend logic Build runs before constructing any edges
-// (O(1) for dense, one O(n) chain-assignment pass otherwise), so callers
+// (O(1) for dense, one O(n) chain count otherwise), so callers
 // that need to know the window shape in advance — the serve layer keys
 // whole-report cache entries on it — get exactly Build's decision.
 func FullBuildExceedsBudget(tr *trace.Trace, cfg Config) bool {
@@ -100,7 +100,7 @@ func (g *Graph) resolveBackend() error {
 		}
 	case BackendChain:
 		g.backend = BackendChain
-		c := g.ChainDecomposition().Chains()
+		c := chainCount(g.Tr, g.cfg)
 		if need := indexBytes(n, c); budget > 0 && need > budget {
 			return fmt.Errorf("%w: chain index needs %d bytes (%d vertices x %d chains), budget %d",
 				ErrOutOfMemory, need, n, c, budget)
@@ -110,7 +110,7 @@ func (g *Graph) resolveBackend() error {
 			g.backend = BackendDense
 			return nil
 		}
-		c := g.ChainDecomposition().Chains()
+		c := chainCount(g.Tr, g.cfg)
 		need := indexBytes(n, c)
 		if need > budget {
 			return fmt.Errorf("%w: auto backend: dense needs %d bytes, chain needs %d bytes (%d chains), budget %d",

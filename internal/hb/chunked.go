@@ -85,17 +85,6 @@ func (c *WindowCutter) Next(n int) (w [2]int, ok bool) {
 	return c.emit(end, end-c.overlap), true
 }
 
-// Flush cuts the open window early at n records (every filled window must
-// already have been taken with Next); ok is false when it is empty. The next
-// window still starts overlap records back, clamped to the flushed window's
-// own start, so the boundary keeps the coverage full windows get.
-func (c *WindowCutter) Flush(n int) (w [2]int, ok bool) {
-	if n == c.start {
-		return w, false
-	}
-	return c.emit(n, max(n-c.overlap, c.start)), true
-}
-
 // Finish returns the tail window of an n-record trace: present iff no window
 // was cut yet (an empty trace is still one window) or the last one ended
 // before n.

@@ -20,7 +20,7 @@ import (
 
 // ChainDecomposition is a trace's program-order chain decomposition under
 // one graph's ablation config: the grouping whose consecutive records
-// addProgramOrder links, so the records of one chain are totally ordered by
+// Rule-Preg/Pnreg links, so the records of one chain are totally ordered by
 // happens-before. The slices are views shared with the graph — callers must
 // treat them as read-only.
 type ChainDecomposition struct {
@@ -32,35 +32,9 @@ type ChainDecomposition struct {
 // Chains returns the chain count.
 func (d ChainDecomposition) Chains() int { return len(d.Len) }
 
-// ChainDecomposition returns the graph's chain decomposition, computed on
-// the first call and shared by every later one (it is immutable once built,
-// so concurrent callers share it safely behind the Once).
-func (g *Graph) ChainDecomposition() ChainDecomposition {
-	g.decOnce.Do(g.decompose)
-	return g.dec
-}
-
-// decompose numbers the trace's chains in first-appearance order under the
-// graph's ablation config: the same ctxKey addProgramOrder uses, so chains
-// and Preg/Pnreg edges agree.
-func (g *Graph) decompose() {
-	n := g.N()
-	d := ChainDecomposition{Of: make([]int32, n), Pos: make([]int32, n)}
-	ids := make(map[int64]int32)
-	for i := range g.Tr.Recs {
-		k := g.ctxKey(&g.Tr.Recs[i])
-		id, ok := ids[k]
-		if !ok {
-			id = int32(len(ids))
-			ids[k] = id
-			d.Len = append(d.Len, 0)
-		}
-		d.Of[i] = id
-		d.Pos[i] = d.Len[id]
-		d.Len[id]++
-	}
-	g.dec = d
-}
+// ChainDecomposition returns the graph's chain decomposition, filled by
+// Build's rules pass and immutable afterwards.
+func (g *Graph) ChainDecomposition() ChainDecomposition { return g.dec }
 
 // SweepStats summarizes one ChainClockSweep for observability: the epoch
 // detector records these as detect.epoch.* counters.

@@ -49,7 +49,7 @@ func closureFixedPoint(g *Graph) {
 // buildByClosure is Build with the oracle fixed point in place of eserial.
 func buildByClosure(t *testing.T, tr *trace.Trace, cfg Config) *Graph {
 	t.Helper()
-	g := &Graph{Tr: tr, cfg: cfg, in: make([][]int32, len(tr.Recs))}
+	g := &Graph{Tr: tr, cfg: cfg}
 	if err := g.resolveBackend(); err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,10 @@
 //	Rule-Preg/Pnreg: program order within a context (whole thread for
 //	              regular threads; one handler instance otherwise)
 //
+// Rule-Preg/Pnreg and the ID-matched pair rules are derived in one place,
+// Deriver: a single forward pass that Build runs over the whole trace and
+// the streaming analyzer (internal/stream) runs as records arrive.
+//
 // Config's Disable* switches reproduce the Table 9 rule ablation: dropping a
 // rule family both removes its ⇒ edges (false positives appear) and degrades
 // Rule-Pnreg to whole-thread Rule-Preg for the affected handler records
@@ -42,7 +46,10 @@ import (
 // made up front, whether or not the index is ever built.
 var ErrOutOfMemory = errors.New("hb: reachability sets exceed memory budget")
 
-// Config controls graph construction.
+// Config controls graph construction. The ablation switches act through
+// two unexported methods, ctxKey (a record's chain) and dropped (whether its
+// pair-rule role is ignored), read only by Deriver and the chain-model
+// admission count.
 type Config struct {
 	// Rule ablation switches (Table 9).
 	DisableEvent  bool
@@ -101,11 +108,9 @@ type Graph struct {
 	// backend is the admission model Build resolved.
 	backend Backend
 
-	// dec is the trace's chain decomposition, computed on first use (the
-	// chain admission check, an Eserial round or the index build) and
+	// dec is the trace's chain decomposition, filled by the rules pass and
 	// immutable afterwards.
-	decOnce sync.Once
-	dec     ChainDecomposition
+	dec ChainDecomposition
 
 	// clk is the reachability index: clk[v*C+c] is vertex v's chain clock
 	// entry for chain c. The first point query (ancestor) fills it, never
@@ -131,15 +136,12 @@ type Graph struct {
 // (detect.Find) never pays for it.
 func Build(tr *trace.Trace, cfg Config) (*Graph, error) {
 	g := &Graph{Tr: tr, cfg: cfg}
-	n := len(tr.Recs)
-	g.in = make([][]int32, n)
-
 	if err := g.resolveBackend(); err != nil {
 		return nil, err
 	}
 
 	g.sp = cfg.Obs.Child("hb.build")
-	g.sp.Attr("vertices", n)
+	g.sp.Attr("vertices", g.N())
 	g.sp.Attr("reach_backend", g.backend.String())
 
 	rules := g.sp.Child("hb.rules")
@@ -151,11 +153,34 @@ func Build(tr *trace.Trace, cfg Config) (*Graph, error) {
 	return g, nil
 }
 
-// addRules applies every rule but Rule-Eserial and dedups the adjacency
-// lists once they are complete.
+// addRules applies every rule but Rule-Eserial: one Deriver pass adds the
+// program-order and pair-rule edges and fills the chain decomposition, then
+// Rule-Mpull, and the adjacency lists are deduped once they are complete.
+// The per-rule counters tally edges as they are added, before the dedup.
 func (g *Graph) addRules() {
-	g.addProgramOrder()
-	g.addPairRules()
+	n := g.N()
+	g.in = make([][]int32, n)
+	g.dec = ChainDecomposition{Of: make([]int32, n), Pos: make([]int32, n)}
+	d := NewDeriver(g.cfg)
+	var preg int64
+	var pair [len(ruleCounterNames)]int64
+	for i := range g.Tr.Recs {
+		st := d.Next(i, &g.Tr.Recs[i])
+		g.dec.Of[i], g.dec.Pos[i] = st.Chain, st.Pos
+		if st.Pred >= 0 {
+			g.in[i] = append(g.in[i], st.Pred)
+			preg++
+		}
+		if st.Src >= 0 {
+			g.in[i] = append(g.in[i], st.Src)
+			pair[st.rule]++
+		}
+	}
+	g.dec.Len = d.lens
+	g.sp.Count("hb.edges.preg", preg)
+	for rule, added := range pair {
+		g.sp.Count(ruleCounterNames[rule], added)
+	}
 	g.addPullEdges()
 	g.dedupEdges()
 }
@@ -247,16 +272,11 @@ func (g *Graph) dedupEdges() {
 	g.edgeCount = count
 }
 
-// ctxKey computes the program-order context of a record, honouring the
-// rule-ablation switches: with a family disabled, its handler instances
-// collapse into whole-thread order (the Rule-Preg fallback of §7.4).
-func (g *Graph) ctxKey(r *trace.Rec) int64 { return g.cfg.CtxKey(r) }
-
-// CtxKey computes the program-order context key of r under the config's
-// ablation switches — the chain identity addProgramOrder and the chain
-// decomposition use. Exported for the streaming analyzer, whose online
-// chain assignment must agree with the graph it later builds.
-func (cfg Config) CtxKey(r *trace.Rec) int64 {
+// ctxKey computes the program-order context key of r under the config's
+// ablation switches — the chain identity of the chain decomposition: with a
+// family disabled, its handler instances collapse into whole-thread order
+// (the Rule-Preg fallback of §7.4).
+func (cfg Config) ctxKey(r *trace.Rec) int64 {
 	degrade := false
 	switch r.CtxKind {
 	case trace.CtxEvent:
@@ -274,15 +294,10 @@ func (cfg Config) CtxKey(r *trace.Rec) int64 {
 	return int64(r.Thread)<<32 | int64(uint32(r.Ctx))
 }
 
-// dropped reports whether a record's HB role is ignored under the ablation
-// config (the record still exists as a vertex and keeps program order).
-func (g *Graph) dropped(r *trace.Rec) bool { return g.cfg.Dropped(r) }
-
-// Dropped reports whether r's HB role is ignored under the config's
+// dropped reports whether r's HB role is ignored under the config's
 // ablation switches (the record still exists as a vertex and keeps program
-// order). Exported alongside CtxKey for the streaming analyzer's online
-// edge derivation.
-func (cfg Config) Dropped(r *trace.Rec) bool {
+// order).
+func (cfg Config) dropped(r *trace.Rec) bool {
 	switch r.Kind {
 	case trace.KEventCreate, trace.KEventBegin, trace.KEventEnd:
 		return cfg.DisableEvent
@@ -294,98 +309,6 @@ func (cfg Config) Dropped(r *trace.Rec) bool {
 		return cfg.DisablePush
 	}
 	return false
-}
-
-// addProgramOrder applies Rule-Preg / Rule-Pnreg.
-func (g *Graph) addProgramOrder() {
-	last := map[int64]int{}
-	var added int64
-	for i := range g.Tr.Recs {
-		k := g.ctxKey(&g.Tr.Recs[i])
-		if p, ok := last[k]; ok {
-			if g.addEdge(p, i) {
-				added++
-			}
-		}
-		last[k] = i
-	}
-	g.sp.Count("hb.edges.preg", added)
-}
-
-// addPairRules applies the ID-matched rules: Tfork/Tjoin, Eenq, Mrpc, Msoc,
-// Mpush.
-func (g *Graph) addPairRules() {
-	type key struct {
-		kind trace.Kind
-		op   uint64
-	}
-	first := map[key]int{}
-	for i := range g.Tr.Recs {
-		r := &g.Tr.Recs[i]
-		if g.dropped(r) {
-			continue
-		}
-		switch r.Kind {
-		case trace.KThreadCreate, trace.KThreadEnd, trace.KEventCreate,
-			trace.KRPCCreate, trace.KRPCEnd, trace.KSockSend, trace.KZKUpdate:
-			if _, dup := first[key{r.Kind, r.Op}]; !dup {
-				first[key{r.Kind, r.Op}] = i
-			}
-		}
-	}
-	// Per-rule tallies, indexed in lockstep with ruleCounterNames.
-	var added [6]int64
-	pair := func(i int, srcKind trace.Kind, op uint64, rule int) {
-		if s, ok := first[key{srcKind, op}]; ok {
-			if g.addEdge(s, i) {
-				added[rule]++
-			}
-		}
-	}
-	for i := range g.Tr.Recs {
-		r := &g.Tr.Recs[i]
-		if g.dropped(r) {
-			continue
-		}
-		switch r.Kind {
-		case trace.KThreadBegin:
-			pair(i, trace.KThreadCreate, r.Op, ruleTfork)
-		case trace.KThreadJoin:
-			pair(i, trace.KThreadEnd, r.Op, ruleTjoin)
-		case trace.KEventBegin:
-			pair(i, trace.KEventCreate, r.Op, ruleEenq)
-		case trace.KRPCBegin:
-			pair(i, trace.KRPCCreate, r.Op, ruleMrpc)
-		case trace.KRPCJoin:
-			pair(i, trace.KRPCEnd, r.Op, ruleMrpc)
-		case trace.KSockRecv:
-			pair(i, trace.KSockSend, r.Op, ruleMsoc)
-		case trace.KZKPushed:
-			pair(i, trace.KZKUpdate, r.Op, ruleMpush)
-		}
-	}
-	for rule, n := range added {
-		g.sp.Count(ruleCounterNames[rule], n)
-	}
-}
-
-// Rule indices and counter names for the ID-matched pair rules.
-const (
-	ruleTfork = iota
-	ruleTjoin
-	ruleEenq
-	ruleMrpc
-	ruleMsoc
-	ruleMpush
-)
-
-var ruleCounterNames = [...]string{
-	ruleTfork: "hb.edges.tfork",
-	ruleTjoin: "hb.edges.tjoin",
-	ruleEenq:  "hb.edges.eenq",
-	ruleMrpc:  "hb.edges.mrpc",
-	ruleMsoc:  "hb.edges.msoc",
-	ruleMpush: "hb.edges.mpush",
 }
 
 // addPullEdges applies Rule-Mpull using the focused run's records: for each

@@ -84,6 +84,26 @@ func TestForkJoin(t *testing.T) {
 	}
 }
 
+// A pair-rule target links to the first occurrence of its source's op only:
+// a repeated send of the same message id orders nothing, online or batch.
+func TestPairRuleFirstSource(t *testing.T) {
+	b := newTB()
+	s1 := b.op("n", 1, 1, trace.CtxRegular, trace.KSockSend, 4)
+	s2 := b.op("n", 3, 3, trace.CtxRegular, trace.KSockSend, 4)
+	rv := b.op("n", 2, 2, trace.CtxRegular, trace.KSockRecv, 4)
+	g := b.build(t, Config{})
+	if !g.HappensBefore(s1, rv) || g.HappensBefore(s2, rv) {
+		t.Fatal("Msoc must link the receive to the first send only")
+	}
+	d := NewDeriver(Config{})
+	for i := range g.Tr.Recs {
+		st := d.Next(i, &g.Tr.Recs[i])
+		if st.FirstSource != (i == s1) || (i == rv) != (st.Src == int32(s1)) {
+			t.Fatalf("record %d: step %+v", i, st)
+		}
+	}
+}
+
 func TestRPCRule(t *testing.T) {
 	b := newTB()
 	w := b.mem("n1", 1, 1, trace.CtxRegular, trace.KMemWrite, "n1/x", 1)

@@ -71,7 +71,7 @@ func vectorClocks(g *Graph) []vectorClock {
 		for _, u := range g.in[v] {
 			c.join(clocks[u])
 		}
-		k := g.ctxKey(&g.Tr.Recs[v])
+		k := g.cfg.ctxKey(&g.Tr.Recs[v])
 		d, ok := dims[k]
 		if !ok {
 			d = len(dims)

@@ -94,15 +94,6 @@ func (s *ResumableSweep) Snapshot(chain int) vclock.ChainClock {
 	return s.frontier[chain].Clone()
 }
 
-// Clock returns chain's live frontier clock (nil if the chain has no vertex
-// yet). Read-only; it is reused by the next Advance.
-func (s *ResumableSweep) Clock(chain int) vclock.ChainClock {
-	if chain >= len(s.frontier) {
-		return nil
-	}
-	return s.frontier[chain]
-}
-
 // At reads clock entry `chain`, treating a short or nil clock as Unreached —
 // the growable-clock form of clock[chain].
 func At(c vclock.ChainClock, chain int32) int32 {

@@ -9,24 +9,14 @@ import (
 	"dcatch/internal/vclock"
 )
 
-// The provisional engine: an online restatement of the batch pipeline's
-// chain decomposition, edge derivation, chain-clock sweep and epoch scan,
-// run record by record so candidates surface while the trace is still being
-// written.
-//
-// Why it can be online at all (DESIGN.md §13):
-//
-//   - Chain assignment is first-appearance numbering of ctxKeys — already an
-//     online algorithm (hb.Config.CtxKey is the shared key).
-//   - Program order needs only the last record per chain, which the
-//     resumable sweep's frontier subsumes.
-//   - Pair rules look ID-matched sources up in a first-occurrence map. The
-//     batch builds that map over the whole trace first, but hb.addEdge
-//     rejects u > v, so a source appearing after its target never produces
-//     an edge — deriving edges from the map's online prefix yields the
-//     exact batch edge set.
-//   - The epoch scan only compares an access against already-swept accesses,
-//     which is trace order — the order records arrive in.
+// The provisional engine: the batch pipeline's edge derivation, chain-clock
+// sweep and epoch scan run record by record, so candidates surface while the
+// trace is still being written. Edges come from hb.Deriver — the same pass
+// hb.Build runs, exact online (see its doc) — and feed a resumable sweep:
+// program order is subsumed by the sweep's per-chain frontier, and a
+// pair-rule target absorbs the clock its source snapshotted on arrival. The
+// epoch scan only compares an access against already-swept accesses, which
+// is trace order — the order records arrive in.
 //
 // What cannot be online: Rule-Eserial (a fixed point over the finished
 // closure) and Rule-Mpull (absent from trace analysis anyway). The online
@@ -36,13 +26,7 @@ import (
 // MaxGroup tracked accesses (the batch subsampling's budget) so the
 // quadratic suffix walk stays bounded; accesses past the cap still compare
 // against the tracked ones but are not tracked themselves — a best-effort
-// narrowing that only ever delays a candidate to Finish.
-
-// pairKey identifies an ID-matched pair-rule source: (source kind, op).
-type pairKey struct {
-	kind trace.Kind
-	op   uint64
-}
+// narrowing that only ever delays a candidate to Finish (DESIGN.md §13).
 
 // provAcc is one tracked access of a location: everything emission needs, so
 // the engine never re-reads the trace buffer (eagerly released elsewhere).
@@ -66,20 +50,17 @@ type provObj struct {
 }
 
 type provisional struct {
-	a   *Analyzer
-	cfg hb.Config
+	a *Analyzer
 
+	d         *hb.Deriver
 	rs        *hb.ResumableSweep
-	chains    map[int64]int32
-	chainLen  []int32
-	pairSrc   map[pairKey]vclock.ChainClock
+	srcClock  map[int32]vclock.ChainClock // first pair sources' clocks, by record
 	snapBytes int64
 
 	objs     map[string]*provObj
 	maxGroup int
 
 	emitted map[detect.CallstackKey]*detect.Pair
-	srcs    []vclock.ChainClock // scratch
 }
 
 func newProvisional(a *Analyzer) *provisional {
@@ -89,10 +70,9 @@ func newProvisional(a *Analyzer) *provisional {
 	}
 	return &provisional{
 		a:        a,
-		cfg:      a.opts.HB,
+		d:        hb.NewDeriver(a.opts.HB),
 		rs:       hb.NewResumableSweep(),
-		chains:   map[int64]int32{},
-		pairSrc:  map[pairKey]vclock.ChainClock{},
+		srcClock: map[int32]vclock.ChainClock{},
 		objs:     map[string]*provObj{},
 		maxGroup: maxGroup,
 		emitted:  map[detect.CallstackKey]*detect.Pair{},
@@ -103,65 +83,24 @@ func (p *provisional) frontierBytes() int64 {
 	return p.rs.FrontierBytes() + p.snapBytes
 }
 
-// add processes record i: chain assignment, online in-edges, sweep advance,
-// and the epoch comparison against every tracked prior access of the same
-// location.
+// add processes record i: its derived step advances the sweep, a first
+// pair-rule source snapshots its clock for the targets to come, and an
+// access is compared against every tracked prior access of its location.
 func (p *provisional) add(i int, r *trace.Rec) {
-	k := p.cfg.CtxKey(r)
-	c, ok := p.chains[k]
-	if !ok {
-		c = int32(len(p.chainLen))
-		p.chains[k] = c
-		p.chainLen = append(p.chainLen, 0)
+	st := p.d.Next(i, r)
+	var clock vclock.ChainClock
+	if st.Src >= 0 {
+		clock = p.rs.Advance(int(st.Chain), st.Pos, p.srcClock[st.Src])
+	} else {
+		clock = p.rs.Advance(int(st.Chain), st.Pos)
 	}
-	pos := p.chainLen[c]
-	p.chainLen[c]++
-
-	p.srcs = p.srcs[:0]
-	active := !p.cfg.Dropped(r)
-	if active {
-		var srcKind trace.Kind
-		switch r.Kind {
-		case trace.KThreadBegin:
-			srcKind = trace.KThreadCreate
-		case trace.KThreadJoin:
-			srcKind = trace.KThreadEnd
-		case trace.KEventBegin:
-			srcKind = trace.KEventCreate
-		case trace.KRPCBegin:
-			srcKind = trace.KRPCCreate
-		case trace.KRPCJoin:
-			srcKind = trace.KRPCEnd
-		case trace.KSockRecv:
-			srcKind = trace.KSockSend
-		case trace.KZKPushed:
-			srcKind = trace.KZKUpdate
-		default:
-			srcKind = r.Kind // sentinel: no source lookup
-		}
-		if srcKind != r.Kind {
-			if snap, ok := p.pairSrc[pairKey{srcKind, r.Op}]; ok {
-				p.srcs = append(p.srcs, snap)
-			}
-		}
+	if st.FirstSource {
+		snap := p.rs.Snapshot(int(st.Chain))
+		p.srcClock[int32(i)] = snap
+		p.snapBytes += int64(len(snap)) * 4
 	}
-	clock := p.rs.Advance(int(c), pos, p.srcs...)
-
-	if active {
-		switch r.Kind {
-		case trace.KThreadCreate, trace.KThreadEnd, trace.KEventCreate,
-			trace.KRPCCreate, trace.KRPCEnd, trace.KSockSend, trace.KZKUpdate:
-			key := pairKey{r.Kind, r.Op}
-			if _, dup := p.pairSrc[key]; !dup {
-				snap := p.rs.Snapshot(int(c))
-				p.pairSrc[key] = snap
-				p.snapBytes += int64(len(snap)) * 4
-			}
-		}
-	}
-
 	if r.IsMem() {
-		p.scanMem(i, r, c, pos, clock)
+		p.scanMem(i, r, st.Chain, st.Pos, clock)
 	}
 }
 

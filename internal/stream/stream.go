@@ -1,33 +1,27 @@
-// Package stream analyzes a trace while it is still being written: records
-// are appended one at a time (typically straight off trace.StreamDecoder),
-// provisional candidates are emitted long before the trace ends, and
-// Finish() produces a report byte-identical to hb.Build + detect.Find over
-// the same records (DESIGN.md §13).
+// Package stream analyzes a trace while it is still being written: the
+// batch pipeline fed online. Records are ingested as they decode (typically
+// straight off trace.StreamDecoder), provisional candidates are emitted long
+// before the trace ends, and Finish() produces a report byte-identical to
+// hb.Build + detect.Find over the same records (DESIGN.md §13).
 //
 // Two modes share the Analyzer:
 //
-//   - Non-eager (default): Append accumulates the trace and, when
-//     Provisional is set, drives an online engine — incremental chain
-//     assignment, online program-order and pair-rule edges, a resumable
-//     chain-clock sweep, and per-location epoch lists — that emits
-//     EventCandidate as soon as a concurrent conflicting pair appears.
-//     The online edge set lacks Rule-Eserial (a fixed point over the whole
-//     graph) and applies no subsampling, so provisional candidates are a
-//     best-effort superset of the final report; Finish runs the
-//     authoritative batch engine and emits EventRetract for every
-//     provisional pair the final report does not confirm.
+//   - Non-eager (default): IngestBatch runs each record, when Provisional is
+//     set, through an online engine — hb.Deriver's edge derivation, a
+//     resumable chain-clock sweep and per-location epoch lists — that emits
+//     EventCandidate as soon as a concurrent conflicting pair appears, and
+//     AppendTrace hands over the complete decoded trace. The online edge set
+//     lacks Rule-Eserial (a fixed point over the whole graph) and applies no
+//     subsampling, so provisional candidates are a best-effort superset of
+//     the final report; Finish runs the authoritative batch engine and emits
+//     EventRetract for every provisional pair the final report does not
+//     confirm.
 //
-//   - Eager windowed (Eager with ChunkSize > 0): windows are analyzed the
-//     moment they fill — the window engine (internal/window) fed from the
-//     wire — and records behind the current window are released, bounding
-//     live memory to roughly one window. Finish is then byte-identical to
-//     the reference, hb.BuildChunked + detect.FindChunked, over the same
-//     window list (Windows() exposes it, so manual Flush boundaries stay
-//     testable).
-//
-// Flush never changes what Finish returns: in non-eager mode it is a pure
-// checkpoint, in eager mode it only closes the current window early — a
-// boundary the reference can replicate.
+//   - Eager windowed (Eager with ChunkSize > 0): AppendTrace analyzes
+//     windows the moment they fill — the window engine (internal/window) —
+//     and releases records behind the current window, bounding live memory
+//     to roughly one window. Finish is then byte-identical to the reference,
+//     hb.BuildChunked + detect.FindChunked.
 package stream
 
 import (
@@ -67,12 +61,13 @@ type Options struct {
 	// current window. Requires ChunkSize > 0.
 	Eager bool
 
-	// Provisional runs the online candidate engine during Append (non-eager
-	// mode only), emitting EventCandidate/EventRetract through OnEvent.
+	// Provisional runs the online candidate engine over ingested records
+	// (non-eager mode only), emitting EventCandidate/EventRetract through
+	// OnEvent.
 	Provisional bool
 
 	// OnEvent, when non-nil, receives streaming events synchronously from
-	// Append/Flush/Finish.
+	// IngestBatch/AppendTrace (candidates) and Finish (retractions).
 	OnEvent func(Event)
 
 	// Logf, when non-nil, receives the same progress lines the batch path
@@ -108,38 +103,23 @@ const (
 	// report (suppressed by Rule-Eserial ordering discovered at Finish, or
 	// subsampled away).
 	EventRetract
-	// EventWindow: an eager window was closed and analyzed.
-	EventWindow
-	// EventFlush: a non-eager Flush checkpoint.
-	EventFlush
 )
 
 func (k EventKind) String() string {
-	switch k {
-	case EventCandidate:
+	if k == EventCandidate {
 		return "candidate"
-	case EventRetract:
-		return "retract"
-	case EventWindow:
-		return "window"
-	default:
-		return "flush"
 	}
+	return "retract"
 }
 
 // Event is one streaming notification.
 type Event struct {
 	Kind EventKind
-	// Records is how many records had been appended when the event fired.
+	// Records is how many records had been ingested when the event fired.
 	Records int
-	// Pair is the candidate (EventCandidate/EventRetract). The analyzer
-	// retains it for deduplication; callers must not mutate it.
+	// Pair is the candidate. The analyzer retains it for deduplication;
+	// callers must not mutate it.
 	Pair *detect.Pair
-	// WindowStart/WindowEnd delimit the closed window (EventWindow).
-	WindowStart, WindowEnd int
-	// Added is how many new callstack pairs the window contributed
-	// (EventWindow).
-	Added int
 }
 
 // Result is what Finish produces — the same facts core.AnalyzeTrace derives
@@ -167,19 +147,17 @@ type Result struct {
 // Analyzer is the streaming pipeline instance. Not safe for concurrent use.
 type Analyzer struct {
 	opts Options
-	tr   *trace.Trace // non-eager: the accumulating trace; eager: metadata only
+	tr   *trace.Trace // non-eager: the adopted trace; eager: metadata only
 
 	prov *provisional
 	win  *windowed
 
-	count    int // records appended or ingested
-	ingested int // records the provisional engine has processed
+	count    int // records ingested or appended
 	peakLive int64
 	done     *Result
 }
 
-// New returns an analyzer. Trace metadata (program name, queue consumer
-// counts) arrives via SetMeta once the caller has decoded the header.
+// New returns an analyzer.
 func New(opts Options) *Analyzer {
 	opts.HB.LoopReads = nil
 	a := &Analyzer{opts: opts, tr: &trace.Trace{}}
@@ -191,27 +169,19 @@ func New(opts Options) *Analyzer {
 	return a
 }
 
-// SetMeta supplies the trace metadata Finish needs: the program name and the
-// queue consumer-count map (Rule-Eserial's single-consumer test). Call it as
-// soon as the header is decoded; the map may keep growing in place.
-func (a *Analyzer) SetMeta(program string, queueConsumers map[string]int) {
-	a.tr.Program = program
-	a.tr.QueueConsumers = queueConsumers
-}
-
-// Records returns how many records have been appended.
+// Records returns how many records have been ingested or appended.
 func (a *Analyzer) Records() int { return a.count }
 
-// Trace returns the analyzer's accumulated trace. Only non-eager mode
-// retains records (eager mode holds metadata alone); callers must treat the
-// trace as read-only.
+// Trace returns the analyzer's adopted trace. Only non-eager mode retains
+// records (eager mode holds metadata alone); callers must treat the trace as
+// read-only.
 func (a *Analyzer) Trace() *trace.Trace { return a.tr }
 
 // SetSpans points the heavy phases' instrumentation at sp: the hb.build and
 // detect spans opened at Finish nest under it. Ingest-then-finish callers
 // (dcatch-serve) open the analysis span only when the finish actually runs —
 // after queue admission — not at construction. Eager mode reads HB.Obs
-// while windows close, so there it must be set before the first Append.
+// while windows close, so there it must be set before AppendTrace.
 func (a *Analyzer) SetSpans(sp *obs.Span) {
 	a.opts.HB.Obs = sp
 	a.opts.Detect.Obs = sp
@@ -220,115 +190,56 @@ func (a *Analyzer) SetSpans(sp *obs.Span) {
 	}
 }
 
-// Append feeds one record into the pipeline.
-func (a *Analyzer) Append(r trace.Rec) {
-	if a.done != nil {
-		return
-	}
-	if a.win != nil {
-		a.win.append(r)
-	} else {
-		a.tr.Recs = append(a.tr.Recs, r)
-		if a.prov != nil {
-			a.prov.add(a.count, &a.tr.Recs[a.count])
-			a.ingested++
-		}
-	}
-	a.count++
-	a.noteLive()
-}
-
-// Ingest feeds one record through the online provisional engine without
-// buffering it — for ingest loops whose decoder already retains the records
-// (serve uploads, dcatch-trace -follow), where Append would hold a second
-// copy of the trace. The caller must hand the complete decoded trace to
-// AppendTrace before Finish; records already ingested are not re-processed.
-// Ignored in eager mode (which must buffer its own window) and after Finish.
-// Do not mix Ingest and Append on one analyzer.
-func (a *Analyzer) Ingest(r *trace.Rec) {
-	if a.done != nil || a.win != nil {
-		return
-	}
-	if a.prov != nil {
-		a.prov.add(a.count, r)
-		a.ingested++
-	}
-	a.count++
-	a.noteLive()
-}
-
-// IngestBatch feeds a run of records through Ingest, recording the batch's
-// processing latency like AppendBatch does.
+// IngestBatch runs the next records of a trace through the online
+// provisional engine without buffering them — for ingest loops whose decoder
+// already retains the records (serve uploads, dcatch-trace -follow), which
+// hand the complete decoded trace to AppendTrace before Finish. The batch's
+// processing latency goes into the stream.append_lag_us histogram: how far
+// the analyzer falls behind the wire per delivery. Ignored in eager mode
+// (which must buffer its own windows) and after Finish.
 func (a *Analyzer) IngestBatch(rs []trace.Rec) {
-	if len(rs) == 0 {
+	if len(rs) == 0 || a.done != nil || a.win != nil {
 		return
 	}
 	t0 := time.Now()
-	for i := range rs {
-		a.Ingest(&rs[i])
-	}
-	a.opts.Obs.Observe("stream.append_lag_us", time.Since(t0).Microseconds())
-	a.opts.Obs.CountMax("stream.frontier_peak_bytes", a.FrontierBytes())
-}
-
-// AppendBatch feeds a run of records and records the batch's processing
-// latency into the stream.append_lag_us histogram — how far the analyzer
-// falls behind the wire per delivery.
-func (a *Analyzer) AppendBatch(rs []trace.Rec) {
-	if len(rs) == 0 {
-		return
-	}
-	t0 := time.Now()
-	for i := range rs {
-		a.Append(rs[i])
-	}
-	a.opts.Obs.Observe("stream.append_lag_us", time.Since(t0).Microseconds())
-	a.opts.Obs.CountMax("stream.frontier_peak_bytes", a.FrontierBytes())
-}
-
-// AppendTrace feeds a whole decoded trace. In non-eager mode with no records
-// buffered yet the record slice is adopted without copying — the batch
-// entry-point case, and how an Ingest loop hands over the decoder's trace
-// (only records past the ingested prefix go through the provisional engine).
-func (a *Analyzer) AppendTrace(tr *trace.Trace) {
-	a.SetMeta(tr.Program, tr.QueueConsumers)
-	if a.win == nil && len(a.tr.Recs) == 0 && a.count <= len(tr.Recs) {
-		a.tr.Recs = tr.Recs
-		a.count = len(tr.Recs)
-		if a.prov != nil {
-			for i := a.ingested; i < len(a.tr.Recs); i++ {
-				a.prov.add(i, &a.tr.Recs[i])
-			}
-			a.ingested = len(a.tr.Recs)
+	if a.prov != nil {
+		for i := range rs {
+			a.prov.add(a.count+i, &rs[i])
 		}
-		a.noteLive()
-		return
 	}
-	a.AppendBatch(tr.Recs)
+	a.count += len(rs)
+	a.noteLive()
+	a.opts.Obs.Observe("stream.append_lag_us", time.Since(t0).Microseconds())
+	a.opts.Obs.CountMax("stream.frontier_peak_bytes", a.FrontierBytes())
 }
 
-// Flush checkpoints the stream at the current record. In eager mode it
-// closes the open window early (a chunk boundary the reference can
-// replicate via Windows()); in non-eager mode it only emits EventFlush —
-// Finish's output never depends on flush placement.
-func (a *Analyzer) Flush() {
+// AppendTrace hands the analyzer the whole decoded trace with its metadata
+// (the program name, and the queue consumer counts Rule-Eserial's
+// single-consumer test reads); call it once, before Finish. Non-eager mode adopts the record slice without
+// copying and runs the provisional engine over the records past the prefix
+// IngestBatch already fed it. Eager mode cuts, analyzes and releases windows
+// as it walks the records.
+func (a *Analyzer) AppendTrace(tr *trace.Trace) {
 	if a.done != nil {
 		return
 	}
+	a.tr.Program, a.tr.QueueConsumers = tr.Program, tr.QueueConsumers
 	if a.win != nil {
-		a.win.flush()
+		for i := range tr.Recs {
+			a.win.append(tr.Recs[i])
+			a.count++
+			a.noteLive()
+		}
 		return
 	}
-	a.emit(Event{Kind: EventFlush, Records: a.count})
-}
-
-// Windows returns the closed eager windows as [start, end) record ranges
-// (nil in non-eager mode). After Finish it includes the tail window.
-func (a *Analyzer) Windows() [][2]int {
-	if a.win == nil {
-		return nil
+	a.tr.Recs = tr.Recs
+	if a.prov != nil {
+		for i := a.count; i < len(tr.Recs); i++ {
+			a.prov.add(i, &tr.Recs[i])
+		}
 	}
-	return a.win.closed
+	a.count = len(tr.Recs)
+	a.noteLive()
 }
 
 // FrontierBytes returns the online sweep's current clock footprint — the
@@ -340,10 +251,10 @@ func (a *Analyzer) FrontierBytes() int64 {
 	return a.prov.frontierBytes()
 }
 
-// LiveBytes returns the analyzer's current record-buffer footprint plus the
+// liveBytes returns the analyzer's current record-buffer footprint plus the
 // online sweep frontier: the part of the live set that scales with the
 // stream (per-window graphs are accounted at their peak, see PeakLiveBytes).
-func (a *Analyzer) LiveBytes() int64 {
+func (a *Analyzer) liveBytes() int64 {
 	held := int64(len(a.tr.Recs))
 	if a.win != nil {
 		held = int64(len(a.win.buf))
@@ -351,20 +262,20 @@ func (a *Analyzer) LiveBytes() int64 {
 	return held*recSize + a.FrontierBytes()
 }
 
-// PeakLiveBytes returns the high-water mark of LiveBytes plus, in eager
+// PeakLiveBytes returns the high-water mark of liveBytes plus, in eager
 // mode, the window graph alive while each window was analyzed. This is the
 // footprint the eager mode bounds; the batch path's equivalent is the whole
 // decoded trace plus the full closure.
 func (a *Analyzer) PeakLiveBytes() int64 { return a.peakLive }
 
 func (a *Analyzer) noteLive() {
-	if lv := a.LiveBytes(); lv > a.peakLive {
+	if lv := a.liveBytes(); lv > a.peakLive {
 		a.peakLive = lv
 	}
 }
 
 func (a *Analyzer) notePeak(extra int64) {
-	if lv := a.LiveBytes() + extra; lv > a.peakLive {
+	if lv := a.liveBytes() + extra; lv > a.peakLive {
 		a.peakLive = lv
 	}
 }
@@ -382,7 +293,7 @@ func (a *Analyzer) logf(format string, args ...any) {
 }
 
 // Finish completes the analysis and returns the final result. Non-eager:
-// the authoritative batch engine runs over the accumulated trace —
+// the authoritative batch engine runs over the adopted trace —
 // byte-identical to core.AnalyzeTrace's trace-analysis stage by
 // construction — and provisional candidates it does not confirm are
 // retracted. Eager: the tail window is closed (exactly when hb.ChunkWindows

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dcatch/internal/bench"
@@ -13,12 +14,12 @@ import (
 	"dcatch/internal/trace"
 )
 
-// feedSegments appends the trace through the analyzer in rng-chosen segment
-// sizes with a Flush after every segment, returning the analyzer.
+// feedSegments drives the analyzer the way a trace job does: the records
+// are ingested in rng-chosen segment sizes, then the complete trace is
+// handed over with AppendTrace. It returns the analyzer.
 func feedSegments(t *testing.T, tr *trace.Trace, opts stream.Options, rng *rand.Rand, segMax int) *stream.Analyzer {
 	t.Helper()
 	an := stream.New(opts)
-	an.SetMeta(tr.Program, tr.QueueConsumers)
 	for off := 0; off < len(tr.Recs); {
 		n := 1
 		if segMax > 1 {
@@ -27,23 +28,23 @@ func feedSegments(t *testing.T, tr *trace.Trace, opts stream.Options, rng *rand.
 		if off+n > len(tr.Recs) {
 			n = len(tr.Recs) - off
 		}
-		an.AppendBatch(tr.Recs[off : off+n])
+		an.IngestBatch(tr.Recs[off : off+n])
 		off += n
-		an.Flush()
 	}
+	an.AppendTrace(tr)
 	return an
 }
 
 // The core differential property: Finish() is byte-identical to the batch
-// pipeline (hb.Build + detect.Find) over the same records, for every flush
-// placement — including a flush after every single record — across backends
-// and MaxGroup settings.
+// pipeline (hb.Build + detect.Find) over the same records, for every
+// segmentation of the ingest — including one record per segment — across
+// backends and MaxGroup settings.
 func TestStreamFinishMatchesBatch(t *testing.T) {
 	type cfg struct {
 		n        int
 		backend  hb.Backend
 		maxGroup int
-		segMax   int // 1 = flush after every record
+		segMax   int // 1 = one record per segment
 	}
 	cases := []cfg{
 		{0, hb.BackendChain, 0, 1},
@@ -87,25 +88,40 @@ func TestStreamFinishMatchesBatch(t *testing.T) {
 	}
 }
 
-// AppendTrace's adoption path must behave exactly like record-by-record
-// appends.
+// AppendTrace adopting a whole trace must behave exactly like ingesting it
+// first — one record per segment, then half of it — and handing the trace
+// over afterwards: same provisional events in the same order, same report.
 func TestStreamAppendTraceAdoption(t *testing.T) {
 	tr := bench.SyntheticTrace(800, 3)
-	opts := stream.Options{HB: hb.Config{ReachBackend: hb.BackendChain}}
-
-	one := stream.New(opts)
-	one.AppendTrace(tr)
-	a := one.Finish()
-
-	two := stream.New(opts)
-	two.SetMeta(tr.Program, tr.QueueConsumers)
-	for i := range tr.Recs {
-		two.Append(tr.Recs[i])
+	run := func(ingest func(an *stream.Analyzer)) (string, []stream.Event) {
+		var events []stream.Event
+		an := stream.New(stream.Options{
+			HB: hb.Config{ReachBackend: hb.BackendChain}, Provisional: true,
+			OnEvent: func(ev stream.Event) { events = append(events, ev) },
+		})
+		ingest(an)
+		an.AppendTrace(tr)
+		return an.Finish().Report.Format(nil), events
 	}
-	b := two.Finish()
-
-	if a.Report.Format(nil) != b.Report.Format(nil) {
-		t.Fatal("adopted and appended traces produce different reports")
+	wantReport, wantEvents := run(func(*stream.Analyzer) {})
+	if len(wantEvents) == 0 {
+		t.Fatal("no provisional events")
+	}
+	for name, ingest := range map[string]func(an *stream.Analyzer){
+		"per-record": func(an *stream.Analyzer) {
+			for i := range tr.Recs {
+				an.IngestBatch(tr.Recs[i : i+1])
+			}
+		},
+		"half": func(an *stream.Analyzer) { an.IngestBatch(tr.Recs[:len(tr.Recs)/2]) },
+	} {
+		report, events := run(ingest)
+		if report != wantReport {
+			t.Fatalf("%s: ingested and adopted traces produce different reports", name)
+		}
+		if !reflect.DeepEqual(events, wantEvents) {
+			t.Fatalf("%s: %d provisional events, adoption alone raised %d (or they differ)", name, len(events), len(wantEvents))
+		}
 	}
 }
 
@@ -174,8 +190,9 @@ func TestStreamProvisionalCoversFinal(t *testing.T) {
 	}
 }
 
-// Eager mode with no manual flush must reproduce the reference
-// (hb.BuildChunked + detect.FindChunked) byte for byte, window list included.
+// Eager mode must reproduce the reference (hb.BuildChunked +
+// detect.FindChunked) byte for byte; TestWindowCutterMatchesChunkWindows pins
+// the window list they share.
 func TestStreamEagerMatchesBatchChunked(t *testing.T) {
 	for _, backend := range []hb.Backend{hb.BackendDense, hb.BackendChain} {
 		for _, chunk := range []int{256, 500, 2000, 5000} {
@@ -200,58 +217,12 @@ func TestStreamEagerMatchesBatchChunked(t *testing.T) {
 			if got := res.Report.Format(nil); got != want {
 				t.Fatalf("backend %s chunk %d: eager report diverges from batch chunked", backend, chunk)
 			}
-			wins := an.Windows()
-			if len(wins) != len(chunks) {
-				t.Fatalf("backend %s chunk %d: %d eager windows, batch has %d",
-					backend, chunk, len(wins), len(chunks))
-			}
-			for i, w := range wins {
-				if w[0] != chunks[i].Start {
-					t.Fatalf("backend %s chunk %d: window %d starts at %d, batch at %d",
-						backend, chunk, i, w[0], chunks[i].Start)
-				}
-			}
 			if res.HBMemBytes != hb.ChunkedMemBytes(chunks) {
 				t.Fatalf("backend %s chunk %d: peak window bytes diverge", backend, chunk)
 			}
 			if res.Backend != chunks[0].Graph.Backend().String() {
 				t.Fatalf("backend %s chunk %d: backend string diverges", backend, chunk)
 			}
-		}
-	}
-}
-
-// Manual flush boundaries in eager mode produce a different window list; the
-// oracle is then FindChunked over chunks built from the analyzer's own
-// Windows(). Randomized flush placement, including flush-per-record.
-func TestStreamEagerFlushBoundaries(t *testing.T) {
-	tr := bench.SyntheticTrace(1200, 9)
-	hcfg := hb.Config{ReachBackend: hb.BackendChain}
-	for _, segMax := range []int{1, 50, 300} {
-		rng := rand.New(rand.NewSource(int64(segMax)))
-		an := feedSegments(t, tr, stream.Options{
-			HB: hcfg, ChunkSize: 400, Eager: true,
-		}, rng, segMax)
-		res := an.Finish()
-		if res.OOM {
-			t.Fatalf("segMax %d: unexpected OOM", segMax)
-		}
-		var chunks []hb.Chunk
-		for _, w := range an.Windows() {
-			sub := &trace.Trace{
-				Program:        tr.Program,
-				Recs:           append([]trace.Rec(nil), tr.Recs[w[0]:w[1]]...),
-				QueueConsumers: tr.QueueConsumers,
-			}
-			g, err := hb.Build(sub, hcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chunks = append(chunks, hb.Chunk{Start: w[0], Graph: g})
-		}
-		want := detect.FindChunked(chunks, detect.Options{}).Format(nil)
-		if got := res.Report.Format(nil); got != want {
-			t.Fatalf("segMax %d: eager flush-boundary report diverges from chunked oracle", segMax)
 		}
 	}
 }
@@ -423,41 +394,6 @@ func TestStreamEagerWindowOOM(t *testing.T) {
 	}
 	if res.Err.Error() != err.Error() {
 		t.Fatalf("eager OOM error %q, batch %q", res.Err, err)
-	}
-}
-
-// Window events carry the closed ranges in order and flag newly added pairs;
-// the sweep's first-window candidates give streaming its early signal.
-func TestStreamEagerWindowEvents(t *testing.T) {
-	tr := bench.SyntheticTrace(1000, 6)
-	var events []stream.Event
-	an := stream.New(stream.Options{
-		HB: hb.Config{ReachBackend: hb.BackendChain}, ChunkSize: 250, Eager: true,
-		OnEvent: func(ev stream.Event) { events = append(events, ev) },
-	})
-	an.AppendTrace(tr)
-	an.Finish()
-	if len(events) == 0 {
-		t.Fatal("no window events")
-	}
-	prevEnd := 0
-	for _, ev := range events {
-		if ev.Kind != stream.EventWindow {
-			t.Fatalf("unexpected event kind %v", ev.Kind)
-		}
-		if ev.WindowEnd <= ev.WindowStart && ev.WindowEnd != 0 {
-			t.Fatalf("bad window [%d,%d)", ev.WindowStart, ev.WindowEnd)
-		}
-		if ev.WindowEnd < prevEnd {
-			t.Fatal("window events out of order")
-		}
-		prevEnd = ev.WindowEnd
-	}
-	if events[0].Added == 0 {
-		t.Fatal("first window contributed no pairs; early signal missing")
-	}
-	if events[0].WindowEnd >= len(tr.Recs) {
-		t.Fatal("first window closed only at end of trace")
 	}
 }
 

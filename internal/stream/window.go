@@ -8,15 +8,13 @@ import (
 	"dcatch/internal/window"
 )
 
-// Eager windowed analysis: windows close the moment they fill — or early, at
-// a manual Flush — and are scanned (window.Engine) and folded on arrival;
-// records behind the next window's start are then released, so live memory
-// stays around one window plus its graph no matter how long the stream runs.
+// Eager windowed analysis: windows close the moment they fill and are
+// scanned (window.Engine) and folded on arrival; records behind the next
+// window's start are then released, so live memory stays around one window
+// plus its graph no matter how long the stream runs.
 //
-// The window list comes from hb.WindowCutter, so with no manual Flush it is
-// hb.ChunkWindows' list and Finish is byte-identical to the chunked replay.
-// Manual Flush inserts a boundary the reference reproduces by chunking over
-// Windows().
+// The window list comes from hb.WindowCutter, so it is hb.ChunkWindows' list
+// and Finish is byte-identical to the chunked replay.
 type windowed struct {
 	a   *Analyzer
 	cut *hb.WindowCutter
@@ -24,9 +22,8 @@ type windowed struct {
 	bufBase int // full-trace index of buf[0]
 	buf     []trace.Rec
 
-	eng    *window.Engine
-	fold   *window.Fold
-	closed [][2]int
+	eng  *window.Engine
+	fold *window.Fold
 }
 
 func newWindowed(a *Analyzer) *windowed {
@@ -48,16 +45,6 @@ func (w *windowed) append(r trace.Rec) {
 	}
 }
 
-// flush closes the open window early.
-func (w *windowed) flush() {
-	if w.fold.Err != nil {
-		return
-	}
-	if wn, ok := w.cut.Flush(w.bufBase + len(w.buf)); ok {
-		w.close(wn)
-	}
-}
-
 // close analyzes the window the cutter just cut and releases the records
 // behind the next window's start.
 func (w *windowed) close(wn [2]int) {
@@ -69,15 +56,12 @@ func (w *windowed) close(wn [2]int) {
 		QueueConsumers: w.a.tr.QueueConsumers,
 	}
 	res, err := w.eng.Scan(view, wn[0], wn[1])
-	added := w.fold.Add(res, err, wn[0])
+	w.fold.Add(res, err, wn[0])
 	if err != nil {
 		w.buf = nil
 		return
 	}
 	w.a.notePeak(res.MemBytes)
-	w.closed = append(w.closed, wn)
-	w.a.emit(Event{Kind: EventWindow, Records: wn[1],
-		WindowStart: wn[0], WindowEnd: wn[1], Added: added})
 
 	// The copy-down keeps the backing array at one window plus overlap.
 	if drop := w.cut.Start() - w.bufBase; drop > 0 {

@@ -120,3 +120,65 @@ func TestServerCloseKeepsCompletedExchangeLog(t *testing.T) {
 		}
 	}
 }
+
+// TestServerRejectsUnexpectedRequest sends the two REQUESTs the protocol
+// has no place for — a second REQUEST from a party already parked, and one
+// from a party that is neither first nor second — and expects each to be
+// refused at once with "ERR unexpected request". The parked party keeps its
+// grant channel, so Close still answers it and returns without waiting out
+// the drain timeout.
+func TestServerRejectsUnexpectedRequest(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", "A", "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	parked, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parked.Close()
+	parkedErr := make(chan error, 1)
+	go func() { parkedErr <- parked.Request("A") }()
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Stats().Requests != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("REQUEST A never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	for _, party := range []string{"A", "C"} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(time.Second))
+		if _, err := conn.Write([]byte("REQUEST " + party + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 64)
+		n, err := conn.Read(buf)
+		conn.Close()
+		if got := strings.TrimSpace(string(buf[:n])); err != nil || got != "ERR unexpected request" {
+			t.Fatalf("REQUEST %s while A is parked: got %q (%v), want ERR unexpected request", party, got, err)
+		}
+	}
+
+	t0 := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if d := time.Since(t0); d >= time.Second {
+		t.Fatalf("Close took %v: a handler was left unanswered", d)
+	}
+	select {
+	case err := <-parkedErr:
+		if err == nil || !strings.Contains(err.Error(), "closing") {
+			t.Fatalf("parked request got %v, want ERR closing", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("parked request was never answered")
+	}
+}

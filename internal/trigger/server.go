@@ -24,7 +24,9 @@ import (
 //	client → server: CONFIRM <party>
 //
 // The server waits for REQUESTs from both parties, grants the configured
-// first party, waits for its CONFIRM, then grants the second.
+// first party, waits for its CONFIRM, then grants the second. A REQUEST
+// from any other party, or a second REQUEST from a party already seen, is
+// answered "ERR unexpected request" at once.
 //
 // Connections carry read/write deadlines (DefaultIOTimeout unless changed
 // with SetIOTimeout) so a dead client cannot pin a handler goroutine
@@ -206,6 +208,14 @@ func (s *Server) serve(conn net.Conn) {
 				s.reply(conn, "ERR closing")
 				s.drain.Exit()
 				return
+			}
+			if party != s.first && party != s.other || s.arrived[party] != nil {
+				// A party outside the explored pair, or one already parked:
+				// the protocol has no grant for it, so refuse at once rather
+				// than park it forever (or orphan the first requester).
+				s.mu.Unlock()
+				s.reply(conn, "ERR unexpected request")
+				break
 			}
 			s.arrived[party] = grant
 			s.log = append(s.log, "request "+party)

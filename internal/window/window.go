@@ -150,16 +150,15 @@ func NewFold(dopts detect.Options) *Fold {
 	return &Fold{merger: detect.NewChunkMerger(dopts)}
 }
 
-// Add folds the window starting at record start, or records err, and returns
-// how many callstack pairs the window added that no earlier one had.
-func (f *Fold) Add(res Result, err error, start int) int {
+// Add folds the window starting at record start, or records err.
+func (f *Fold) Add(res Result, err error, start int) {
 	f.n++
 	if f.Err != nil {
-		return 0
+		return
 	}
 	if err != nil {
 		f.Err = err
-		return 0
+		return
 	}
 	if f.n == 1 {
 		f.Backend = res.Backend
@@ -167,7 +166,7 @@ func (f *Fold) Add(res Result, err error, start int) int {
 	if res.MemBytes > f.PeakBytes {
 		f.PeakBytes = res.MemBytes
 	}
-	return f.merger.Merge(res.Scan, start)
+	f.merger.Merge(res.Scan, start)
 }
 
 // Report renders the merged report; nil when a window failed. The fold must
