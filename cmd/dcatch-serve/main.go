@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"dcatch/internal/cluster"
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
 	"dcatch/internal/serve"
@@ -49,13 +50,10 @@ func main() {
 		jobBytes = flag.Int64("job-bytes", 0, "admission estimate for jobs without their own mem_budget (0 = default 64 MiB)")
 		maxBody  = flag.Int64("max-body", 0, "request body size limit in bytes (0 = default 64 MiB)")
 		cacheN   = flag.Int("cache", 0, "report cache entries (0 = default 256, negative disables)")
-		eventBuf = flag.Int("event-buffer", 0, "per-job event ring size for /v1/jobs/{id}/events (0 = default 512)")
-		eventHB  = flag.Duration("event-heartbeat", 0, "event-stream keep-alive interval (0 = default 5s)")
 		noJobObs = flag.Bool("no-job-telemetry", false, "disable per-job recorders (/metrics keeps service-level data only)")
 		worker   = flag.Bool("worker", false, "serve the window-scan RPC so this instance can join a cluster as a worker")
 		wScans   = flag.Int("worker-scans", 0, "with -worker: concurrent remote window scans (0 = same as -workers)")
-		peers    = flag.String("peers", "", "comma-separated worker base URLs; trace jobs are sharded across them (coordinator mode)")
-		cChunk   = flag.Int("cluster-chunk", 0, "with -peers: records per distributed window (0 = default 50000)")
+		peers    = flag.String("peers", "", fmt.Sprintf("comma-separated worker base URLs; trace jobs are sharded across them (coordinator mode) in chunk_size-record windows (default %d)", cluster.DefaultChunkSize))
 		scDir    = flag.String("scancache-dir", "", "persistent window-scan cache directory (empty = memory-only cache when -scancache-mem > 0)")
 		scMem    = flag.Int64("scancache-mem", 0, "in-memory window-scan cache budget in bytes (0 with no -scancache-dir disables the cache; 0 with -scancache-dir = default 256 MiB)")
 		scDisk   = flag.Int64("scancache-disk", 0, "with -scancache-dir: on-disk cache budget in bytes (0 = default 1 GiB)")
@@ -101,13 +99,10 @@ func main() {
 		DefaultJobBytes: *jobBytes,
 		MaxBodyBytes:    *maxBody,
 		CacheEntries:    *cacheN,
-		EventBuffer:     *eventBuf,
-		EventHeartbeat:  *eventHB,
 		NoJobTelemetry:  *noJobObs,
 		Worker:          *worker,
 		WorkerScans:     *wScans,
 		Peers:           peerList,
-		ClusterChunk:    *cChunk,
 		ScanCache:       sc,
 		Obs:             rec,
 	})

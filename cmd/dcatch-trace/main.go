@@ -8,17 +8,17 @@
 //	dcatch-trace t.bin                    # record breakdown (the default)
 //	dcatch-trace -dump -n 50 t.bin        # breakdown, then the first 50 records
 //	dcatch-trace -json t.bin
-//	dcatch-trace -analyze [-reach chain] [-mem-budget B [-chunk N [-parallel W]]] t.bin
+//	dcatch-trace -analyze [-mem-budget B [-chunk N]] t.bin
 //	dcatch-trace -analyze -peers http://host:8081,http://host:8082 [-chunk N] t.bin
 //	dcatch-trace -follow [-poll 50ms] [same analysis flags, except -peers] growing.bin
 //
 // -chunk N is the fallback for a trace whose reachability closure exceeds
-// -mem-budget: it is analyzed in N-record windows, -parallel of them in
-// flight (that is all -parallel does), optionally behind a -scancache-*
-// window-scan cache. With -peers the windows are sharded across
-// dcatch-serve -worker instances; the report stays byte-identical to the
-// single-node chunked run over the same options. -follow prints the same
-// final report as -analyze with the same flags.
+// -mem-budget: it is analyzed in N-record windows, as many in flight as
+// there are CPUs, optionally behind a -scancache-* window-scan cache. With
+// -peers the windows are sharded across dcatch-serve -worker instances; the
+// report stays byte-identical to the single-node chunked run over the same
+// options. -follow prints the same final report as -analyze with the same
+// flags.
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 
 	"dcatch/internal/cluster"
 	"dcatch/internal/core"
-	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
 	"dcatch/internal/serve"
@@ -49,9 +48,7 @@ func main() {
 	follow := flag.Bool("follow", false, "tail a growing trace file, analyzing incrementally; provisional candidates go to stderr, the final -analyze-identical report to stdout")
 	poll := flag.Duration("poll", 50*time.Millisecond, "with -follow: poll interval while waiting for the file to grow")
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "with -follow: give up if the file stops growing for this long before the declared record count (0 = wait forever)")
-	parallel := flag.Int("parallel", 0, "with -analyze/-follow and -chunk: windows analysed concurrently on the chunked path (0 = all CPUs)")
-	reach := flag.String("reach", "dense", "with -analyze/-follow: memory-budget footprint model (dense, chain, auto)")
-	chunk := flag.Int("chunk", 0, "with -analyze/-follow: records per window for the chunked fallback (0 = disabled); with -peers: distributed window size (0 = default 50000)")
+	chunk := flag.Int("chunk", 0, fmt.Sprintf("with -analyze/-follow: records per window for the chunked fallback (0 = disabled); with -peers: distributed window size (0 = default %d)", cluster.DefaultChunkSize))
 	memBudget := flag.Int64("mem-budget", 0, "with -analyze/-follow: reachability admission budget in bytes (0 = unlimited)")
 	peers := flag.String("peers", "", "with -analyze: comma-separated dcatch-serve -worker base URLs to shard the analysis across")
 	scDir := flag.String("scancache-dir", "", "persistent window-scan cache directory: chunked/distributed reruns skip windows whose bytes and options match a cached scan")
@@ -69,13 +66,6 @@ func main() {
 	}
 	analysisOptions := func() core.Options {
 		var opts core.Options
-		opts.HB.Parallelism = *parallel
-		backend, err := hb.ParseBackend(*reach)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		opts.HB.ReachBackend = backend
 		opts.ChunkSize = *chunk
 		opts.HB.MemBudget = *memBudget
 		if *scDir != "" || *scMem > 0 {
@@ -164,7 +154,7 @@ func writeBreakdown(w io.Writer, tr *trace.Trace, dump bool, n int) {
 // window order into a report byte-identical to the single-node chunked run.
 func runCluster(tr *trace.Trace, opts core.Options, peers string, chunk int) int {
 	if chunk <= 0 {
-		chunk = 50_000
+		chunk = cluster.DefaultChunkSize
 	}
 	var peerList []string
 	for _, p := range strings.Split(peers, ",") {
@@ -180,7 +170,6 @@ func runCluster(tr *trace.Trace, opts core.Options, peers string, chunk int) int
 		HB:        opts.HB,
 		Detect:    opts.Detect,
 		Obs:       rec,
-		Logf:      rec.Logf,
 		Cache:     opts.ScanCache,
 	})
 	if err != nil {

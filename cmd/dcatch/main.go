@@ -27,12 +27,10 @@ import (
 
 	"dcatch/internal/bench"
 	"dcatch/internal/core"
-	"dcatch/internal/hb"
 	"dcatch/internal/ir"
 	"dcatch/internal/obs"
 	"dcatch/internal/serve"
 	"dcatch/internal/subjects"
-	"dcatch/internal/trigger"
 )
 
 func main() {
@@ -46,7 +44,6 @@ func main() {
 		structure = flag.Bool("dump-structure", false, "print the cluster's concurrency structure (Fig. 4) and exit")
 		program   = flag.Bool("dump-program", false, "print the subject program listing and exit")
 		traceOut  = flag.String("trace-out", "", "write the binary trace to this file")
-		reach     = flag.String("reach", "dense", "memory-budget footprint model: dense (the paper's V²/8 bit arrays), chain (the V×C chain-clock index), or auto (dense if it fits the memory budget, else chain); reports are identical under all three")
 		metrics   = flag.String("metrics-json", "", "write a versioned run manifest (spans, counters, stats) to this file")
 		verbose   = flag.Bool("v", false, "log pipeline progress to stderr")
 		explain   = flag.Int("explain", -1, "print the provenance of report pair N (reported pairs first, then pruned candidates) and exit")
@@ -65,16 +62,13 @@ func main() {
 		}
 		return
 	}
+	jopt := serve.JobOptions{Full: *full, Validate: *validate, Naive: *naive}
 	if *submit != "" {
-		runRemote(*submit, *benchID, *seed, serve.JobOptions{
-			Full:     *full,
-			Reach:    *reach,
-			Validate: *validate,
-			Naive:    *naive,
-		}, *explain >= 0 || *traceOut != "" || *metrics != "" || *structure || *program)
+		runRemote(*submit, *benchID, *seed, jopt,
+			*explain >= 0 || *traceOut != "" || *metrics != "" || *structure || *program)
 		return
 	}
-	b := findBench(*benchID)
+	b := bench.Lookup(*benchID)
 	if b == nil {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q; try -list\n", *benchID)
 		os.Exit(2)
@@ -88,15 +82,10 @@ func main() {
 		return
 	}
 
-	opts := core.Options{Seed: b.Seed, MaxSteps: b.MaxSteps, FullTrace: *full}
-	backend, err := hb.ParseBackend(*reach)
+	opts, err := serve.SubjectOptions(b, *seed, jopt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	opts.HB.ReachBackend = backend
-	if *seed != 0 {
-		opts.Seed = *seed
 	}
 	// Observability: a recorder is attached whenever any export surface
 	// wants it; detection results are byte-identical either way.
@@ -108,13 +97,12 @@ func main() {
 		}
 		opts.Obs = rec
 	}
-	res, err := core.Detect(b.Workload, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
 	if *explain >= 0 {
+		res, err := core.Detect(b.Workload, opts)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		text, err := res.Explain(*explain)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -125,18 +113,18 @@ func main() {
 		return
 	}
 
+	// The job is the one dcatch-serve runs for a subject submission, so
+	// local and served reports are byte-identical by construction.
+	res, report, err := serve.RunSubject(b, opts, *validate, *naive)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Print(report)
 	if res.OOM {
-		fmt.Print(serve.RenderSubject(b, res, nil, false))
 		writeManifest(*metrics, b, res, rec, flagMap(flag.CommandLine))
 		os.Exit(1)
 	}
-	var vals []trigger.Validation
-	if *validate {
-		vals = core.ValidateAll(res, core.TriggerOptions{MaxSteps: 200_000, Naive: *naive, Obs: rec})
-	}
-	// The report text is rendered by the same function dcatch-serve stores,
-	// so local and served reports are byte-identical by construction.
-	fmt.Print(serve.RenderSubject(b, res, vals, *validate))
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -171,10 +159,7 @@ func runRemote(base, benchID string, seed int64, opt serve.JobOptions, localOnly
 		fmt.Fprintln(os.Stderr, "dcatch: -submit needs -bench")
 		os.Exit(2)
 	}
-	req := serve.SubjectRequest{Bench: benchID, Options: opt}
-	if seed != 0 {
-		req.Seeds = []int64{seed}
-	}
+	req := serve.SubjectRequest{Bench: benchID, Seed: seed, Options: opt}
 	client := serve.NewClient(base)
 	var st *serve.JobStatus
 	var err error
@@ -243,13 +228,4 @@ func flagMap(fs *flag.FlagSet) map[string]string {
 		m[f.Name] = f.Value.String()
 	})
 	return m
-}
-
-func findBench(id string) *subjects.Benchmark {
-	for _, b := range bench.Benchmarks() {
-		if b.ID == id {
-			return b
-		}
-	}
-	return nil
 }

@@ -35,6 +35,16 @@ func Benchmarks() []*subjects.Benchmark {
 	}
 }
 
+// Lookup returns the benchmark with the given ID, or nil.
+func Lookup(id string) *subjects.Benchmark {
+	for _, b := range Benchmarks() {
+		if b.ID == id {
+			return b
+		}
+	}
+	return nil
+}
+
 // Detect runs the standard pipeline on one benchmark.
 func Detect(b *subjects.Benchmark) (*core.Result, error) {
 	return core.Detect(b.Workload, core.Options{Seed: b.Seed, MaxSteps: b.MaxSteps})

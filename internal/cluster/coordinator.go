@@ -23,6 +23,11 @@ import (
 	"dcatch/internal/window"
 )
 
+// DefaultChunkSize is the window length, in records, of a coordinated job
+// whose caller names none (dcatch-trace -peers without -chunk, a
+// coordinator-mode upload without chunk_size).
+const DefaultChunkSize = 50_000
+
 // Config configures one coordinated trace job.
 type Config struct {
 	// Peers lists worker base URLs ("http://host:port"). Required.
@@ -73,10 +78,9 @@ type Config struct {
 	// semantics with no global timeout; per-request contexts apply).
 	Client *http.Client
 
-	// Obs receives cluster.* counters/histograms and per-peer scan spans;
-	// Logf receives fallback and peer-health notices.
-	Obs  *obs.Recorder
-	Logf func(format string, args ...any)
+	// Obs receives cluster.* counters/histograms, per-peer scan spans, and
+	// fallback and peer-health notices as progress lines.
+	Obs *obs.Recorder
 }
 
 // Result is the outcome of one coordinated job.
@@ -193,10 +197,9 @@ func (p *peer) recovered() {
 // window-ordered fold in Finish is sequential, which is what makes the
 // output deterministic regardless of reply arrival order.
 type Coordinator struct {
-	cfg  Config
-	req  ScanRequest // wire template; Window/Start filled per task
-	rec  *obs.Recorder
-	logf func(string, ...any)
+	cfg Config
+	req ScanRequest // wire template; Window/Start filled per task
+	rec *obs.Recorder
 
 	// eng answers windows the cache already holds, files peers' replies
 	// and re-runs failed windows locally; the scans themselves happen on
@@ -258,13 +261,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			MaxGroup:  cfg.Detect.MaxGroup,
 			MemBudget: cfg.HB.MemBudget,
 		},
-		rec:  cfg.Obs,
-		logf: cfg.Logf,
-		eng:  window.New(cfg.HB, cfg.Detect, cfg.Cache),
-		cut:  hb.NewWindowCutter(cfg.ChunkSize, 0),
-	}
-	if c.logf == nil {
-		c.logf = func(string, ...any) {}
+		rec: cfg.Obs,
+		eng: window.New(cfg.HB, cfg.Detect, cfg.Cache),
+		cut: hb.NewWindowCutter(cfg.ChunkSize, 0),
 	}
 	for _, p := range cfg.Peers {
 		base := strings.TrimRight(strings.TrimSpace(p), "/")
@@ -362,7 +361,7 @@ func (c *Coordinator) Finish(tr *trace.Trace) *Result {
 			// job to slower, never wrong; an over-budget window fails here
 			// with the single-node replay's exact error.
 			c.rec.Count("cluster.windows.local", 1)
-			c.logf("cluster: window %d [%d,%d): remote scan failed (%v); re-running locally",
+			c.rec.Logf("cluster: window %d [%d,%d): remote scan failed (%v); re-running locally",
 				i, wn[0], wn[1], out.err)
 			lsp := sp.Child("cluster.local_scan")
 			lsp.Attr("window_start", wn[0])
@@ -438,7 +437,7 @@ func (c *Coordinator) scanRemote(p *peer, t task) scanOut {
 		if alive {
 			p.recovered()
 			c.rec.Count("cluster.peers.recovered", 1)
-			c.logf("cluster: peer %s answered its probation probe; resuming remote dispatch", p.base)
+			c.rec.Logf("cluster: peer %s answered its probation probe; resuming remote dispatch", p.base)
 		} else {
 			p.probeFailed(c.cfg.Probation)
 		}
@@ -486,7 +485,7 @@ func (c *Coordinator) scanRemote(p *peer, t task) scanOut {
 		c.rec.Count("cluster.peer_failures", 1)
 		if p.fails.Add(1) >= peerDownAfter && p.markDown(c.cfg.Probation) {
 			c.rec.Count("cluster.peers.down", 1)
-			c.logf("cluster: peer %s marked down after %d consecutive failures (%v); probing again in %v",
+			c.rec.Logf("cluster: peer %s marked down after %d consecutive failures (%v); probing again in %v",
 				p.base, peerDownAfter, err, c.cfg.Probation)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -28,7 +29,7 @@ func AnalyzeTrace(tr *trace.Trace, opts Options) (*Result, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("core: AnalyzeTrace: nil trace")
 	}
-	j := &TraceJob{opts: opts, an: newAnalyzer(opts, false, nil)}
+	j := &TraceJob{opts: opts, an: newAnalyzer(opts, false, nil), sealed: true}
 	j.an.AppendTrace(tr)
 	return j.Finish()
 }
@@ -44,7 +45,8 @@ type TraceJob struct {
 	opts   Options
 	an     *stream.Analyzer
 	dec    *trace.StreamDecoder // nil in AnalyzeTrace's job, whose trace arrives decoded
-	sealed bool                 // the analyzer has adopted the decoder's trace
+	sealed bool                 // the analyzer holds the whole trace; Feed is over
+	res    *Result              // Finish's outcome, returned again by later calls
 }
 
 // NewTraceJob returns a job awaiting the first bytes of a binary trace.
@@ -60,7 +62,7 @@ func newAnalyzer(opts Options, provisional bool, onEvent func(stream.Event)) *st
 	return stream.New(stream.Options{
 		HB: opts.HB, Detect: opts.Detect, ChunkSize: opts.ChunkSize,
 		Provisional: provisional, OnEvent: onEvent,
-		Obs: opts.Obs, Logf: opts.Obs.Logf, Cache: opts.ScanCache,
+		Obs: opts.Obs, Cache: opts.ScanCache,
 	})
 }
 
@@ -68,8 +70,11 @@ func newAnalyzer(opts Options, provisional bool, onEvent func(stream.Event)) *st
 // completes through the online pass, returning how many there were. The
 // decoder keeps the records and the analyzer adopts them, with the header's
 // metadata, at Seal, so the trace is held once. A non-nil error means the
-// bytes are not a trace; it is sticky.
+// bytes are not a trace, which is sticky, or that the job is already sealed.
 func (j *TraceJob) Feed(seg []byte) (int, error) {
+	if j.sealed {
+		return 0, errors.New("core: TraceJob: Feed after Seal")
+	}
 	n, err := j.dec.Feed(seg)
 	if err != nil {
 		return 0, err
@@ -98,7 +103,7 @@ func (j *TraceJob) FrontierBytes() int64 { return j.an.FrontierBytes() }
 // Callers that queue or announce the job between ingest and analysis seal
 // it first; Finish seals implicitly.
 func (j *TraceJob) Seal() (*trace.Trace, error) {
-	if j.dec != nil && !j.sealed {
+	if !j.sealed {
 		tr, err := j.dec.Finish()
 		if err != nil {
 			return nil, err
@@ -110,8 +115,13 @@ func (j *TraceJob) Seal() (*trace.Trace, error) {
 }
 
 // Finish completes the analysis: the full build, or — when the closure
-// exceeds the budget and ChunkSize is set — the windowed replay.
+// exceeds the budget and ChunkSize is set — the windowed replay. The
+// analysis runs, and records its metrics, once: later calls return the same
+// Result.
 func (j *TraceJob) Finish() (*Result, error) {
+	if j.res != nil {
+		return j.res, nil
+	}
 	tr, err := j.Seal()
 	if err != nil {
 		return nil, err
@@ -124,6 +134,7 @@ func (j *TraceJob) Finish() (*Result, error) {
 	if !res.OOM {
 		res.countStage(rec, "final", res.Final)
 	}
+	j.res = res
 	return res, nil
 }
 

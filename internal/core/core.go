@@ -40,11 +40,6 @@ type Options struct {
 	// (hb.Config.LoopReads is managed by the pipeline itself).
 	HB hb.Config
 
-	// SkipPrune disables static pruning; SkipLoopSync disables the
-	// focused rerun and Rule-Mpull.
-	SkipPrune    bool
-	SkipLoopSync bool
-
 	// ChunkSize, when positive, enables the chunked-analysis fallback
 	// (paper §7.2): if the full reachability closure exceeds HB.MemBudget,
 	// the trace is re-analyzed in overlapping windows of this many
@@ -176,30 +171,26 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 
 	// Focused second run for loop-based synchronization (§3.2.1): same
 	// seed, same schedule, plus LoopExit and writer-provenance records.
-	loopReads := map[int32][]int32{}
-	if !opts.SkipLoopSync {
-		sp = rec.Span("core.loop_sync_probe")
-		t0 = time.Now()
-		cands := res.Analysis.LoopSyncCandidates()
-		sp.Attr("candidate_loops", len(cands))
-		if len(cands) > 0 {
-			loops, reads := analysis.PullProbe(cands)
-			col2 := trace.NewCollector(w.Name)
-			if _, err := rt.Run(w, rt.Options{
-				Seed: opts.Seed, MaxSteps: opts.MaxSteps,
-				Collector: col2, TraceMem: true, MemScope: scope,
-				PullLoops: loops, PullReads: reads,
-			}); err != nil {
-				sp.End()
-				return nil, fmt.Errorf("core: focused run: %w", err)
-			}
-			res.Trace = col2.Trace()
-			loopReads = cands
+	sp = rec.Span("core.loop_sync_probe")
+	t0 = time.Now()
+	loopReads := res.Analysis.LoopSyncCandidates()
+	sp.Attr("candidate_loops", len(loopReads))
+	if len(loopReads) > 0 {
+		loops, reads := analysis.PullProbe(loopReads)
+		col2 := trace.NewCollector(w.Name)
+		if _, err := rt.Run(w, rt.Options{
+			Seed: opts.Seed, MaxSteps: opts.MaxSteps,
+			Collector: col2, TraceMem: true, MemScope: scope,
+			PullLoops: loops, PullReads: reads,
+		}); err != nil {
+			sp.End()
+			return nil, fmt.Errorf("core: focused run: %w", err)
 		}
-		res.Stats.LoopSyncTime = time.Since(t0)
-		sp.End()
-		rec.Logf("loop-sync probe: %d candidate loops in %v", len(cands), res.Stats.LoopSyncTime)
+		res.Trace = col2.Trace()
 	}
+	res.Stats.LoopSyncTime = time.Since(t0)
+	sp.End()
+	rec.Logf("loop-sync probe: %d candidate loops in %v", len(loopReads), res.Stats.LoopSyncTime)
 
 	res.Stats.TraceRecords = len(res.Trace.Recs)
 	res.Stats.TraceBytes = res.Trace.EncodedSize()
@@ -221,11 +212,7 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 	// Static pruning (§4).
 	sp = rec.Span("core.static_pruning")
 	t0 = time.Now()
-	if opts.SkipPrune {
-		res.SP = res.TA
-	} else {
-		res.SP, _ = res.Analysis.Prune(res.TA, res.Trace)
-	}
+	res.SP, _ = res.Analysis.Prune(res.TA, res.Trace)
 	res.Stats.SPStatic = res.SP.StaticCount()
 	res.Stats.SPCallstack = res.SP.CallstackCount()
 	res.Stats.PruningTime = time.Since(t0)
@@ -239,7 +226,7 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 	// pull-sync pairs, then intersect with the pruned set. It needs the
 	// full graph, so a chunked run's final report is the pruned one.
 	res.Final = res.SP
-	if !res.Chunked && !opts.SkipLoopSync && len(loopReads) > 0 {
+	if !res.Chunked && len(loopReads) > 0 {
 		sp = rec.Span("core.loop_sync_analysis")
 		cfg := opts.HB
 		cfg.LoopReads = loopReads
@@ -319,7 +306,7 @@ func ValidateAll(res *Result, opts TriggerOptions) []trigger.Validation {
 		vsp := sp.Child("trigger.validate")
 		vsp.Attr("pair", i)
 		v := trigger.Validate(res.Workload, res.Final.Pairs[i], res.Trace, res.Graph, trigger.Options{
-			Seed:     seedOf(res),
+			Seed:     res.seed,
 			MaxSteps: maxSteps,
 			Naive:    opts.Naive,
 		})
@@ -335,8 +322,6 @@ func ValidateAll(res *Result, opts TriggerOptions) []trigger.Validation {
 	}
 	return out
 }
-
-func seedOf(res *Result) int64 { return res.seed }
 
 // attemptOutcome names how a controlled run ended, for the
 // trigger.attempts.* counters: it exhausted the step budget, a lone party
@@ -382,46 +367,4 @@ func (r *Result) Summary() string {
 		r.Stats.LPStatic, r.Stats.LPCallstack,
 		r.Stats.TraceRecords)
 	return b.String()
-}
-
-// DetectMulti runs the pipeline under several schedule seeds and unions the
-// final reports (deduplicated by callstack pair). DCbugs manifest per
-// schedule, so monitoring several correct runs widens coverage — the
-// multi-workload counterpart of the paper's "monitoring correct execution
-// of seven workloads".
-func DetectMulti(w *rt.Workload, seeds []int64, opts Options) (*Result, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("core: DetectMulti needs at least one seed")
-	}
-	var first *Result
-	seen := map[detect.CallstackKey]bool{}
-	for _, seed := range seeds {
-		o := opts
-		o.Seed = seed
-		res, err := Detect(w, o)
-		if err != nil {
-			return nil, fmt.Errorf("core: seed %d: %w", seed, err)
-		}
-		if res.OOM {
-			return res, nil
-		}
-		if first == nil {
-			first = res
-			for i := range first.Final.Pairs {
-				seen[first.Final.Pairs[i].CallstackKey()] = true
-			}
-			continue
-		}
-		for i := range res.Final.Pairs {
-			p := res.Final.Pairs[i]
-			key := p.CallstackKey()
-			if !seen[key] {
-				seen[key] = true
-				first.Final.Pairs = append(first.Final.Pairs, p)
-			}
-		}
-	}
-	first.Stats.LPStatic = first.Final.StaticCount()
-	first.Stats.LPCallstack = first.Final.CallstackCount()
-	return first, nil
 }

@@ -130,27 +130,6 @@ func TestDetectPipelineStages(t *testing.T) {
 	}
 }
 
-func TestSkipOptions(t *testing.T) {
-	w := toy(t)
-	noPrune, err := Detect(w, Options{Seed: 3, SkipPrune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noPrune.Stats.SPCallstack != noPrune.Stats.TACallstack {
-		t.Fatal("SkipPrune still pruned")
-	}
-	noLP, err := Detect(w, Options{Seed: 3, SkipLoopSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noLP.Stats.PullPairs != 0 {
-		t.Fatal("SkipLoopSync still found pull pairs")
-	}
-	if noLP.Stats.LPCallstack != noLP.Stats.SPCallstack {
-		t.Fatal("SkipLoopSync changed LP stage")
-	}
-}
-
 func TestOOMPath(t *testing.T) {
 	res, err := Detect(toy(t), Options{Seed: 3, HB: hb.Config{MemBudget: 64}})
 	if err != nil {
@@ -260,25 +239,6 @@ func TestChunkedFallback(t *testing.T) {
 	}).Meta().ID
 	if !res.TA.HasStaticPair(int32(statusW), int32(statusR)) {
 		t.Fatalf("chunked TA missed the status race:\n%s", res.TA.Format(p))
-	}
-}
-
-func TestDetectMultiUnions(t *testing.T) {
-	w := toy(t)
-	single, err := Detect(w, Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := DetectMulti(w, []int64{3, 4, 5}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.Final.CallstackCount() < single.Final.CallstackCount() {
-		t.Fatalf("union smaller than one seed: %d < %d",
-			multi.Final.CallstackCount(), single.Final.CallstackCount())
-	}
-	if _, err := DetectMulti(w, nil, Options{}); err == nil {
-		t.Fatal("empty seed list accepted")
 	}
 }
 

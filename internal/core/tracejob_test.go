@@ -142,3 +142,47 @@ func TestTraceJobsNeverBuildIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceJobFinishOnce pins that a second Finish returns the first Result
+// without analyzing, or counting its candidates, again.
+func TestTraceJobFinishOnce(t *testing.T) {
+	rec := obs.New()
+	job := core.NewTraceJob(core.Options{Obs: rec}, nil)
+	if _, err := job.Feed(bench.SyntheticTraceBounded(500, 13).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	first, err := job.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rec.Counters()["core.candidates.final.callstack"]
+	if want == 0 {
+		t.Fatal("first Finish recorded no final candidates")
+	}
+	second, err := job.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first {
+		t.Fatal("second Finish built a new Result")
+	}
+	if got := rec.Counters()["core.candidates.final.callstack"]; got != want {
+		t.Fatalf("core.candidates.final.callstack = %d after two Finishes, want %d", got, want)
+	}
+}
+
+// TestTraceJobFeedAfterSeal pins that bytes fed to a sealed job are refused,
+// not silently dropped.
+func TestTraceJobFeedAfterSeal(t *testing.T) {
+	raw := bench.SyntheticTraceBounded(500, 13).Encode()
+	job := core.NewTraceJob(core.Options{}, nil)
+	if _, err := job.Feed(raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := job.Feed(raw); err == nil {
+		t.Fatalf("Feed after Seal = %d, nil; want an error", n)
+	}
+}

@@ -95,11 +95,10 @@ type Report struct {
 	// memo is (re)built.
 	mu sync.Mutex
 	// staticSet caches the packed static-pair identities of Pairs; it is
-	// rebuilt whenever len(Pairs) changes (reports only ever grow, via
-	// core.DetectMulti-style appends). staticKeys caches the rendered,
-	// sorted key strings for the same Pairs length; it is built lazily on
-	// the first StaticKeys call so callers that never render keys pay
-	// nothing.
+	// rebuilt whenever len(Pairs) changes (a caller may append pairs after
+	// a query). staticKeys caches the rendered, sorted key strings for the
+	// same Pairs length; it is built lazily on the first StaticKeys call so
+	// callers that never render keys pay nothing.
 	staticSet  map[int64]struct{}
 	staticKeys []string
 	staticLen  int

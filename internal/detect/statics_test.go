@@ -86,7 +86,7 @@ func TestStaticKeysCached(t *testing.T) {
 }
 
 // TestStaticSetCacheTracksAppends: the precomputed static-pair set must
-// refresh when pairs are appended (core.DetectMulti grows Final in place).
+// refresh when pairs are appended after a query.
 func TestStaticSetCacheTracksAppends(t *testing.T) {
 	r := &Report{Pairs: []Pair{{AStatic: 1, BStatic: 2}}}
 	if !r.HasStaticPair(2, 1) || r.StaticCount() != 1 {

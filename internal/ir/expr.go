@@ -155,17 +155,6 @@ func ExprLocals(e Expr) map[string]bool {
 	return set
 }
 
-// JoinLocals collects locals from several expressions.
-func JoinLocals(es ...Expr) map[string]bool {
-	set := map[string]bool{}
-	for _, e := range es {
-		if e != nil {
-			e.Locals(set)
-		}
-	}
-	return set
-}
-
 func localsString(set map[string]bool) string {
 	var names []string
 	for n := range set {

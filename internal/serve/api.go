@@ -26,12 +26,12 @@ import (
 //
 // A full queue answers 429 with a Retry-After header; an oversized body
 // answers 413. Submissions are content-addressed: resubmitting an identical
-// job (same benchmark/seeds/options, or byte-identical trace and options)
+// job (same benchmark/seed/options, or byte-identical trace and options)
 // is served from the report cache without re-running analysis.
 
 // Job kinds.
 const (
-	KindSubject = "subject" // registered benchmark + seeds + options
+	KindSubject = "subject" // registered benchmark + seed + options
 	KindTrace   = "trace"   // uploaded binary trace, analyzed TA-only
 )
 
@@ -44,21 +44,20 @@ const (
 	StateCanceled = "canceled"
 )
 
-// JobOptions is the remotely selectable subset of core.Options. Every field
-// maps onto the matching dcatch CLI flag so any local invocation can be
-// replayed through the service byte-for-byte.
+// JobOptions is the remotely selectable subset of core.Options. Full,
+// Validate and Naive are the dcatch flags of the same names, so every local
+// `dcatch -bench` run replays through the service byte for byte; MemBudget
+// and ChunkSize are dcatch-trace's -mem-budget and -chunk; Parallelism,
+// Reach and MaxGroup have no flag and are set only through the service.
 type JobOptions struct {
 	// Full enables unselective memory tracing (dcatch -full). Subject jobs only.
 	Full bool `json:"full,omitempty"`
-	// SkipPrune / SkipLoopSync disable pipeline stages. Subject jobs only.
-	SkipPrune    bool `json:"skip_prune,omitempty"`
-	SkipLoopSync bool `json:"skip_loop_sync,omitempty"`
 	// Parallelism is how many windows the chunked fallback analyses
-	// concurrently (dcatch-trace -parallel); reports are byte-identical at
-	// any setting, so it is not part of the report-cache key.
+	// concurrently (0 = all CPUs); reports are byte-identical at any
+	// setting, so it is not part of the report-cache key.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Reach picks the footprint model MemBudget admission charges: "",
-	// "dense", "chain", "auto" (dcatch -reach).
+	// Reach picks the footprint model MemBudget admission charges: "" or
+	// "dense" (the default), "chain", "auto".
 	Reach string `json:"reach,omitempty"`
 	// MemBudget is hb's reachability admission budget in bytes; it also
 	// drives the service's admission control (a job is not started until
@@ -77,9 +76,9 @@ type JobOptions struct {
 // SubjectRequest is the JSON submission body for a subject job.
 type SubjectRequest struct {
 	Bench string `json:"bench"`
-	// Seeds are the schedule seeds to run and union (core.DetectMulti);
-	// empty means the benchmark's registered seed.
-	Seeds   []int64    `json:"seeds,omitempty"`
+	// Seed is the schedule seed (dcatch -seed); 0 means the benchmark's
+	// registered seed.
+	Seed    int64      `json:"seed,omitempty"`
 	Options JobOptions `json:"options"`
 }
 
@@ -128,13 +127,11 @@ type JobMetrics struct {
 	EventsDropped int64                        `json:"events_dropped"`
 }
 
-// coreOptions translates JobOptions into core.Options; seed 0 keeps the
-// caller's default. The error reports an unusable option value.
+// coreOptions translates JobOptions into core.Options. The error reports an
+// unusable option value.
 func coreOptions(o JobOptions) (core.Options, error) {
 	var opts core.Options
 	opts.FullTrace = o.Full
-	opts.SkipPrune = o.SkipPrune
-	opts.SkipLoopSync = o.SkipLoopSync
 	opts.HB.Parallelism = o.Parallelism
 	opts.HB.MemBudget = o.MemBudget
 	opts.ChunkSize = o.ChunkSize
@@ -162,10 +159,10 @@ func optionsKey(o JobOptions) string {
 }
 
 // subjectCacheKey is the content address of a subject job: benchmark,
-// seeds and canonical options.
-func subjectCacheKey(bench string, seeds []int64, o JobOptions) string {
+// resolved seed and canonical options.
+func subjectCacheKey(bench string, seed int64, o JobOptions) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "subject|%s|%v|%s", bench, seeds, optionsKey(o))
+	fmt.Fprintf(h, "subject|%s|%d|%s", bench, seed, optionsKey(o))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

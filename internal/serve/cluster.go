@@ -22,7 +22,7 @@ import (
 // byte-identical to the single-node chunked path over the same options.
 func (s *Server) submitTraceCluster(body io.Reader, jopt JobOptions) (*job, error) {
 	if jopt.ChunkSize <= 0 {
-		jopt.ChunkSize = s.cfg.ClusterChunk
+		jopt.ChunkSize = cluster.DefaultChunkSize
 	}
 	opts, err := coreOptions(jopt)
 	if err != nil {
@@ -36,7 +36,6 @@ func (s *Server) submitTraceCluster(body io.Reader, jopt JobOptions) (*job, erro
 		HB:        opts.HB,
 		Detect:    opts.Detect,
 		Obs:       tel.rec,
-		Logf:      tel.rec.Logf,
 		Cache:     s.cfg.ScanCache,
 	})
 	if err != nil {

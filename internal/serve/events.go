@@ -22,6 +22,14 @@ import (
 // events are dropped for that subscriber (counted in serve.events.dropped)
 // and the consumer sees a seq gap.
 
+// eventRing bounds each job's event ring: late subscribers replay at most
+// this many events, and a slow consumer starts dropping once roughly this
+// far behind.
+const eventRing = 512
+
+// eventHeartbeat is the idle keep-alive interval on event streams.
+const eventHeartbeat = 5 * time.Second
+
 // jobTelemetry bundles the per-job observability surfaces handed to
 // manager.submit: the recorder analysis stages record into and the hub its
 // events stream through. The zero value (direct submit calls in tests, or
@@ -156,7 +164,7 @@ func (h *eventHub) droppedCount() int64 {
 // (see submitSubject/submitTrace) — rejected submissions leave no trace in
 // /metrics aggregates.
 func (s *Server) newJobTelemetry() jobTelemetry {
-	hub := newEventHub(s.cfg.EventBuffer)
+	hub := newEventHub(eventRing)
 	var rec *obs.Recorder
 	if !s.cfg.NoJobTelemetry {
 		rec = obs.New()
@@ -211,7 +219,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		emit(obs.Event{Type: obs.EventState, Name: j.status().State})
 		return
 	}
-	hb := time.NewTicker(s.cfg.EventHeartbeat)
+	hb := time.NewTicker(eventHeartbeat)
 	defer hb.Stop()
 	for {
 		select {

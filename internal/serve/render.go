@@ -9,10 +9,47 @@ import (
 	"dcatch/internal/trigger"
 )
 
-// The report renderers are the single source of truth for detection output
-// text: the dcatch CLI prints them locally and dcatch-serve stores them as
-// the job report, so a report fetched from the service is byte-identical to
-// the corresponding local run by construction, not by convention.
+// The subject runner and the report renderers are the single source of
+// truth for detection output text: the dcatch CLI prints them locally and
+// dcatch-serve stores them as the job report, so a report fetched from the
+// service is byte-identical to the corresponding local run by construction,
+// not by convention.
+
+// subjectValidateSteps is the step budget of each controlled replay when a
+// subject job validates its reports.
+const subjectValidateSteps = 200_000
+
+// SubjectOptions is the core.Options a subject job runs under: b's step
+// budget, b's registered seed unless seed is non-zero, and jopt's analysis
+// options. The error reports an unusable option value.
+func SubjectOptions(b *subjects.Benchmark, seed int64, jopt JobOptions) (core.Options, error) {
+	opts, err := coreOptions(jopt)
+	if err != nil {
+		return opts, err
+	}
+	opts.Seed, opts.MaxSteps = b.Seed, b.MaxSteps
+	if seed != 0 {
+		opts.Seed = seed
+	}
+	return opts, nil
+}
+
+// RunSubject is a subject job — `dcatch -bench` and a subject submission
+// to dcatch-serve both run it: detection under opts, then with validate the
+// triggering module on every final report pair (naive: without placement
+// analysis), rendered by RenderSubject. The Result is nil only with an
+// error; on OOM the report is the summary line.
+func RunSubject(b *subjects.Benchmark, opts core.Options, validate, naive bool) (*core.Result, string, error) {
+	res, err := core.Detect(b.Workload, opts)
+	if err != nil {
+		return nil, "", err
+	}
+	var vals []trigger.Validation
+	if validate && !res.OOM {
+		vals = core.ValidateAll(res, core.TriggerOptions{MaxSteps: subjectValidateSteps, Naive: naive, Obs: opts.Obs})
+	}
+	return res, RenderSubject(b, res, vals, validate), nil
+}
 
 // RenderSubject renders a subject detection outcome exactly as
 // `dcatch -bench` prints it: summary, report pairs with ground-truth

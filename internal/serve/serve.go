@@ -5,8 +5,8 @@
 // Race prediction from traces scales by throughput over many traces rather
 // than by any single analysis, so the pipeline that PRs 1–3 made parallel,
 // memory-bounded and observable gets a serving surface here: subject jobs
-// re-run registered benchmarks under arbitrary core.Options (full pipeline,
-// optionally through the triggering module), and trace jobs analyze a
+// are `dcatch -bench` run remotely (RunSubject: the full pipeline at one
+// seed, optionally through the triggering module), and trace jobs analyze a
 // client-uploaded binary trace TA-only via core.AnalyzeTrace. Reports are
 // rendered by the same functions the CLI prints through, so a fetched
 // report is byte-identical to the corresponding local run.
@@ -32,7 +32,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dcatch/internal/bench"
 	"dcatch/internal/cluster"
@@ -41,9 +40,7 @@ import (
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
 	"dcatch/internal/stream"
-	"dcatch/internal/subjects"
 	"dcatch/internal/trace"
-	"dcatch/internal/trigger"
 )
 
 // Config sizes the service. Zero values select the documented defaults.
@@ -64,13 +61,6 @@ type Config struct {
 	// CacheEntries bounds the content-addressed report cache (default 256;
 	// negative disables caching).
 	CacheEntries int
-	// EventBuffer bounds each job's event ring: late subscribers to
-	// GET /v1/jobs/{id}/events replay at most this many events, and a slow
-	// consumer starts dropping once roughly this far behind (default 512).
-	EventBuffer int
-	// EventHeartbeat is the idle keep-alive interval on event streams
-	// (default 5s).
-	EventHeartbeat time.Duration
 	// NoJobTelemetry disables per-job recorders: jobs run with a nil
 	// observer, so /v1/jobs/{id}/metrics is empty and /metrics carries only
 	// service-level data. Reports are byte-identical either way.
@@ -79,7 +69,8 @@ type Config struct {
 	// switches trace jobs to coordinator mode: the upload is partitioned by
 	// chunk window, windows are scanned by the peers (with local re-runs on
 	// failure), and the merged report is byte-identical to the single-node
-	// chunked path. Subject jobs are unaffected.
+	// chunked path. A job without chunk_size gets cluster.DefaultChunkSize
+	// records per window. Subject jobs are unaffected.
 	Peers []string
 	// Worker exposes the window-scan RPC (POST /v1/cluster/scan), backed by
 	// the same admission gate and drainer as local jobs.
@@ -87,9 +78,6 @@ type Config struct {
 	// WorkerScans caps concurrent remote window scans in worker mode;
 	// excess requests are answered 429 immediately (default: Workers).
 	WorkerScans int
-	// ClusterChunk is the window size, in records, for coordinated trace
-	// jobs that do not set chunk_size themselves (default 50000).
-	ClusterChunk int
 	// ScanCache, when non-nil, memoizes per-window detection scans across
 	// jobs: the streaming/chunked local path, coordinator dispatch, and
 	// worker-mode scan handling all consult it, so a resubmitted trace
@@ -117,17 +105,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
 	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 512
-	}
-	if c.EventHeartbeat <= 0 {
-		c.EventHeartbeat = 5 * time.Second
-	}
 	if c.WorkerScans <= 0 {
 		c.WorkerScans = c.Workers
-	}
-	if c.ClusterChunk <= 0 {
-		c.ClusterChunk = 50_000
 	}
 	return c
 }
@@ -331,38 +310,26 @@ func (s *Server) submitSubject(body io.Reader) (*job, error) {
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("serve: bad subject request: %w", err)
 	}
-	b := findBenchmark(req.Bench)
+	b := bench.Lookup(req.Bench)
 	if b == nil {
 		return nil, fmt.Errorf("serve: unknown benchmark %q", req.Bench)
 	}
-	opts, err := coreOptions(req.Options)
+	jopt := req.Options
+	opts, err := SubjectOptions(b, req.Seed, jopt)
 	if err != nil {
 		return nil, err
 	}
-	opts.MaxSteps = b.MaxSteps
 	tel := s.newJobTelemetry()
 	opts.Obs = tel.rec
-	seeds := req.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{b.Seed}
-	}
-	jopt := req.Options
 	run := func() (*jobResult, error) {
-		res, err := core.DetectMulti(b.Workload, seeds, opts)
+		res, report, err := RunSubject(b, opts, jopt.Validate, jopt.Naive)
 		if err != nil {
 			return nil, err
 		}
-		var vals []trigger.Validation
-		if jopt.Validate && !res.OOM {
-			vals = core.ValidateAll(res, core.TriggerOptions{
-				MaxSteps: 200_000, Naive: jopt.Naive, Obs: tel.rec,
-			})
-		}
-		report := RenderSubject(b, res, vals, jopt.Validate)
 		stats := res.Stats
 		return &jobResult{report: []byte(report), summary: res.Summary(), stats: &stats, oom: res.OOM}, nil
 	}
-	key := subjectCacheKey(req.Bench, seeds, req.Options)
+	key := subjectCacheKey(req.Bench, opts.Seed, jopt)
 	j, err := s.mgr.submit(KindSubject, req.Bench, key, jopt.MemBudget, tel, run)
 	if err != nil {
 		return nil, err
@@ -635,16 +602,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	snap["status"] = "ok"
 	writeJSON(w, http.StatusOK, snap)
-}
-
-// findBenchmark resolves a registered benchmark by ID.
-func findBenchmark(id string) *subjects.Benchmark {
-	for _, b := range bench.Benchmarks() {
-		if b.ID == id {
-			return b
-		}
-	}
-	return nil
 }
 
 // WaitTerminal blocks until the job leaves the queue/run states or the

@@ -37,11 +37,13 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	return s, NewClient(hs.URL)
 }
 
-// localSubjectReport reproduces exactly what the local CLI prints for the
-// benchmark, through the same code path submitSubject runs.
-func localSubjectReport(t *testing.T, benchID string, seeds []int64, jopt JobOptions) string {
+// localSubjectReport reproduces what the local CLI prints for the benchmark
+// at seed (0: the registered one) from the pipeline's own stages — Detect,
+// ValidateAll at 200 000 steps, RenderSubject — not through RunSubject, so
+// it is an oracle for the one runner both front ends call.
+func localSubjectReport(t *testing.T, benchID string, seed int64, jopt JobOptions) string {
 	t.Helper()
-	b := findBenchmark(benchID)
+	b := bench.Lookup(benchID)
 	if b == nil {
 		t.Fatalf("unknown benchmark %s", benchID)
 	}
@@ -49,11 +51,11 @@ func localSubjectReport(t *testing.T, benchID string, seeds []int64, jopt JobOpt
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.MaxSteps = b.MaxSteps
-	if len(seeds) == 0 {
-		seeds = []int64{b.Seed}
+	opts.Seed, opts.MaxSteps = b.Seed, b.MaxSteps
+	if seed != 0 {
+		opts.Seed = seed
 	}
-	res, err := core.DetectMulti(b.Workload, seeds, opts)
+	res, err := core.Detect(b.Workload, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func localSubjectReport(t *testing.T, benchID string, seeds []int64, jopt JobOpt
 // plus the report a local TA-only analysis of that trace prints.
 func localTraceBytes(t *testing.T, benchID string) ([]byte, string) {
 	t.Helper()
-	b := findBenchmark(benchID)
+	b := bench.Lookup(benchID)
 	if b == nil {
 		t.Fatalf("unknown benchmark %s", benchID)
 	}
@@ -102,7 +104,7 @@ func waitDone(t *testing.T, c *Client, id string) *JobStatus {
 // served report is byte-identical to the local pipeline's rendering.
 func TestSubjectRoundTrip(t *testing.T) {
 	_, c := newTestServer(t, Config{})
-	want := localSubjectReport(t, "MR-3274", nil, JobOptions{})
+	want := localSubjectReport(t, "MR-3274", 0, JobOptions{})
 
 	st, err := c.SubmitSubject(SubjectRequest{Bench: "MR-3274"})
 	if err != nil {
@@ -131,7 +133,7 @@ func TestSubjectRoundTrip(t *testing.T) {
 func TestSubjectValidateRoundTrip(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	jopt := JobOptions{Validate: true}
-	want := localSubjectReport(t, "MR-3274", nil, jopt)
+	want := localSubjectReport(t, "MR-3274", 0, jopt)
 
 	st, err := c.SubmitSubject(SubjectRequest{Bench: "MR-3274", Options: jopt})
 	if err != nil {
@@ -147,6 +149,38 @@ func TestSubjectValidateRoundTrip(t *testing.T) {
 	}
 	if string(got) != want {
 		t.Errorf("validated report differs from local run:\n-- served --\n%s\n-- local --\n%s", got, want)
+	}
+}
+
+// TestSubjectSeedMatchesLocal pins the wire name and meaning of a subject
+// job's seed: the body {"seed": 28} with validate runs ZK-1144 at schedule
+// seed 28 — detection and every controlled replay on that seed's trace —
+// byte for byte what dcatch -bench ZK-1144 -seed 28 -validate prints.
+func TestSubjectSeedMatchesLocal(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	want := localSubjectReport(t, "ZK-1144", 28, JobOptions{Validate: true})
+	if want == localSubjectReport(t, "ZK-1144", 0, JobOptions{Validate: true}) {
+		t.Fatal("seed 28 renders the registered seed's report; the test cannot tell them apart")
+	}
+	resp, err := http.Post(c.Base+"/v1/jobs", "application/json",
+		strings.NewReader(`{"bench":"ZK-1144","seed":28,"options":{"validate":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := decodeStatus(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = waitDone(t, c, st.ID)
+	if st.State != StateDone {
+		t.Fatalf("job finished %s: %s", st.State, st.Error)
+	}
+	got, err := c.Report(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("seed-28 report differs from the local run:\n-- served --\n%s\n-- local --\n%s", got, want)
 	}
 }
 
@@ -414,15 +448,29 @@ func TestCacheHit(t *testing.T) {
 		t.Error("cached report differs from original")
 	}
 
-	// Different options miss the cache.
-	st3, err := c.SubmitSubject(SubjectRequest{Bench: "ZK-1144", Options: JobOptions{SkipPrune: true}})
+	// The registered seed spelled out is the same job.
+	st2, err = c.SubmitSubject(SubjectRequest{Bench: "ZK-1144", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.CacheHit {
-		t.Error("different options should not hit the cache")
+	if !st2.CacheHit {
+		t.Error("seed 1, ZK-1144's registered seed, missed the cache")
 	}
-	waitDone(t, c, st3.ID)
+
+	// A different seed or different options miss the cache.
+	for _, req := range []SubjectRequest{
+		{Bench: "ZK-1144", Seed: 2},
+		{Bench: "ZK-1144", Options: JobOptions{MaxGroup: 1000}},
+	} {
+		st3, err := c.SubmitSubject(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st3.CacheHit {
+			t.Errorf("%+v should not hit the cache", req)
+		}
+		waitDone(t, c, st3.ID)
+	}
 
 	// parallel= cannot change report bytes, so it is not part of the key:
 	// the same upload at another setting hits.
@@ -444,14 +492,14 @@ func TestCacheHit(t *testing.T) {
 	}
 
 	counters := s.Recorder().Counters()
-	if counters["serve.cache.hits"] != 2 {
-		t.Errorf("serve.cache.hits = %d, want 2", counters["serve.cache.hits"])
+	if counters["serve.cache.hits"] != 3 {
+		t.Errorf("serve.cache.hits = %d, want 3", counters["serve.cache.hits"])
 	}
-	if counters["serve.jobs.executed"] != 3 {
-		t.Errorf("serve.jobs.executed = %d, want 3 (cache hit must not re-run analysis)", counters["serve.jobs.executed"])
+	if counters["serve.jobs.executed"] != 4 {
+		t.Errorf("serve.jobs.executed = %d, want 4 (cache hit must not re-run analysis)", counters["serve.jobs.executed"])
 	}
-	if counters["serve.jobs.submitted"] != 5 {
-		t.Errorf("serve.jobs.submitted = %d, want 5", counters["serve.jobs.submitted"])
+	if counters["serve.jobs.submitted"] != 7 {
+		t.Errorf("serve.jobs.submitted = %d, want 7", counters["serve.jobs.submitted"])
 	}
 }
 
@@ -599,8 +647,8 @@ func TestCancelReleasesAdmission(t *testing.T) {
 // the corresponding local run.
 func TestConcurrentClients(t *testing.T) {
 	_, c := newTestServer(t, Config{QueueDepth: 32})
-	wantMR := localSubjectReport(t, "MR-3274", nil, JobOptions{})
-	wantZK := localSubjectReport(t, "ZK-1144", nil, JobOptions{})
+	wantMR := localSubjectReport(t, "MR-3274", 0, JobOptions{})
+	wantZK := localSubjectReport(t, "ZK-1144", 0, JobOptions{})
 	raw, wantTrace := localTraceBytes(t, "HB-4539")
 
 	var wg sync.WaitGroup
@@ -784,7 +832,8 @@ func TestBadInputs(t *testing.T) {
 // scan= query parameter on a trace upload (every mode rendered the same bytes)
 // is ignored, recognised value or not, and the report is byte-identical to
 // the same upload without it; options.scan in a subject-job body is an
-// unknown field like any other.
+// unknown field like any other, as are the retired multi-seed union's seeds
+// list and the stage-skip switches.
 func TestStaleScanOption(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	raw, want := localTraceBytes(t, "ZK-1144")
@@ -800,6 +849,12 @@ func TestStaleScanOption(t *testing.T) {
 		{name: "upload scan=bogus", query: "?scan=bogus"},
 		{name: "subject options.scan", contentType: "application/json",
 			body: `{"bench":"ZK-1144","options":{"scan":"epoch"}}`, wantStatus: http.StatusBadRequest},
+		{name: "subject seeds", contentType: "application/json",
+			body: `{"bench":"ZK-1144","seeds":[1,28]}`, wantStatus: http.StatusBadRequest},
+		{name: "subject options.skip_prune", contentType: "application/json",
+			body: `{"bench":"ZK-1144","options":{"skip_prune":true}}`, wantStatus: http.StatusBadRequest},
+		{name: "subject options.skip_loop_sync", contentType: "application/json",
+			body: `{"bench":"ZK-1144","options":{"skip_loop_sync":true}}`, wantStatus: http.StatusBadRequest},
 	} {
 		contentType, body := "application/octet-stream", raw
 		if tc.contentType != "" {
@@ -810,9 +865,10 @@ func TestStaleScanOption(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tc.wantStatus != 0 {
+			msg, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != tc.wantStatus {
-				t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.wantStatus)
+			if resp.StatusCode != tc.wantStatus || !strings.Contains(string(msg), "unknown field") {
+				t.Errorf("%s: status %d %s, want %d unknown field", tc.name, resp.StatusCode, msg, tc.wantStatus)
 			}
 			continue
 		}

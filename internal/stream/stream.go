@@ -70,10 +70,6 @@ type Options struct {
 	// IngestBatch/AppendTrace (candidates) and Finish (retractions).
 	OnEvent func(Event)
 
-	// Logf, when non-nil, receives the same progress lines the batch path
-	// logs (e.g. the chunked-fallback notice).
-	Logf func(format string, args ...any)
-
 	// Cache, when non-nil, memoizes per-window scans in both the eager
 	// windowed mode and the non-eager chunked fallback: a window whose
 	// record bytes and wire-expressible options match a cached entry skips
@@ -86,8 +82,9 @@ type Options struct {
 	// Obs, when non-nil, receives the analyzer's own metrics:
 	// stream.frontier_peak_bytes (high-water counter; the live
 	// stream.frontier_bytes gauge is the caller's, fed from FrontierBytes)
-	// and stream.append_lag_us (per-batch processing latency histogram).
-	// Per-graph spans still flow through HB.Obs / Detect.Obs.
+	// and stream.append_lag_us (per-batch processing latency histogram),
+	// plus the chunked-fallback notice as a progress line. Per-graph spans
+	// still flow through HB.Obs / Detect.Obs.
 	Obs *obs.Recorder
 }
 
@@ -286,12 +283,6 @@ func (a *Analyzer) emit(ev Event) {
 	}
 }
 
-func (a *Analyzer) logf(format string, args ...any) {
-	if a.opts.Logf != nil {
-		a.opts.Logf(format, args...)
-	}
-}
-
 // Finish completes the analysis and returns the final result. Non-eager:
 // the authoritative batch engine runs over the adopted trace —
 // byte-identical to core.AnalyzeTrace's trace-analysis stage by
@@ -325,7 +316,7 @@ func (a *Analyzer) finishBatch() *Result {
 		if a.opts.ChunkSize <= 0 {
 			return &Result{OOM: true, Err: err}
 		}
-		a.logf("trace analysis: budget exceeded, falling back to %d-record windows", a.opts.ChunkSize)
+		a.opts.Obs.Logf("trace analysis: budget exceeded, falling back to %d-record windows", a.opts.ChunkSize)
 		return a.replayWindows()
 	}
 	rep := detect.Find(g, dopt)

@@ -40,26 +40,10 @@ func RemoveOf(p *ir.Program, fn, v string) int32 {
 	})
 }
 
-// ZKGetOf resolves the first znode read in fn.
-func ZKGetOf(p *ir.Program, fn string) int32 {
-	return MustID(p, fn, func(st ir.Stmt) bool {
-		_, ok := st.(*ir.ZKGet)
-		return ok
-	})
-}
-
 // ZKDeleteOf resolves the first znode delete in fn.
 func ZKDeleteOf(p *ir.Program, fn string) int32 {
 	return MustID(p, fn, func(st ir.Stmt) bool {
 		_, ok := st.(*ir.ZKDelete)
-		return ok
-	})
-}
-
-// ZKSetOf resolves the first znode set in fn.
-func ZKSetOf(p *ir.Program, fn string) int32 {
-	return MustID(p, fn, func(st ir.Stmt) bool {
-		_, ok := st.(*ir.ZKSet)
 		return ok
 	})
 }

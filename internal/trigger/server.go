@@ -26,7 +26,9 @@ import (
 // The server waits for REQUESTs from both parties, grants the configured
 // first party, waits for its CONFIRM, then grants the second. A REQUEST
 // from any other party, or a second REQUEST from a party already seen, is
-// answered "ERR unexpected request" at once.
+// answered "ERR unexpected request" at once; a CONFIRM counts only from the
+// connection holding that party's GRANT, and any other is answered
+// "ERR unexpected confirm".
 //
 // Connections carry read/write deadlines (DefaultIOTimeout unless changed
 // with SetIOTimeout) so a dead client cannot pin a handler goroutine
@@ -178,6 +180,7 @@ func (s *Server) reply(conn net.Conn, line string) {
 
 func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
+	held := map[string]bool{} // parties granted on this connection, not yet confirmed
 	sc := bufio.NewScanner(conn)
 	for {
 		s.mu.Lock()
@@ -226,6 +229,7 @@ func (s *Server) serve(conn net.Conn) {
 			ok := s.granted[party]
 			s.mu.Unlock()
 			if ok {
+				held[party] = true
 				s.reply(conn, "GRANT")
 			} else {
 				// Woken by Close before the scheduler reached us.
@@ -234,6 +238,11 @@ func (s *Server) serve(conn net.Conn) {
 				return
 			}
 		case "CONFIRM":
+			if !held[party] {
+				s.reply(conn, "ERR unexpected confirm")
+				break
+			}
+			delete(held, party)
 			s.mu.Lock()
 			s.confirms[party] = true
 			s.log = append(s.log, "confirm "+party)

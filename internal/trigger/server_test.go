@@ -1,6 +1,8 @@
 package trigger
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -98,5 +100,61 @@ func TestServerCloseUnblocksNothingBad(t *testing.T) {
 	}
 	if _, err := Dial(srv.Addr()); err == nil {
 		t.Fatal("dial succeeded after close")
+	}
+}
+
+// TestServerRejectsUnexpectedConfirm: a CONFIRM counts only from the
+// connection holding that party's GRANT. A stray CONFIRM A — before any
+// REQUEST, or while A holds its grant — is refused and does not release B.
+func TestServerRejectsUnexpectedConfirm(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", "A", "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dial := func() *Client {
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	stray, a, b := dial(), dial(), dial()
+	strayConfirm := func(when string) {
+		if err := stray.Confirm("A"); err == nil || !strings.Contains(err.Error(), "ERR unexpected confirm") {
+			t.Fatalf("stray CONFIRM A %s: err %v, want ERR unexpected confirm", when, err)
+		}
+	}
+	strayConfirm("before any REQUEST")
+
+	bGranted := make(chan error, 1)
+	go func() { bGranted <- b.Request("B") }()
+	if err := a.Request("A"); err != nil {
+		t.Fatal(err)
+	}
+	strayConfirm("while A holds its grant")
+	select {
+	case err := <-bGranted:
+		t.Fatalf("B answered (err %v) before A confirmed; log %v", err, srv.Log())
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := a.Confirm("A"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-bGranted; err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Confirm("B"); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, l := range srv.Log() {
+		if !strings.HasPrefix(l, "request ") {
+			got = append(got, l)
+		}
+	}
+	if want := []string{"grant A", "confirm A", "grant B", "confirm B"}; !slices.Equal(got, want) {
+		t.Fatalf("log without requests = %v, want %v", got, want)
 	}
 }
