@@ -215,52 +215,47 @@ func (s *pairSlab) alloc() *foundPair {
 	return &s.buf[len(s.buf)-1]
 }
 
-// internTable interns the StackKey rendering of every record the scans will
-// visit: ids maps a record's trace index to its stack ID, strs maps the ID
-// back to the rendering. IDs are assigned in lexicographic rank order, so
+// internTable interns the callstack identity of every memory access: ids
+// maps a record's trace index to its stack ID, strs maps the ID back to its
+// StackKey rendering. IDs are assigned in lexicographic rank order, so
 // comparing two IDs compares the strings — the dedup key for a candidate
 // pair is one packed integer (see packStackIDs) instead of two strings,
-// which takes both the fmt.Sprintf rendering and the string hashing out of
-// the emit hot path. A StackKey determines its record's static ID (the
-// rendering embeds it), so equal-ID pairs are equal callstack pairs in the
-// CallstackKey sense.
+// which takes both rendering and string hashing out of the emit hot path.
+// A StackKey determines its record's static ID (the rendering embeds it),
+// so equal-ID pairs are equal callstack pairs in the CallstackKey sense.
 type internTable struct {
 	ids  []int32
 	strs []string
 }
 
-// buildInternTable renders and ranks the stack of every access of the
-// scanned locations: one rendering per access, none per enumerated pair.
-func buildInternTable(g *hb.Graph, objs []string, groups map[string][]int) *internTable {
-	tab := &internTable{ids: make([]int32, len(g.Tr.Recs))}
-	intern := map[string]int32{}
-	for _, o := range objs {
-		for _, i := range groups[o] {
-			s := g.Tr.Recs[i].StackKey()
-			id, ok := intern[s]
-			if !ok {
-				id = int32(len(tab.strs))
-				intern[s] = id
-				tab.strs = append(tab.strs, s)
-			}
-			tab.ids[i] = id
+// buildInternTable interns the stack of every memory access by binary key
+// (trace.StackIDs), then ranks the distinct keys by their renderings: one
+// map probe per access, one rendering per distinct stack, none per
+// enumerated pair. It walks the records in trace order, which keeps the
+// pass sequential in memory; accesses of locations the scan skips get ids
+// too, which leaves the relative order of the scanned ones unchanged.
+func buildInternTable(recs []trace.Rec) *internTable {
+	tab := &internTable{ids: make([]int32, len(recs))}
+	var stacks trace.StackIDs
+	for i := range recs {
+		if recs[i].IsMem() {
+			tab.ids[i] = stacks.ID(&recs[i])
 		}
 	}
 	// Remap the encounter-order IDs onto lexicographic ranks.
-	order := make([]int32, len(tab.strs))
+	order := make([]int32, stacks.Len())
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool { return tab.strs[order[a]] < tab.strs[order[b]] })
-	rank := make([]int32, len(tab.strs))
-	sorted := make([]string, len(tab.strs))
+	sort.Slice(order, func(a, b int) bool { return stacks.Key(order[a]) < stacks.Key(order[b]) })
+	rank := make([]int32, len(order))
+	tab.strs = make([]string, len(order))
 	for r, id := range order {
 		rank[id] = int32(r)
-		sorted[r] = tab.strs[id]
+		tab.strs[r] = stacks.Key(id)
 	}
-	tab.strs = sorted
-	for _, o := range objs {
-		for _, i := range groups[o] {
+	for i := range recs {
+		if recs[i].IsMem() {
 			tab.ids[i] = rank[tab.ids[i]]
 		}
 	}
@@ -348,7 +343,7 @@ func findMap(g *hb.Graph, opts Options) (map[uint64]*foundPair, *internTable) {
 		}
 	}
 	sort.Strings(objs)
-	tab := buildInternTable(g, objs, groups)
+	tab := buildInternTable(g.Tr.Recs)
 
 	found := scanEpochAll(g, objs, groups, maxGroup, pull, tab, sp)
 	sp.Attr("locations", len(objs))

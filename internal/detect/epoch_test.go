@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,11 +11,11 @@ import (
 )
 
 // TestEpochMatchesOraclesRandom is the differential gate for the chain-clock
-// sweep: across random traces and a handler-heavy one with more than 4096
-// chains, every rule-ablation config, both reachability backends, a
-// subsampled MaxGroup and pull suppression, Find's report must equal the
-// quadratic oracle's pair for pair — identity, representative records,
-// object and Dynamic count.
+// sweep: across random traces, a handler-heavy one with more than 4096
+// chains and two decoded ones (see sharedStackTrace), every rule-ablation
+// config, both reachability backends, a subsampled MaxGroup and pull
+// suppression, Find's report must equal the quadratic oracle's pair for
+// pair — identity, representative records, object and Dynamic count.
 func TestEpochMatchesOraclesRandom(t *testing.T) {
 	ablations := []struct {
 		name string
@@ -37,7 +38,10 @@ func TestEpochMatchesOraclesRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		inputs = append(inputs, input{fmt.Sprintf("trial %d", trial), randomDetectTrace(rng, 250), 0})
 	}
-	inputs = append(inputs, input{"handlers", handlerHeavyTrace(rand.New(rand.NewSource(1300)), 4200), 4097})
+	inputs = append(inputs,
+		input{"handlers", handlerHeavyTrace(rand.New(rand.NewSource(1300)), 4200), 4097},
+		input{"decoded", roundTrip(t, randomDetectTrace(rand.New(rand.NewSource(1003)), 250)), 0},
+		input{"shared stack", roundTrip(t, sharedStackTrace(rand.New(rand.NewSource(1004)), 250)), 0})
 
 	for _, in := range inputs {
 		for _, ab := range ablations {
@@ -95,20 +99,48 @@ func TestEpochMatchesOraclesRandom(t *testing.T) {
 // reference pipeline: per-window sweeps plus the ChunkMerger's cross-window
 // merge must equal per-window quadratic scans merged by the oracle.
 func TestEpochMatchesOraclesChunked(t *testing.T) {
-	rng := rand.New(rand.NewSource(1100))
-	tr := randomDetectTrace(rng, 400)
-	for _, be := range []hb.Backend{hb.BackendDense, hb.BackendChain} {
-		chunks, err := hb.BuildChunked(tr, hb.ChunkConfig{Base: hb.Config{ReachBackend: be}, ChunkSize: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, maxGroup := range []int{0, 10} {
-			opts := Options{MaxGroup: maxGroup}
-			want := quadraticChunkedReport(chunks, opts)
-			if len(want.Pairs) == 0 {
-				t.Fatal("empty reference report; generator produced no candidates")
+	for name, tr := range map[string]*trace.Trace{
+		"random":  randomDetectTrace(rand.New(rand.NewSource(1100)), 400),
+		"decoded": roundTrip(t, sharedStackTrace(rand.New(rand.NewSource(1101)), 400)),
+	} {
+		for _, be := range []hb.Backend{hb.BackendDense, hb.BackendChain} {
+			chunks, err := hb.BuildChunked(tr, hb.ChunkConfig{Base: hb.Config{ReachBackend: be}, ChunkSize: 64})
+			if err != nil {
+				t.Fatal(err)
 			}
-			diffReports(t, fmt.Sprintf("chunked %s maxGroup=%d", be, maxGroup), FindChunked(chunks, opts), want)
+			for _, maxGroup := range []int{0, 10} {
+				opts := Options{MaxGroup: maxGroup}
+				want := quadraticChunkedReport(chunks, opts)
+				if len(want.Pairs) == 0 {
+					t.Fatal("empty reference report; generator produced no candidates")
+				}
+				diffReports(t, fmt.Sprintf("chunked %s %s maxGroup=%d", name, be, maxGroup), FindChunked(chunks, opts), want)
+			}
 		}
 	}
+}
+
+// roundTrip passes tr through the binary encoder and decoder, whose stack
+// interning makes records with equal stacks share one backing array.
+func roundTrip(t *testing.T, tr *trace.Trace) *trace.Trace {
+	t.Helper()
+	out, err := trace.Decode(bytes.NewReader(tr.Encode()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sharedStackTrace is randomDetectTrace with a third of its records moved
+// onto one common callstack, so many accesses have equal stacks but
+// different static IDs and only the static ID tells their callstack keys
+// apart.
+func sharedStackTrace(rng *rand.Rand, n int) *trace.Trace {
+	tr := randomDetectTrace(rng, n)
+	for i := range tr.Recs {
+		if i%3 == 0 {
+			tr.Recs[i].Stack = []int32{9, 9}
+		}
+	}
+	return tr
 }

@@ -37,7 +37,7 @@ type provAcc struct {
 	static int32
 	thread int32
 	ctx    int32
-	stack  string // StackKey rendering
+	stack  int32 // id in provisional.stacks
 }
 
 // provObj tracks one location's accesses grouped by chain, ascending trace
@@ -60,7 +60,10 @@ type provisional struct {
 	objs     map[string]*provObj
 	maxGroup int
 
-	emitted map[detect.CallstackKey]*detect.Pair
+	// stacks interns each access's callstack identity; emitted is keyed on
+	// the packed pair of ids, smaller id in the high word.
+	stacks  trace.StackIDs
+	emitted map[uint64]*detect.Pair
 }
 
 func newProvisional(a *Analyzer) *provisional {
@@ -75,7 +78,7 @@ func newProvisional(a *Analyzer) *provisional {
 		srcClock: map[int32]vclock.ChainClock{},
 		objs:     map[string]*provObj{},
 		maxGroup: maxGroup,
-		emitted:  map[detect.CallstackKey]*detect.Pair{},
+		emitted:  map[uint64]*detect.Pair{},
 	}
 }
 
@@ -124,7 +127,7 @@ func (p *provisional) scanMem(i int, r *trace.Rec, c, pos int32, clock vclock.Ch
 	acc := provAcc{
 		pos: pos, rec: int32(i), write: r.IsWrite(),
 		static: r.StaticID, thread: r.Thread, ctx: r.Ctx,
-		stack: r.StackKey(),
+		stack: p.stacks.ID(r),
 	}
 	for s2 := range o.lists {
 		if int32(s2) == s {
@@ -150,23 +153,26 @@ func (p *provisional) scanMem(i int, r *trace.Rec, c, pos int32, clock vclock.Ch
 }
 
 // emitPair folds one dynamic pair (u before v in trace order) into the
-// provisional set, ordering sides by stack rendering like the batch
-// pairFromIDs, and emits EventCandidate on a callstack pair's first
-// appearance.
+// provisional set and emits EventCandidate on a callstack pair's first
+// appearance, its sides ordered by stack rendering like the batch
+// pairFromIDs (equal stacks keep trace order).
 func (p *provisional) emitPair(obj string, u, v provAcc) {
 	at := int(v.rec) + 1 // v is the arriving record
-	if u.stack > v.stack {
-		u, v = v, u
-	}
-	key := detect.CallstackKey{AStack: u.stack, BStack: v.stack}
+	lo, hi := min(u.stack, v.stack), max(u.stack, v.stack)
+	key := uint64(uint32(lo))<<32 | uint64(uint32(hi))
 	if ex, ok := p.emitted[key]; ok {
 		ex.Dynamic++
 		return
 	}
+	as, bs := p.stacks.Key(u.stack), p.stacks.Key(v.stack)
+	if as > bs {
+		u, v = v, u
+		as, bs = bs, as
+	}
 	pair := &detect.Pair{
 		Obj:     obj,
 		AStatic: u.static, BStatic: v.static,
-		AStack: u.stack, BStack: v.stack,
+		AStack: as, BStack: bs,
 		ARec: int(u.rec), BRec: int(v.rec),
 		Dynamic: 1,
 	}
@@ -186,8 +192,8 @@ func (p *provisional) retract(final *detect.Report) {
 		confirmed[final.Pairs[i].CallstackKey()] = struct{}{}
 	}
 	var gone []*detect.Pair
-	for key, pair := range p.emitted {
-		if _, ok := confirmed[key]; !ok {
+	for _, pair := range p.emitted {
+		if _, ok := confirmed[pair.CallstackKey()]; !ok {
 			gone = append(gone, pair)
 		}
 	}

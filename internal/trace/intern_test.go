@@ -84,3 +84,51 @@ func BenchmarkDecodeStacks(b *testing.B) {
 		})
 	}
 }
+
+// TestStackIDsMatchStackKey checks the binary-keyed interner against the
+// rendering it stands in for: two records share an id exactly when their
+// StackKeys are equal, Key returns that rendering, and a stack seen before
+// costs no allocation.
+func TestStackIDsMatchStackKey(t *testing.T) {
+	recs := []Rec{
+		{},
+		{Stack: []int32{}},
+		{Stack: nil, StaticID: -1},
+		{Stack: []int32{}, StaticID: -1},
+		{Stack: []int32{1, 2}, StaticID: 5},
+		{Stack: []int32{1, 2}, StaticID: 6},
+		{Stack: []int32{1, 2, 5}, StaticID: 5},
+		{Stack: []int32{-1}, StaticID: 5},
+		{Stack: []int32{1}, StaticID: 2},
+		{Stack: []int32{2}, StaticID: 1},
+	}
+	// Decoded records share stack backing arrays across static IDs.
+	dec, err := Decode(bytes.NewReader(stackyTrace(40, 4).Encode()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs = append(recs, dec.Recs...)
+	var s StackIDs
+	byKey := map[string]int32{}
+	for i := range recs {
+		r := &recs[i]
+		id, key := s.ID(r), r.StackKey()
+		if s.Key(id) != key {
+			t.Fatalf("rec %d: Key(%d) = %q, want %q", i, id, s.Key(id), key)
+		}
+		if prev, ok := byKey[key]; ok && prev != id {
+			t.Fatalf("rec %d: key %q got id %d, earlier %d", i, key, id, prev)
+		}
+		byKey[key] = id
+	}
+	if s.Len() != len(byKey) {
+		t.Fatalf("%d ids for %d distinct keys", s.Len(), len(byKey))
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := range recs {
+			s.ID(&recs[i])
+		}
+	}); allocs != 0 {
+		t.Fatalf("re-interning known stacks: %v allocs, want 0", allocs)
+	}
+}

@@ -13,7 +13,11 @@
 // updates and notifications, and lock identity for lock operations.
 package trace
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"strconv"
+)
 
 // Kind enumerates record types.
 type Kind uint8
@@ -115,10 +119,61 @@ func (r *Rec) IsWrite() bool { return r.Kind == KMemWrite }
 
 // StackKey returns a string identifying the record's full callstack
 // including the operation itself; used for callstack-pair deduplication
-// (paper §7.1).
+// (paper §7.1). The rendering is fmt's "%v@%d" of (Stack, StaticID), e.g.
+// "[3 7]@12", built without fmt; a nil and an empty stack both render "[]".
+// Hot paths intern records through StackIDs instead of calling this per
+// access.
 func (r *Rec) StackKey() string {
-	return fmt.Sprintf("%v@%d", r.Stack, r.StaticID)
+	var arr [64]byte
+	b := append(arr[:0], '[')
+	for k, f := range r.Stack {
+		if k > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(f), 10)
+	}
+	b = append(b, ']', '@')
+	b = strconv.AppendInt(b, int64(r.StaticID), 10)
+	return string(b)
 }
+
+// StackIDs interns records' callstack identities to dense int32 ids in
+// first-seen order. Lookups key on a binary rendering — StaticID, then each
+// frame, four little-endian bytes apiece — built in a reused buffer, so a
+// stack seen before costs one map probe and no allocation, and StackKey runs
+// once per distinct key. The binary key is injective exactly where StackKey
+// is: both spell out StaticID and the frame sequence, and both give a nil
+// and an empty stack one identity. The zero value is ready to use.
+type StackIDs struct {
+	ids  map[string]int32
+	keys []string // StackKey rendering, by id
+	buf  []byte
+}
+
+// ID returns r's stack id, assigning the next one on first sight.
+func (s *StackIDs) ID(r *Rec) int32 {
+	b := binary.LittleEndian.AppendUint32(s.buf[:0], uint32(r.StaticID))
+	for _, f := range r.Stack {
+		b = binary.LittleEndian.AppendUint32(b, uint32(f))
+	}
+	s.buf = b
+	if id, ok := s.ids[string(b)]; ok {
+		return id
+	}
+	if s.ids == nil {
+		s.ids = map[string]int32{}
+	}
+	id := int32(len(s.keys))
+	s.ids[string(b)] = id
+	s.keys = append(s.keys, r.StackKey())
+	return id
+}
+
+// Key returns the StackKey rendering of id.
+func (s *StackIDs) Key(id int32) string { return s.keys[id] }
+
+// Len returns the number of distinct stacks interned.
+func (s *StackIDs) Len() int { return len(s.keys) }
 
 func (r *Rec) String() string {
 	return fmt.Sprintf("#%d %s t%d/c%d(%s) %s obj=%q op=%d s%d",

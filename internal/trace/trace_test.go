@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -212,6 +214,21 @@ func TestStackKeyDistinguishes(t *testing.T) {
 	}
 	if a.StackKey() != c.StackKey() {
 		t.Fatal("equal stacks have different keys")
+	}
+	// The rendering is fmt's "%v@%d" byte for byte: report pairs, their
+	// rank order and every golden embed it.
+	for _, r := range []Rec{
+		{},
+		{Stack: nil, StaticID: 7},
+		{Stack: []int32{}, StaticID: 7},
+		{Stack: []int32{0}, StaticID: -1},
+		{Stack: []int32{-3, 4, -5}, StaticID: 12},
+		{Stack: []int32{math.MaxInt32, math.MinInt32}, StaticID: math.MaxInt32},
+		{Stack: []int32{1, 22, 333, 4444, 55555, 666666, 7777777, 88888888, 999999999, 1, 2, 3}, StaticID: math.MinInt32},
+	} {
+		if got, want := r.StackKey(), fmt.Sprintf("%v@%d", r.Stack, r.StaticID); got != want {
+			t.Errorf("StackKey(%#v, %d) = %q, want %q", r.Stack, r.StaticID, got, want)
+		}
 	}
 }
 
