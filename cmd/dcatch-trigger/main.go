@@ -1,19 +1,23 @@
 // Command dcatch-trigger runs the triggering module's stand-alone TCP
 // message-controller server for manually instrumented systems (paper §5.1):
 // each party sends a REQUEST at its point and a CONFIRM after it, and the
-// server grants the two parties in the configured order. Validating a
+// server grants the parties in the configured order. Validating a
 // benchmark's reports is dcatch -bench <id> -validate.
 //
 // Usage:
 //
-//	dcatch-trigger -serve 127.0.0.1:9999 -first A -second B [-debug-addr 127.0.0.1:6060]
+//	dcatch-trigger -serve 127.0.0.1:9999 -order A,B[,C...] [-debug-addr 127.0.0.1:6060]
 package main
 
 import (
+	"expvar"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 
 	"dcatch/internal/obs"
 	"dcatch/internal/trigger"
@@ -22,8 +26,7 @@ import (
 func main() {
 	var (
 		serve     = flag.String("serve", "", "run the TCP controller server on this address")
-		first     = flag.String("first", "A", "party granted first")
-		second    = flag.String("second", "B", "party granted second")
+		orderFlag = flag.String("order", "A,B", "comma-separated parties in grant order (at least 2, distinct)")
 		debugAddr = flag.String("debug-addr", "", "serve pprof and expvar (/debug/pprof/, /debug/vars) on this address")
 		version   = flag.Bool("version", false, "print the tool version and exit")
 	)
@@ -33,23 +36,22 @@ func main() {
 		fmt.Println(obs.Version())
 		return
 	}
-	if *serve == "" {
+	order, err := trigger.ParseOrder(*orderFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+	}
+	if err != nil || *serve == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	runServer(*serve, *first, *second, *debugAddr)
-}
-
-func runServer(addr, first, second, debugAddr string) {
-	srv, err := trigger.NewServer(addr, first, second)
+	srv, err := trigger.NewServer(*serve, order...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("controller listening on %s; grant order: %s then %s\n", srv.Addr(), first, second)
-	if debugAddr != "" {
-		trigger.RegisterDebug(srv)
-		bound, err := trigger.StartDebug(debugAddr)
+	fmt.Printf("controller listening on %s; grant order: %s\n", srv.Addr(), strings.Join(order, " then "))
+	if *debugAddr != "" {
+		bound, err := startDebug(srv, *debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -61,7 +63,21 @@ func runServer(addr, first, second, debugAddr string) {
 	<-sig
 	srv.Close()
 	fmt.Println("\nexplored order:")
-	for _, l := range srv.Log() {
+	for _, l := range srv.Stats().EventLog {
 		fmt.Printf("  %s\n", l)
 	}
+}
+
+// startDebug publishes srv's protocol state as the "dcatch_trigger" expvar
+// and serves pprof and expvar (the shared obs.DebugMux) on addr in a
+// background goroutine, returning the bound address. It may be called once
+// per process.
+func startDebug(srv *trigger.Server, addr string) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", fmt.Errorf("dcatch-trigger: debug listen: %w", err)
+	}
+	expvar.Publish("dcatch_trigger", expvar.Func(func() any { return srv.Stats() }))
+	go http.Serve(ln, obs.DebugMux(nil))
+	return ln.Addr().String(), nil
 }

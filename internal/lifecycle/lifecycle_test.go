@@ -72,3 +72,50 @@ func TestConcurrentWorkers(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRepeatedClose closes a drainer again and again — one call after
+// another and several at once, before its in-flight work drained and after
+// — and expects every call to agree with the drain state and none to hang
+// or panic.
+func TestRepeatedClose(t *testing.T) {
+	var d Drainer
+	d.Enter()
+	for range 2 {
+		if d.Close(5 * time.Millisecond) {
+			t.Fatal("repeated Close before the drain reported drained")
+		}
+	}
+	results := make(chan bool, 4)
+	for range cap(results) {
+		go func() { results <- d.Close(5 * time.Second) }()
+	}
+	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-results:
+		t.Fatal("concurrent Close returned with work in flight")
+	default:
+	}
+	d.Exit()
+	for range cap(results) {
+		if !<-results {
+			t.Fatal("concurrent Close reported timeout after the drain")
+		}
+	}
+
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !d.Close(0) {
+				t.Error("concurrent Close after the drain reported timeout")
+			}
+		}()
+	}
+	wg.Wait()
+	for range 2 {
+		if !d.Close(time.Second) || d.Enter() || d.InFlight() != 0 {
+			t.Fatal("Close after the drain is not a no-op")
+		}
+	}
+}

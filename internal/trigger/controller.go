@@ -30,13 +30,6 @@ type Point struct {
 	Seq  int
 }
 
-func (p Point) String() string {
-	if p.Node != "" {
-		return fmt.Sprintf("stmt %d (execution %d on %s)", p.StaticID, p.Seq, p.Node)
-	}
-	return fmt.Sprintf("stmt %d (instance %d)", p.StaticID, p.Instance)
-}
-
 func (p Point) matches(info rt.TrigInfo) bool {
 	if p.StaticID != info.StaticID {
 		return false
@@ -48,22 +41,18 @@ func (p Point) matches(info rt.TrigInfo) bool {
 }
 
 // Controller coordinates one controlled run over N parties, mirroring the
-// paper's message-controller server (§5.1): it parks every party when it
-// reaches its point, grants order[0] once all are parked together, and
-// grants each later party only after the previous one confirmed. When the
-// cluster quiesces while a party waits, or a lone party outlives its
-// patience, it releases the waiters instead of reporting an artificial hang
-// (§5.2). It implements rt.TriggerController.
+// paper's message-controller server (§5.1): it drives the grant machine
+// from the rt scheduler, parking a party's thread when it reaches its point
+// and releasing the thread the machine grants. When the cluster quiesces
+// while a party waits, or a lone party outlives its patience, it releases
+// the waiters instead of reporting an artificial hang (§5.2). It implements
+// rt.TriggerController.
 type Controller struct {
 	points []Point
-	order  []int // grant sequence: order[0] is granted first
-
-	arrived []int32 // thread parked at each party's point (0 = not arrived)
-	served  []bool  // party's point already intercepted
-	confirm []bool  // party's statement executed (confirm received)
-
-	granted int  // how many of order have been granted
-	done    bool // exploration over: no more parks or grants
+	thread []int32 // thread parked at each party's point (0 = not arrived)
+	m      machine
+	done   bool     // exploration over: no more parks or grants
+	grant  [1]int32 // Release's answer when the machine grants
 
 	// Arrived records whether every party was parked simultaneously — the
 	// evidence that the parties are truly concurrent.
@@ -99,26 +88,25 @@ func NewController(points []Point, order []int) (*Controller, error) {
 	}
 	return &Controller{
 		points:   append([]Point(nil), points...),
-		order:    append([]int(nil), order...),
-		arrived:  make([]int32, len(points)),
-		served:   make([]bool, len(points)),
-		confirm:  make([]bool, len(points)),
+		thread:   make([]int32, len(points)),
+		m:        newMachine(append([]int(nil), order...)),
 		patience: defaultPatience,
 	}, nil
 }
 
 // BeforeStmt implements rt.TriggerController: it is the request call site.
+// Each party's point is intercepted once.
 func (c *Controller) BeforeStmt(info rt.TrigInfo) bool {
 	if c.done {
 		return false
 	}
-	for party := range c.points {
-		if c.served[party] || !c.points[party].matches(info) {
+	for party, id := range c.thread {
+		if id != 0 || !c.points[party].matches(info) {
 			continue
 		}
-		c.served[party] = true
-		c.arrived[party] = info.Thread
-		c.Arrived = !slices.Contains(c.arrived, 0)
+		c.thread[party] = info.Thread
+		c.m.park(party)
+		c.Arrived = !slices.Contains(c.thread, 0)
 		return true
 	}
 	return false
@@ -126,10 +114,9 @@ func (c *Controller) BeforeStmt(info rt.TrigInfo) bool {
 
 // AfterStmt implements rt.TriggerController: the confirm call site.
 func (c *Controller) AfterStmt(info rt.TrigInfo) {
-	for party := range c.points {
-		if c.served[party] && !c.confirm[party] && c.arrived[party] == info.Thread &&
-			c.points[party].StaticID == info.StaticID {
-			c.confirm[party] = true
+	for party, id := range c.thread {
+		if id == info.Thread && c.points[party].StaticID == info.StaticID {
+			c.m.confirm(party)
 			return
 		}
 	}
@@ -139,12 +126,17 @@ func (c *Controller) AfterStmt(info rt.TrigInfo) {
 // iteration with the trigger-parked threads.
 func (c *Controller) Release(parked []int32, quiesced bool) []int32 {
 	if !c.done && c.Arrived {
-		switch {
-		case c.granted == 0 && c.allParked(parked):
-			return c.grant()
-		case c.granted > 0 && c.confirm[c.order[c.granted-1]] &&
-			slices.Contains(parked, c.arrived[c.order[c.granted]]):
-			return c.grant()
+		// A party whose thread left the parked set without a grant (its
+		// node was killed, or a quiesce released it) can no longer go.
+		for party, id := range c.thread {
+			if c.m.state[party] == partyParked && !slices.Contains(parked, id) {
+				c.m.withdraw(party)
+			}
+		}
+		if party, ok := c.m.next(); ok {
+			c.done = c.m.granted == len(c.points)
+			c.grant[0] = c.thread[party]
+			return c.grant[:]
 		}
 	}
 	if quiesced && len(parked) > 0 {
@@ -152,7 +144,7 @@ func (c *Controller) Release(parked []int32, quiesced bool) []int32 {
 		// party is causally blocked behind it. Release to avoid an
 		// artificial hang; this is evidence the parties are ordered.
 		c.Forced++
-		if c.granted == 0 {
+		if c.m.granted == 0 {
 			c.done = true
 		}
 		return parked
@@ -160,7 +152,7 @@ func (c *Controller) Release(parked []int32, quiesced bool) []int32 {
 	// Patience: a party whose peers never show up while the rest of the
 	// cluster keeps running (e.g. spinning in a poll loop that the parked
 	// party gates) is eventually released.
-	if !c.done && c.granted == 0 && len(parked) > 0 && !c.Arrived {
+	if !c.done && c.m.granted == 0 && len(parked) > 0 && !c.Arrived {
 		c.waiting++
 		if c.waiting > c.patience {
 			c.TimedOut++
@@ -171,22 +163,4 @@ func (c *Controller) Release(parked []int32, quiesced bool) []int32 {
 		c.waiting = 0
 	}
 	return nil
-}
-
-// allParked reports whether every party's thread is among the parked ones.
-func (c *Controller) allParked(parked []int32) bool {
-	for _, id := range c.arrived {
-		if !slices.Contains(parked, id) {
-			return false
-		}
-	}
-	return true
-}
-
-// grant releases the next party in order.
-func (c *Controller) grant() []int32 {
-	next := c.arrived[c.order[c.granted]]
-	c.granted++
-	c.done = c.granted == len(c.order)
-	return []int32{next}
 }

@@ -82,7 +82,7 @@ func TestControllerGrantSequence(t *testing.T) {
 		if rel2 := c.Release(parked, false); len(rel2) != 0 {
 			t.Fatalf("step %d: premature release %v", step, rel2)
 		}
-		static := pts[c.order[step]].StaticID
+		static := pts[c.m.order[step]].StaticID
 		c.AfterStmt(info(wantThread, "n", static, 1, 1))
 	}
 	if rel := c.Release(parked, false); len(rel) != 0 {

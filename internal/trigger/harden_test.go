@@ -1,7 +1,9 @@
 package trigger
 
 import (
+	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -24,17 +26,7 @@ func TestServerCloseDrainsPendingRequest(t *testing.T) {
 	reqErr := make(chan error, 1)
 	go func() { reqErr <- c.Request("A") }()
 
-	// Wait for the REQUEST to register server-side.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if srv.Stats().Requests == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("REQUEST never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitLog(t, srv, "request A")
 
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()
@@ -68,7 +60,7 @@ func TestServerReadDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.SetIOTimeout(30 * time.Millisecond)
+	srv.ioTimeout.Store(int64(30 * time.Millisecond))
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -113,7 +105,7 @@ func TestServerCloseKeepsCompletedExchangeLog(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	log := strings.Join(srv.Log(), ",")
+	log := strings.Join(srv.Stats().EventLog, ",")
 	for _, ev := range []string{"grant A", "grant B", "confirm A", "confirm B"} {
 		if !strings.Contains(log, ev) {
 			t.Fatalf("log %q missing %q", log, ev)
@@ -123,10 +115,9 @@ func TestServerCloseKeepsCompletedExchangeLog(t *testing.T) {
 
 // TestServerRejectsUnexpectedRequest sends the two REQUESTs the protocol
 // has no place for — a second REQUEST from a party already parked, and one
-// from a party that is neither first nor second — and expects each to be
-// refused at once with "ERR unexpected request". The parked party keeps its
-// grant channel, so Close still answers it and returns without waiting out
-// the drain timeout.
+// from a party outside the order — and expects each to be refused at once
+// with "ERR unexpected request". The parked party stays parked, so Close
+// still answers it and returns without waiting out the drain timeout.
 func TestServerRejectsUnexpectedRequest(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", "A", "B")
 	if err != nil {
@@ -141,13 +132,7 @@ func TestServerRejectsUnexpectedRequest(t *testing.T) {
 	defer parked.Close()
 	parkedErr := make(chan error, 1)
 	go func() { parkedErr <- parked.Request("A") }()
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats().Requests != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("REQUEST A never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitLog(t, srv, "request A")
 
 	for _, party := range []string{"A", "C"} {
 		conn, err := net.Dial("tcp", srv.Addr())
@@ -180,5 +165,73 @@ func TestServerRejectsUnexpectedRequest(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("parked request was never answered")
+	}
+}
+
+// TestServerCloseReleasesGoroutines checks that Close leaves no goroutine
+// behind — no accept loop and no connection handler — after a full
+// exploration, with a party still parked, and after a client vanished
+// mid-exchange. Each case closes twice; the second Close is a no-op.
+func TestServerCloseReleasesGoroutines(t *testing.T) {
+	cases := map[string]func(t *testing.T, srv *Server){
+		"full-exploration": func(t *testing.T, srv *Server) {
+			errc := make(chan error, 2)
+			for _, p := range []string{"A", "B"} {
+				go func() {
+					c, err := Dial(srv.Addr())
+					if err != nil {
+						errc <- err
+						return
+					}
+					defer c.Close()
+					if err := c.Request(p); err != nil {
+						errc <- err
+						return
+					}
+					errc <- c.Confirm(p)
+				}()
+			}
+			for range 2 {
+				if err := <-errc; err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		"parked-request": func(t *testing.T, srv *Server) {
+			c := dialRaw(t, srv)
+			fmt.Fprintf(c, "REQUEST A\n")
+			waitLog(t, srv, "request A")
+		},
+		"disconnect-mid-exchange": func(t *testing.T, srv *Server) {
+			a, b := dialRaw(t, srv), dialRaw(t, srv)
+			fmt.Fprintf(a, "REQUEST A\n")
+			waitLog(t, srv, "request A")
+			fmt.Fprintf(b, "REQUEST B\n")
+			waitLog(t, srv, "grant A")
+			a.Close()
+			waitLog(t, srv, "grant B")
+		},
+	}
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			srv, err := NewServer("127.0.0.1:0", "A", "B")
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(t, srv)
+			for range 2 {
+				if err := srv.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if n > base {
+				t.Fatalf("%d goroutines after Close, %d before", n, base)
+			}
+		})
 	}
 }
