@@ -10,15 +10,15 @@
 //	dcatch-trace -json t.bin
 //	dcatch-trace -analyze [-mem-budget B [-chunk N]] t.bin
 //	dcatch-trace -analyze -peers http://host:8081,http://host:8082 [-chunk N] t.bin
-//	dcatch-trace -follow [-poll 50ms] [same analysis flags, except -peers] growing.bin
+//	dcatch-trace -follow [-poll 50ms] [same analysis flags] growing.bin
 //
 // -chunk N is the fallback for a trace whose reachability closure exceeds
 // -mem-budget: it is analyzed in N-record windows, as many in flight as
 // there are CPUs, optionally behind a -scancache-* window-scan cache. With
 // -peers the windows are sharded across dcatch-serve -worker instances; the
 // report stays byte-identical to the single-node chunked run over the same
-// options. -follow prints the same final report as -analyze with the same
-// flags.
+// options. -analyze and -follow run one trace job, so both print the same
+// report; analysis flags need one of them, -poll and -idle-timeout -follow.
 package main
 
 import (
@@ -30,6 +30,7 @@ import (
 	"slices"
 	"strings"
 	"time"
+	"unicode"
 
 	"dcatch/internal/cluster"
 	"dcatch/internal/core"
@@ -50,7 +51,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "with -follow: give up if the file stops growing for this long before the declared record count (0 = wait forever)")
 	chunk := flag.Int("chunk", 0, fmt.Sprintf("with -analyze/-follow: records per window for the chunked fallback (0 = disabled); with -peers: distributed window size (0 = default %d)", cluster.DefaultChunkSize))
 	memBudget := flag.Int64("mem-budget", 0, "with -analyze/-follow: reachability admission budget in bytes (0 = unlimited)")
-	peers := flag.String("peers", "", "with -analyze: comma-separated dcatch-serve -worker base URLs to shard the analysis across")
+	peers := flag.String("peers", "", "with -analyze/-follow: comma-separated dcatch-serve -worker base URLs to shard the windows across")
 	scDir := flag.String("scancache-dir", "", "persistent window-scan cache directory: chunked/distributed reruns skip windows whose bytes and options match a cached scan")
 	scMem := flag.Int64("scancache-mem", 0, "in-memory window-scan cache budget in bytes (0 with no -scancache-dir disables the cache; 0 with -scancache-dir = default 256 MiB)")
 	scDisk := flag.Int64("scancache-disk", 0, "with -scancache-dir: on-disk cache budget in bytes (0 = default 1 GiB)")
@@ -60,11 +61,29 @@ func main() {
 		fmt.Println(obs.Version())
 		return
 	}
-	if flag.NArg() != 1 {
+	misplaced := false
+	flag.Visit(func(f *flag.Flag) {
+		need := ""
+		switch f.Name {
+		case "chunk", "mem-budget", "peers", "scancache-dir", "scancache-mem", "scancache-disk":
+			if !*analyze && !*follow {
+				need = "-analyze or -follow"
+			}
+		case "poll", "idle-timeout":
+			if !*follow {
+				need = "-follow"
+			}
+		}
+		if need != "" {
+			misplaced = true
+			fmt.Fprintf(os.Stderr, "dcatch-trace: -%s needs %s\n", f.Name, need)
+		}
+	})
+	if flag.NArg() != 1 || misplaced {
 		fmt.Fprintln(os.Stderr, "usage: dcatch-trace [-dump [-n N] | -json | -analyze | -follow] [analysis flags] <trace-file>  (no mode flag: record breakdown)")
 		os.Exit(2)
 	}
-	analysisOptions := func() core.Options {
+	if *analyze || *follow {
 		var opts core.Options
 		opts.ChunkSize = *chunk
 		opts.HB.MemBudget = *memBudget
@@ -78,10 +97,14 @@ func main() {
 			}
 			opts.ScanCache = sc
 		}
-		return opts
-	}
-	if *follow {
-		os.Exit(runFollow(flag.Arg(0), analysisOptions(), *poll, *idleTimeout))
+		peerList := strings.FieldsFunc(*peers, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+		if len(peerList) > 0 {
+			// A coordinated job reports its windows' placement and any
+			// peer fallback on stderr.
+			opts.Obs = obs.New()
+			opts.Obs.SetLog(os.Stderr)
+		}
+		os.Exit(run(flag.Arg(0), opts, peerList, *follow, *poll, *idleTimeout))
 	}
 	f, err := os.Open(flag.Arg(0))
 	if err != nil {
@@ -93,24 +116,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if *analyze {
-		opts := analysisOptions()
-		if *peers != "" {
-			os.Exit(runCluster(tr, opts, *peers, *chunk))
-		}
-		res, err := core.AnalyzeTrace(tr, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// Rendered by the same function dcatch-serve uses for uploaded
-		// traces, so local and served reports are byte-identical.
-		fmt.Print(serve.RenderTrace(res))
-		if res.OOM {
-			os.Exit(1)
-		}
-		return
 	}
 	if *asJSON {
 		if err := tr.EncodeJSON(os.Stdout); err != nil {
@@ -148,58 +153,20 @@ func writeBreakdown(w io.Writer, tr *trace.Trace, dump bool, n int) {
 	}
 }
 
-// runCluster shards -analyze across dcatch-serve -worker peers: the trace is
-// cut into chunk windows, each window is scanned by a worker over the
-// window-scan RPC (failed windows re-run locally), and the replies fold in
-// window order into a report byte-identical to the single-node chunked run.
-func runCluster(tr *trace.Trace, opts core.Options, peers string, chunk int) int {
-	if chunk <= 0 {
-		chunk = cluster.DefaultChunkSize
-	}
-	var peerList []string
-	for _, p := range strings.Split(peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerList = append(peerList, p)
-		}
-	}
-	rec := obs.New()
-	rec.SetLog(os.Stderr)
-	coord, err := cluster.NewCoordinator(cluster.Config{
-		Peers:     peerList,
-		ChunkSize: chunk,
-		HB:        opts.HB,
-		Detect:    opts.Detect,
-		Obs:       rec,
-		Cache:     opts.ScanCache,
-	})
-	if err != nil {
+// run feeds the trace file at path, segment by segment, to one
+// core.TraceJob, local or coordinated across peers, and prints the report
+// through dcatch-serve's renderer, so every topology prints the same bytes.
+// With follow the file is still being written: at its end the loop polls
+// for growth until the declared records are in, and a local job's
+// provisional candidates print to stderr the moment they appear.
+func run(path string, opts core.Options, peers []string, follow bool, poll, idle time.Duration) int {
+	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	t0 := time.Now()
-	coord.Notify(tr)
-	cres := coord.Finish(tr)
-	res := cluster.CoreResult(tr, cres, time.Since(t0))
-	fmt.Fprintf(os.Stderr, "cluster: %d windows (%d remote, %d local, %d cached) across %d peer(s) in %v\n",
-		cres.Windows, cres.Remote, cres.Local, cres.Cached, len(peerList), time.Since(t0).Round(time.Millisecond))
-	fmt.Print(serve.RenderTrace(res))
-	if res.OOM {
 		return 1
 	}
-	return 0
-}
-
-// runFollow tails a trace file that is still being written: bytes are fed to
-// the incremental decoder as the file grows, each completed record runs
-// through the streaming engine's online provisional pass (candidates print
-// to stderr the moment they appear, long before EOF), and once the declared
-// record count has been decoded the authoritative batch finish prints a
-// report byte-identical to `dcatch-trace -analyze` on the finished file.
-func runFollow(path string, opts core.Options, poll, idle time.Duration) int {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return fail(err)
 	}
 	defer f.Close()
 
@@ -210,24 +177,33 @@ func runFollow(path string, opts core.Options, poll, idle time.Duration) int {
 	// same segment may complete.
 	declared := false
 	declare := func() {
-		if want, ok := job.Expected(); ok && !declared {
+		if want, ok := job.Expected(); ok && follow && !declared {
 			declared = true
 			fmt.Fprintf(os.Stderr, "follow: %s: %d records declared\n", job.Trace().Program, want)
 		}
 	}
-	job = core.NewTraceJob(opts, func(ev stream.Event) {
-		declare()
-		switch ev.Kind {
-		case stream.EventCandidate:
-			candidates++
-			fmt.Fprintf(os.Stderr, "follow: provisional candidate at record %d (%d bytes): %s S%d/S%d\n",
-				ev.Records, readBytes, ev.Pair.Obj, ev.Pair.AStatic, ev.Pair.BStatic)
-		case stream.EventRetract:
-			retractions++
-			fmt.Fprintf(os.Stderr, "follow: retracted: %s S%d/S%d\n",
-				ev.Pair.Obj, ev.Pair.AStatic, ev.Pair.BStatic)
+	var onEvent func(stream.Event)
+	if follow {
+		onEvent = func(ev stream.Event) {
+			declare()
+			switch ev.Kind {
+			case stream.EventCandidate:
+				candidates++
+				fmt.Fprintf(os.Stderr, "follow: provisional candidate at record %d (%d bytes): %s S%d/S%d\n",
+					ev.Records, readBytes, ev.Pair.Obj, ev.Pair.AStatic, ev.Pair.BStatic)
+			case stream.EventRetract:
+				retractions++
+				fmt.Fprintf(os.Stderr, "follow: retracted: %s S%d/S%d\n",
+					ev.Pair.Obj, ev.Pair.AStatic, ev.Pair.BStatic)
+			}
 		}
-	})
+	}
+	job, err = core.NewTraceJob(opts, peers, onEvent)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	defer job.Close()
 
 	buf := make([]byte, 256<<10)
 	lastGrowth := time.Now()
@@ -236,16 +212,17 @@ func runFollow(path string, opts core.Options, poll, idle time.Duration) int {
 		if n > 0 {
 			readBytes += int64(n)
 			if _, err := job.Feed(buf[:n]); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
+				return fail(err)
 			}
 			declare()
 			lastGrowth = time.Now()
 			continue
 		}
 		if rerr != nil && rerr != io.EOF {
-			fmt.Fprintln(os.Stderr, rerr)
-			return 1
+			return fail(rerr)
+		}
+		if !follow {
+			break
 		}
 		// At EOF but before the declared record count: the writer is still
 		// going — wait for growth.
@@ -258,17 +235,13 @@ func runFollow(path string, opts core.Options, poll, idle time.Duration) int {
 		time.Sleep(poll)
 	}
 
-	tr, err := job.Seal()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+	if follow {
+		fmt.Fprintf(os.Stderr, "follow: trace complete: %d records, %d provisional candidates\n",
+			len(job.Trace().Recs), candidates)
 	}
-	fmt.Fprintf(os.Stderr, "follow: trace complete: %d records, %d provisional candidates\n",
-		len(tr.Recs), candidates)
-	res, err := job.Finish()
+	res, err := job.Finish() // seals: a file that ends short of its records fails here
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return fail(err)
 	}
 	if retractions > 0 {
 		fmt.Fprintf(os.Stderr, "follow: %d provisional candidates retracted by the final analysis\n", retractions)

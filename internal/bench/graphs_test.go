@@ -166,7 +166,7 @@ func TestProvisionalEventsGolden(t *testing.T) {
 			fmt.Fprintf(&b, "== %s / %s\n", nt.name, gc.name)
 			var evs []string
 			retracts := 0
-			job := core.NewTraceJob(core.Options{HB: gc.cfg}, func(ev stream.Event) {
+			job, err := core.NewTraceJob(core.Options{HB: gc.cfg}, nil, func(ev stream.Event) {
 				p := ev.Pair
 				evs = append(evs, fmt.Sprintf("%s @%d %s s%d/s%d [%s] [%s] r%d/r%d\n",
 					ev.Kind, ev.Records, p.Obj, p.AStatic, p.BStatic, p.AStack, p.BStack, p.ARec, p.BRec))
@@ -174,6 +174,9 @@ func TestProvisionalEventsGolden(t *testing.T) {
 					retracts++
 				}
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for off := 0; off < len(raw); off += 1024 {
 				if _, err := job.Feed(raw[off:min(off+1024, len(raw))]); err != nil {
 					t.Fatalf("%s %s: %v", nt.name, gc.name, err)

@@ -62,6 +62,13 @@ func newWorkerServer(t *testing.T, cfg WorkerConfig) *httptest.Server {
 	return ts
 }
 
+// override sets *p to v for the rest of the test.
+func override[T any](t *testing.T, p *T, v T) {
+	old := *p
+	*p = v
+	t.Cleanup(func() { *p = old })
+}
+
 func runJob(t *testing.T, tr *trace.Trace, cfg Config) (*Result, *obs.Recorder) {
 	t.Helper()
 	rec := obs.New()
@@ -124,6 +131,8 @@ func TestWorkerDiesMidJob(t *testing.T) {
 	tr := racyTrace(2600)
 	const chunk = 500
 	want := oracle(t, tr, chunk)
+	override(t, &retryBackoff, time.Millisecond)
+	override(t, &maxBackoff, 2*time.Millisecond)
 
 	w1 := newWorkerServer(t, WorkerConfig{})
 	flaky := NewWorker(WorkerConfig{})
@@ -138,12 +147,7 @@ func TestWorkerDiesMidJob(t *testing.T) {
 	w2 := httptest.NewServer(w2mux)
 	t.Cleanup(w2.Close)
 
-	res, rec := runJob(t, tr, Config{
-		Peers:        []string{w1.URL, w2.URL},
-		ChunkSize:    chunk,
-		RetryBackoff: time.Millisecond,
-		MaxBackoff:   2 * time.Millisecond,
-	})
+	res, rec := runJob(t, tr, Config{Peers: []string{w1.URL, w2.URL}, ChunkSize: chunk})
 	if res.OOM {
 		t.Fatalf("unexpected OOM: %v", res.Err)
 	}
@@ -175,6 +179,9 @@ func TestPeerProbationRecovery(t *testing.T) {
 	tr := racyTrace(2600)
 	const chunk = 500
 	want := oracle(t, tr, chunk)
+	override(t, &retryBackoff, time.Millisecond)
+	override(t, &maxBackoff, 2*time.Millisecond)
+	override(t, &probation, 50*time.Millisecond)
 
 	worker := NewWorker(WorkerConfig{Scans: 2})
 	var served atomic.Int32
@@ -196,11 +203,8 @@ func TestPeerProbationRecovery(t *testing.T) {
 		ChunkSize: chunk,
 		// One slot per peer keeps dispatch serial, so exactly one window
 		// probes the restarted worker and recovery is deterministic.
-		InFlight:     1,
-		RetryBackoff: time.Millisecond,
-		MaxBackoff:   2 * time.Millisecond,
-		Probation:    50 * time.Millisecond,
-		Obs:          rec,
+		InFlight: 1,
+		Obs:      rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,6 +268,9 @@ func TestBusyRetrySucceeds(t *testing.T) {
 	const chunk = 500
 	want := oracle(t, tr, chunk)
 
+	override(t, &retryBackoff, time.Millisecond)
+	override(t, &maxBackoff, 2*time.Millisecond)
+
 	// Two slots for the coordinator's two in-flight requests, so the only
 	// 429s are the injected ones.
 	real := NewWorker(WorkerConfig{Scans: 2})
@@ -280,12 +287,7 @@ func TestBusyRetrySucceeds(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
-	res, rec := runJob(t, tr, Config{
-		Peers:        []string{ts.URL},
-		ChunkSize:    chunk,
-		RetryBackoff: time.Millisecond,
-		MaxBackoff:   2 * time.Millisecond,
-	})
+	res, rec := runJob(t, tr, Config{Peers: []string{ts.URL}, ChunkSize: chunk})
 	if res.OOM || res.Local != 0 || res.Remote != res.Windows {
 		t.Fatalf("windows=%d remote=%d local=%d oom=%v; want all remote", res.Windows, res.Remote, res.Local, res.OOM)
 	}
@@ -303,6 +305,9 @@ func TestAlwaysBusyFallsBackLocal(t *testing.T) {
 	tr := racyTrace(1300)
 	const chunk = 500
 	want := oracle(t, tr, chunk)
+	override(t, &retries, 2)
+	override(t, &retryBackoff, time.Millisecond)
+	override(t, &maxBackoff, time.Millisecond)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+ScanPath, func(rw http.ResponseWriter, r *http.Request) {
@@ -311,13 +316,7 @@ func TestAlwaysBusyFallsBackLocal(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
-	res, _ := runJob(t, tr, Config{
-		Peers:        []string{ts.URL},
-		ChunkSize:    chunk,
-		Retries:      2,
-		RetryBackoff: time.Millisecond,
-		MaxBackoff:   time.Millisecond,
-	})
+	res, _ := runJob(t, tr, Config{Peers: []string{ts.URL}, ChunkSize: chunk})
 	if res.OOM {
 		t.Fatalf("unexpected OOM: %v", res.Err)
 	}
@@ -349,11 +348,11 @@ func TestWorkerDrainRejects(t *testing.T) {
 }
 
 // TestWorkerAdmissionTimeout: an admission gate that never grants memory
-// turns into a 429 once AdmitTimeout elapses — the coordinator's busy
+// turns into a 429 once admitTimeout elapses — the coordinator's busy
 // handling, not an error, absorbs a memory-starved worker.
 func TestWorkerAdmissionTimeout(t *testing.T) {
+	override(t, &admitTimeout, 10*time.Millisecond)
 	ts := newWorkerServer(t, WorkerConfig{
-		AdmitTimeout: 10 * time.Millisecond,
 		Admit: func(ctx context.Context, need int64) (func(), error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
@@ -478,14 +477,12 @@ func TestScanRequestQueryRoundTrip(t *testing.T) {
 func TestClusterOOMMatchesChunked(t *testing.T) {
 	tr := racyTrace(1300)
 	const chunk = 500
+	override(t, &retries, 1)
 	ts := newWorkerServer(t, WorkerConfig{})
 	res, _ := runJob(t, tr, Config{
-		Peers:        []string{ts.URL},
-		ChunkSize:    chunk,
-		HB:           hb.Config{MemBudget: 1}, // nothing fits
-		RetryBackoff: time.Millisecond,
-		MaxBackoff:   time.Millisecond,
-		Retries:      1,
+		Peers:     []string{ts.URL},
+		ChunkSize: chunk,
+		HB:        hb.Config{MemBudget: 1}, // nothing fits
 	})
 	if !res.OOM || res.Err == nil {
 		t.Fatalf("want OOM result, got %+v", res)

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dcatch/internal/core"
 	"dcatch/internal/detect"
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
@@ -49,23 +48,6 @@ type Config struct {
 	// InFlight is the number of concurrent requests per peer (default 2:
 	// one scanning, one pipelined behind it).
 	InFlight int
-
-	// Retries bounds attempts per window on its assigned peer (default 5);
-	// RetryBackoff is the initial backoff after a 429 or failure, doubling
-	// per attempt up to MaxBackoff (defaults 25ms and 400ms). A window
-	// that exhausts its attempts is re-run locally.
-	Retries      int
-	RetryBackoff time.Duration
-	MaxBackoff   time.Duration
-
-	// RequestTimeout bounds one scan RPC (default 2m).
-	RequestTimeout time.Duration
-
-	// Probation is the initial delay before a peer marked down is probed
-	// with a live window again (default 250ms, doubling per failed probe
-	// up to 16x). A restarted worker rejoins the job at the next probe
-	// instead of staying down until Finish.
-	Probation time.Duration
 
 	// Cache, when non-nil, memoizes window scans: a window whose segment
 	// bytes and wire options match a cached entry is answered without any
@@ -109,6 +91,20 @@ type Result struct {
 // non-429 statuses) mark a peer down; its remaining windows fail fast to
 // the local fallback instead of burning a timeout each.
 const peerDownAfter = 3
+
+// Dispatch timing, variables only so tests can shorten them: attempts per
+// window on its peer before the local re-run, the backoff after a 429 or
+// failure (doubling up to maxBackoff), the bound on one scan RPC, and the
+// first delay before a peer marked down is probed with a live window again
+// (doubling per failed probe up to 16x), so a restarted worker rejoins the
+// job instead of staying down until Finish.
+var (
+	retries        = 5
+	retryBackoff   = 25 * time.Millisecond
+	maxBackoff     = 400 * time.Millisecond
+	requestTimeout = 2 * time.Minute
+	probation      = 250 * time.Millisecond
+)
 
 var errClosed = errors.New("cluster: coordinator closed")
 
@@ -209,7 +205,8 @@ type Coordinator struct {
 	peers     []*peer
 	wg        sync.WaitGroup
 	closeOnce sync.Once
-	aborted   atomic.Bool
+	ctx       context.Context // canceled by Close: in-flight scans stop
+	abort     context.CancelFunc
 
 	windows [][2]int
 	outs    []chan scanOut
@@ -236,21 +233,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.InFlight <= 0 {
 		cfg.InFlight = 2
 	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 5
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 25 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 400 * time.Millisecond
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 2 * time.Minute
-	}
-	if cfg.Probation <= 0 {
-		cfg.Probation = 250 * time.Millisecond
-	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
@@ -271,11 +253,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("cluster: bad peer URL %q", p)
 		}
-		pr := &peer{base: base, queue: make(chan task, cfg.InFlight)}
-		c.peers = append(c.peers, pr)
+		c.peers = append(c.peers, &peer{base: base, queue: make(chan task, cfg.InFlight)})
+	}
+	c.ctx, c.abort = context.WithCancel(context.Background())
+	for _, p := range c.peers {
 		for k := 0; k < cfg.InFlight; k++ {
 			c.wg.Add(1)
-			go c.peerLoop(pr)
+			go c.peerLoop(p)
 		}
 	}
 	return c, nil
@@ -324,13 +308,13 @@ func (c *Coordinator) closeQueues() {
 	})
 }
 
-// Close abandons the job: in-flight scans stop retrying and queued windows
-// are discarded. It must not race Notify or Finish — callers invoke it
-// after the job reaches a terminal state without Finish having run (for
-// example a trace job canceled while still queued).
+// Close abandons the job: in-flight scans are canceled, queued windows are
+// discarded, and Close returns once every sender has exited. It must not
+// race Notify or Finish; after Finish, or a first Close, it only waits.
 func (c *Coordinator) Close() {
-	c.aborted.Store(true)
+	c.abort()
 	c.closeQueues()
+	c.wg.Wait()
 }
 
 // Finish dispatches the tail window, waits for every reply in window-index
@@ -382,6 +366,9 @@ func (c *Coordinator) Finish(tr *trace.Trace) *Result {
 		fold.Add(out.res, out.err, wn[0])
 	}
 	c.wg.Wait()
+	c.abort()
+	c.rec.Logf("cluster: %d windows (%d remote, %d local, %d cached) across %d peer(s)",
+		res.Windows, res.Remote, res.Local, res.Cached, len(c.peers))
 	res.Backend, res.PeakMemBytes = fold.Backend, fold.PeakBytes
 	if fold.Err != nil {
 		res.OOM, res.Err = true, fold.Err
@@ -400,7 +387,7 @@ func (c *Coordinator) Finish(tr *trace.Trace) *Result {
 func (c *Coordinator) peerLoop(p *peer) {
 	defer c.wg.Done()
 	for t := range p.queue {
-		if c.aborted.Load() {
+		if c.ctx.Err() != nil {
 			t.out <- scanOut{err: errClosed}
 			continue
 		}
@@ -426,7 +413,7 @@ func (c *Coordinator) scanRemote(p *peer, t task) scanOut {
 	req := c.req
 	req.Window, req.Start = t.index, t.start
 	u := p.base + ScanPath + "?" + req.query().Encode()
-	backoff := c.cfg.RetryBackoff
+	backoff := retryBackoff
 	var lastErr error
 	probing := false
 	endProbe := func(alive bool) {
@@ -439,11 +426,11 @@ func (c *Coordinator) scanRemote(p *peer, t task) scanOut {
 			c.rec.Count("cluster.peers.recovered", 1)
 			c.rec.Logf("cluster: peer %s answered its probation probe; resuming remote dispatch", p.base)
 		} else {
-			p.probeFailed(c.cfg.Probation)
+			p.probeFailed(probation)
 		}
 	}
-	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
-		if c.aborted.Load() {
+	for attempt := 0; attempt < retries; attempt++ {
+		if c.ctx.Err() != nil {
 			endProbe(false)
 			return scanOut{err: errClosed}
 		}
@@ -457,11 +444,13 @@ func (c *Coordinator) scanRemote(p *peer, t task) scanOut {
 			}
 		}
 		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-			if backoff > c.cfg.MaxBackoff {
-				backoff = c.cfg.MaxBackoff
+			select {
+			case <-time.After(backoff):
+			case <-c.ctx.Done():
+				endProbe(false)
+				return scanOut{err: errClosed}
 			}
+			backoff = min(2*backoff, maxBackoff)
 		}
 		out, busy, err := c.attempt(u, t)
 		if err == nil {
@@ -483,10 +472,10 @@ func (c *Coordinator) scanRemote(p *peer, t task) scanOut {
 			break
 		}
 		c.rec.Count("cluster.peer_failures", 1)
-		if p.fails.Add(1) >= peerDownAfter && p.markDown(c.cfg.Probation) {
+		if p.fails.Add(1) >= peerDownAfter && p.markDown(probation) {
 			c.rec.Count("cluster.peers.down", 1)
 			c.rec.Logf("cluster: peer %s marked down after %d consecutive failures (%v); probing again in %v",
-				p.base, peerDownAfter, err, c.cfg.Probation)
+				p.base, peerDownAfter, err, probation)
 		}
 	}
 	sp.Attr("failed", true)
@@ -500,7 +489,7 @@ func (c *Coordinator) attempt(u string, t task) (scanOut, bool, error) {
 		return scanOut{}, false, err
 	}
 	hreq.Header.Set("Content-Type", "application/octet-stream")
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(c.ctx, requestTimeout)
 	defer cancel()
 	resp, err := c.cfg.Client.Do(hreq.WithContext(ctx))
 	if err != nil {
@@ -531,14 +520,4 @@ func (c *Coordinator) attempt(u string, t task) (scanOut, bool, error) {
 	c.eng.Store(t.key, &res, t.end-t.start)
 	c.rec.Observe("cluster.scan_rtt_us", time.Since(t0).Microseconds())
 	return scanOut{res: res, remote: true}, false, nil
-}
-
-// CoreResult lifts a cluster Result into the *core.Result shape the shared
-// renderer consumes, so coordinated jobs print bytes identical to the
-// single-node chunked path (serve.RenderTrace renders only the summary
-// counts and the final report, both of which the merged report determines).
-func CoreResult(tr *trace.Trace, cres *Result, analysis time.Duration) *core.Result {
-	res := core.TraceResult(tr, cres.Report, cres.PeakMemBytes, cres.Backend, true)
-	res.Stats.AnalysisTime = analysis
-	return res
 }

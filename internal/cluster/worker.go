@@ -26,14 +26,11 @@ type WorkerConfig struct {
 
 	// Admit, when non-nil, charges the scan against the host's memory
 	// gate before any decoding: it blocks until `need` bytes are granted,
-	// the context times out (the request is then answered 429), or the
-	// gate is closed. The returned release runs when the scan finishes.
-	// This is how dcatch-serve makes remote windows count against the
-	// same admission budget as local jobs.
+	// the context times out after admitTimeout (the request is then
+	// answered 429), or the gate is closed. The returned release runs when
+	// the scan finishes. This is how dcatch-serve makes remote windows
+	// count against the same admission budget as local jobs.
 	Admit func(ctx context.Context, need int64) (release func(), err error)
-
-	// AdmitTimeout bounds the admission wait (default 2s).
-	AdmitTimeout time.Duration
 
 	// Drain, when non-nil, tracks in-flight scans for graceful shutdown;
 	// once closing, new scans are refused with 503.
@@ -48,6 +45,10 @@ type WorkerConfig struct {
 	// or the admission gate, and every fresh scan populates the cache.
 	Cache *scancache.Cache
 }
+
+// admitTimeout bounds a scan's wait for the host's admission grant; a
+// variable only so tests can shorten it.
+var admitTimeout = 2 * time.Second
 
 // Worker is the http.Handler serving ScanPath: it decodes its assigned
 // segment, scans it with the window engine, and returns the serialized
@@ -64,9 +65,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
-	}
-	if cfg.AdmitTimeout <= 0 {
-		cfg.AdmitTimeout = 2 * time.Second
 	}
 	return &Worker{cfg: cfg, sem: make(chan struct{}, cfg.Scans)}
 }
@@ -88,7 +86,7 @@ func (w *Worker) acquire(rw http.ResponseWriter, r *http.Request, need int64) (r
 	}
 	admitted := func() {}
 	if w.cfg.Admit != nil {
-		ctx, cancel := context.WithTimeout(r.Context(), w.cfg.AdmitTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), admitTimeout)
 		rel, err := w.cfg.Admit(ctx, need)
 		cancel()
 		if err != nil {

@@ -5,81 +5,100 @@ import (
 	"fmt"
 	"time"
 
-	"dcatch/internal/detect"
+	"dcatch/internal/cluster"
+	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/stream"
 	"dcatch/internal/trace"
 )
 
 // AnalyzeTrace runs trace analysis alone — HB-graph construction plus
-// candidate detection — on an already-collected trace: the paper's "TA"
-// column of Table 5. There is no workload and no IR here, so the
-// IR-dependent stages (static pruning, the focused loop-sync rerun and
-// Rule-Mpull) are skipped and TA, SP and Final all hold the same report.
-//
-// This is the entry point for traces that arrive from outside the process —
-// dcatch-trace -analyze, and through TraceJob dcatch-serve's uploads and
-// dcatch-trace -follow — where the run that produced the trace is not
-// reproducible locally. Options is honored for everything that doesn't need
-// the program: HB rule ablation, the reachability backend and memory budget,
-// detection tuning, the chunked-analysis fallback and its scan cache. The
-// analysis is Detect's TA stage itself (analyzeTrace), so results are
-// byte-identical to what Detect computes on the same trace.
+// candidate detection, the paper's "TA" column of Table 5 — as a local
+// TraceJob over an already-decoded trace. There is no workload and no IR,
+// so static pruning, the focused loop-sync rerun and Rule-Mpull are skipped
+// and TA, SP and Final all hold the same report. Every Options field that
+// doesn't need the program is honored, and the analysis is Detect's TA stage
+// itself (analyzeTrace), so results are byte-identical to Detect's.
 func AnalyzeTrace(tr *trace.Trace, opts Options) (*Result, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("core: AnalyzeTrace: nil trace")
 	}
-	j := &TraceJob{opts: opts, an: newAnalyzer(opts, false, nil), sealed: true}
+	j := &TraceJob{opts: opts, an: newAnalyzer(opts, nil), tr: tr}
 	j.an.AppendTrace(tr)
 	return j.Finish()
 }
 
-// TraceJob is AnalyzeTrace over a trace that is still arriving: the bytes
-// of a binary trace are fed in whatever segments the source delivers (an
-// upload body, a growing file), every record a segment completes runs
-// through the streaming analyzer's online provisional pass, and Finish
-// produces the Result AnalyzeTrace computes on the decoded trace — the same
-// analyzer, built from the same Options by the same function, finished by
-// the same stage, so the two cannot drift. Not safe for concurrent use.
+// TraceJob is the one way a command or the service analyzes a trace, fed
+// the bytes in whatever segments the source delivers (an upload body, a
+// growing file). A local job runs the streaming analyzer AnalyzeTrace runs,
+// with the online provisional pass when given an onEvent. A coordinated job
+// hands each ChunkSize window to its peers the moment it fills and folds
+// their scans at Finish: it always windows, emits no provisional events, and
+// reports the single-node chunked run's bytes. Not safe for concurrent use.
 type TraceJob struct {
 	opts   Options
-	an     *stream.Analyzer
+	an     *stream.Analyzer     // nil in a coordinated job
+	coord  *cluster.Coordinator // nil in a local job
 	dec    *trace.StreamDecoder // nil in AnalyzeTrace's job, whose trace arrives decoded
-	sealed bool                 // the analyzer holds the whole trace; Feed is over
+	tr     *trace.Trace         // the whole trace, once sealed
 	res    *Result              // Finish's outcome, returned again by later calls
+	closed bool
 }
 
-// NewTraceJob returns a job awaiting the first bytes of a binary trace.
-// onEvent, when non-nil, receives the provisional candidates and, during
-// Finish, their retractions.
-func NewTraceJob(opts Options, onEvent func(stream.Event)) *TraceJob {
-	return &TraceJob{opts: opts, an: newAnalyzer(opts, true, onEvent), dec: trace.NewStreamDecoder()}
+// NewTraceJob returns a job awaiting the first bytes of a binary trace,
+// coordinated across peers (dcatch-serve -worker base URLs; ChunkSize 0
+// then means cluster.DefaultChunkSize) when there are any. onEvent, when
+// non-nil, receives a local job's provisional candidates and, during Finish,
+// their retractions. The error reports options the peers cannot be sent. A
+// job that is not finished must be closed.
+func NewTraceJob(opts Options, peers []string, onEvent func(stream.Event)) (*TraceJob, error) {
+	j := &TraceJob{opts: opts, dec: trace.NewStreamDecoder()}
+	if len(peers) == 0 {
+		j.an = newAnalyzer(opts, onEvent)
+		return j, nil
+	}
+	if j.opts.ChunkSize <= 0 {
+		j.opts.ChunkSize = cluster.DefaultChunkSize
+	}
+	coord, err := cluster.NewCoordinator(cluster.Config{
+		Peers: peers, ChunkSize: j.opts.ChunkSize,
+		HB: opts.HB, Detect: opts.Detect, Obs: opts.Obs, Cache: opts.ScanCache,
+	})
+	if err != nil {
+		return nil, err
+	}
+	j.coord = coord
+	return j, nil
 }
 
 // newAnalyzer is the one place a trace analysis's stream.Options are
-// derived from core.Options.
-func newAnalyzer(opts Options, provisional bool, onEvent func(stream.Event)) *stream.Analyzer {
+// derived from core.Options; the provisional pass runs only for a consumer
+// of its events.
+func newAnalyzer(opts Options, onEvent func(stream.Event)) *stream.Analyzer {
 	return stream.New(stream.Options{
 		HB: opts.HB, Detect: opts.Detect, ChunkSize: opts.ChunkSize,
-		Provisional: provisional, OnEvent: onEvent,
+		Provisional: onEvent != nil, OnEvent: onEvent,
 		Obs: opts.Obs, Cache: opts.ScanCache,
 	})
 }
 
-// Feed decodes the next segment of the trace and runs the records it
-// completes through the online pass, returning how many there were. The
-// decoder keeps the records and the analyzer adopts them, with the header's
-// metadata, at Seal, so the trace is held once. A non-nil error means the
-// bytes are not a trace, which is sticky, or that the job is already sealed.
+// Feed decodes the next segment and hands the records it completes — how
+// many it returns — to the online pass, or as filled windows to the peers.
+// The analyzer adopts the decoder's records at Seal: the trace is held once.
+// An error means the bytes are not a trace (sticky) or the job is sealed or
+// closed.
 func (j *TraceJob) Feed(seg []byte) (int, error) {
-	if j.sealed {
-		return 0, errors.New("core: TraceJob: Feed after Seal")
+	if j.tr != nil || j.closed {
+		return 0, errors.New("core: TraceJob: Feed after Seal or Close")
 	}
 	n, err := j.dec.Feed(seg)
-	if err != nil {
+	switch {
+	case err != nil:
 		return 0, err
-	}
-	if n > 0 {
+	case n == 0:
+	case j.coord != nil:
+		j.coord.Notify(j.dec.Trace())
+	default:
 		j.an.IngestBatch(j.dec.Trace().Recs[j.an.Records():])
 	}
 	return n, nil
@@ -103,24 +122,39 @@ func (j *TraceJob) FrontierBytes() int64 { return j.an.FrontierBytes() }
 // Callers that queue or announce the job between ingest and analysis seal
 // it first; Finish seals implicitly.
 func (j *TraceJob) Seal() (*trace.Trace, error) {
-	if !j.sealed {
+	if j.tr == nil {
 		tr, err := j.dec.Finish()
 		if err != nil {
 			return nil, err
 		}
-		j.an.AppendTrace(tr) // adopt the decoder's records and metadata, no second copy
-		j.sealed = true
+		if j.an != nil {
+			j.an.AppendTrace(tr) // adopt the decoder's records and metadata, no second copy
+		}
+		j.tr = tr
 	}
-	return j.an.Trace(), nil
+	return j.tr, nil
 }
 
-// Finish completes the analysis: the full build, or — when the closure
-// exceeds the budget and ChunkSize is set — the windowed replay. The
-// analysis runs, and records its metrics, once: later calls return the same
-// Result.
+// WindowSize returns the window length, in records, Finish analyzes the
+// sealed trace at — ChunkSize for a coordinated job, and for a local one
+// whose full build exceeds the budget — or 0 for a full build. Jobs with
+// equal options and WindowSize report the same bytes, local or coordinated.
+func (j *TraceJob) WindowSize() int {
+	if j.coord != nil || (j.opts.ChunkSize > 0 && hb.FullBuildExceedsBudget(j.tr, j.opts.HB)) {
+		return j.opts.ChunkSize
+	}
+	return 0
+}
+
+// Finish completes the analysis — the full build, the windowed replay when
+// the closure exceeds the budget and ChunkSize is set, or the fold of the
+// peers' window scans — once: later calls return the same Result.
 func (j *TraceJob) Finish() (*Result, error) {
 	if j.res != nil {
 		return j.res, nil
+	}
+	if j.closed {
+		return nil, errors.New("core: TraceJob: Finish after Close")
 	}
 	tr, err := j.Seal()
 	if err != nil {
@@ -128,9 +162,13 @@ func (j *TraceJob) Finish() (*Result, error) {
 	}
 	rec := j.opts.Obs
 	rec.Logf("analyze trace %s: %d records", tr.Program, len(tr.Recs))
-	res := newTraceResult(tr)
-	res.seed = j.opts.Seed
-	res.analyzeTrace(j.an, rec)
+	res := &Result{Trace: tr, seed: j.opts.Seed}
+	res.Stats.TraceRecords, res.Stats.TraceBytes = len(tr.Recs), tr.EncodedSize()
+	if j.coord != nil {
+		res.analyzeTrace(rec, j.coordinate)
+	} else {
+		res.analyzeTrace(rec, streamed(j.an))
+	}
 	if !res.OOM {
 		res.countStage(rec, "final", res.Final)
 	}
@@ -138,16 +176,32 @@ func (j *TraceJob) Finish() (*Result, error) {
 	return res, nil
 }
 
+// coordinate folds the peers' window scans into a windowed stream.Result.
+func (j *TraceJob) coordinate(*obs.Span) *stream.Result {
+	cres := j.coord.Finish(j.tr)
+	return &stream.Result{Report: cres.Report, OOM: cres.OOM, Err: cres.Err,
+		HBMemBytes: cres.PeakMemBytes, Backend: cres.Backend, Chunked: true}
+}
+
+// Close releases a job that will not be finished (an upload canceled while
+// queued): a coordinated job's in-flight window scans stop and its senders
+// exit before Close returns. Close is idempotent, and a no-op after Finish.
+func (j *TraceJob) Close() {
+	j.closed = true
+	if j.coord != nil {
+		j.coord.Close()
+	}
+}
+
 // analyzeTrace is the pipeline's one trace-analysis stage — the "TA" column
-// of Table 5 — behind Detect and every trace job: it finishes an, which
-// holds the whole trace, under a core.trace_analysis span and fills the TA
-// report, Graph, Chunked/OOM and the analysis stats from the outcome.
-func (res *Result) analyzeTrace(an *stream.Analyzer, rec *obs.Recorder) {
+// of Table 5 — behind Detect and every trace job: it runs finish, which
+// analyzes the whole trace, under a core.trace_analysis span and fills the
+// TA report, Graph, Chunked/OOM and the analysis stats from the outcome.
+func (res *Result) analyzeTrace(rec *obs.Recorder, finish func(sp *obs.Span) *stream.Result) {
 	sp := rec.Span("core.trace_analysis")
 	t0 := time.Now()
-	an.SetSpans(sp)
-	sr := an.Finish()
-	res.fillTA(sr.Report, sr.HBMemBytes, sr.Backend, sr.Chunked)
+	sr := finish(sp)
+	res.fillTA(sr)
 	res.Stats.AnalysisTime = time.Since(t0)
 	if res.OOM {
 		sp.Attr("oom", true)
@@ -171,38 +225,27 @@ func (res *Result) analyzeTrace(an *stream.Analyzer, rec *obs.Recorder) {
 		res.Stats.HBVertices, res.Stats.HBEdges, res.Stats.TAStatic, res.Stats.TACallstack, res.Stats.AnalysisTime)
 }
 
-// TraceResult is the Result of a trace-analysis-only job — no workload and
-// no IR, so TA, SP and Final all hold rep — filled from what the analysis
-// produced: the merged or full-graph report (nil: the analysis ran out of
-// memory), the peak reachability footprint and the resolved backend. The
-// cluster coordinator builds its Result here, with the same fill the
-// trace-analysis stage applies, so their stats cannot drift apart.
-func TraceResult(tr *trace.Trace, rep *detect.Report, peakBytes int64, backend string, chunked bool) *Result {
-	res := newTraceResult(tr)
-	res.fillTA(rep, peakBytes, backend, chunked)
-	return res
-}
-
-// newTraceResult returns a Result carrying tr and its size stats.
-func newTraceResult(tr *trace.Trace) *Result {
-	res := &Result{Trace: tr}
-	res.Stats.TraceRecords = len(tr.Recs)
-	res.Stats.TraceBytes = tr.EncodedSize()
-	return res
+// streamed finishes an, which holds the whole trace, under the stage's span.
+func streamed(an *stream.Analyzer) func(*obs.Span) *stream.Result {
+	return func(sp *obs.Span) *stream.Result {
+		an.SetSpans(sp)
+		return an.Finish()
+	}
 }
 
 // fillTA records a trace-analysis outcome as a trace-analysis-only result:
-// TA, SP and Final all hold rep (Detect overwrites SP and Final with its
-// later stages), and a nil rep marks the analysis out of memory.
-func (res *Result) fillTA(rep *detect.Report, peakBytes int64, backend string, chunked bool) {
-	res.Chunked, res.OOM = chunked, rep == nil
-	if rep == nil {
+// TA, SP and Final all hold its report (Detect overwrites SP and Final with
+// its later stages).
+func (res *Result) fillTA(sr *stream.Result) {
+	res.Chunked, res.OOM = sr.Chunked, sr.OOM
+	if sr.OOM {
 		return
 	}
+	rep := sr.Report
 	res.TA, res.SP, res.Final = rep, rep, rep
 	res.Stats.HBVertices = len(res.Trace.Recs)
-	res.Stats.HBMemBytes = peakBytes
-	res.Stats.ReachBackend = backend
+	res.Stats.HBMemBytes = sr.HBMemBytes
+	res.Stats.ReachBackend = sr.Backend
 	res.Stats.TAStatic = rep.StaticCount()
 	res.Stats.TACallstack = rep.CallstackCount()
 	res.Stats.SPStatic, res.Stats.SPCallstack = res.Stats.TAStatic, res.Stats.TACallstack

@@ -202,9 +202,9 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 
 	// Trace analysis without Rule-Mpull: the "TA" stage of Table 5, the
 	// same stage AnalyzeTrace and every trace job run.
-	an := newAnalyzer(opts, false, nil)
+	an := newAnalyzer(opts, nil)
 	an.AppendTrace(res.Trace)
-	res.analyzeTrace(an, rec)
+	res.analyzeTrace(rec, streamed(an))
 	if res.OOM {
 		return res, nil
 	}

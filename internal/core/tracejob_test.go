@@ -2,10 +2,15 @@ package core_test
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"dcatch/internal/bench"
+	"dcatch/internal/cluster"
 	"dcatch/internal/core"
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
@@ -41,7 +46,10 @@ func TestTraceJobMatchesAnalyzeTrace(t *testing.T) {
 		return core.AnalyzeTrace(dec, o)
 	}
 	streamed := func(o core.Options) (*core.Result, error) {
-		job := core.NewTraceJob(o, nil)
+		job, err := core.NewTraceJob(o, nil, nil)
+		if err != nil {
+			return nil, err
+		}
 		for off := 0; off < len(raw); off += 200 {
 			if _, err := job.Feed(raw[off:min(off+200, len(raw))]); err != nil {
 				return nil, err
@@ -147,7 +155,7 @@ func TestTraceJobsNeverBuildIndex(t *testing.T) {
 // without analyzing, or counting its candidates, again.
 func TestTraceJobFinishOnce(t *testing.T) {
 	rec := obs.New()
-	job := core.NewTraceJob(core.Options{Obs: rec}, nil)
+	job, _ := core.NewTraceJob(core.Options{Obs: rec}, nil, nil)
 	if _, err := job.Feed(bench.SyntheticTraceBounded(500, 13).Encode()); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +183,7 @@ func TestTraceJobFinishOnce(t *testing.T) {
 // not silently dropped.
 func TestTraceJobFeedAfterSeal(t *testing.T) {
 	raw := bench.SyntheticTraceBounded(500, 13).Encode()
-	job := core.NewTraceJob(core.Options{}, nil)
+	job, _ := core.NewTraceJob(core.Options{}, nil, nil)
 	if _, err := job.Feed(raw); err != nil {
 		t.Fatal(err)
 	}
@@ -184,5 +192,100 @@ func TestTraceJobFeedAfterSeal(t *testing.T) {
 	}
 	if n, err := job.Feed(raw); err == nil {
 		t.Fatalf("Feed after Seal = %d, nil; want an error", n)
+	}
+}
+
+// TestCoordinatedTraceJobReleasesGoroutines: a coordinated job leaves no
+// peer sender, request or connection goroutine behind — after Finish, after
+// Close without Finish (an upload canceled while queued, its windows still
+// in flight), and with each called twice. Its report is the single-node
+// chunked run's over the same options.
+func TestCoordinatedTraceJobReleasesGoroutines(t *testing.T) {
+	tr := bench.SyntheticTraceBounded(3000, 11)
+	const chunk = 500
+	budget, err := bench.IncrMemBudget(tr, chunk, hb.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{ChunkSize: chunk}
+	opts.HB.MemBudget = budget
+	ref, err := core.AnalyzeTrace(tr, opts)
+	if err != nil || ref.OOM || !ref.Chunked {
+		t.Fatalf("reference did not take the chunked path: %v", err)
+	}
+	want := ref.Final.Format(nil)
+	raw := tr.Encode()
+
+	worker := cluster.NewWorker(cluster.WorkerConfig{Scans: 2})
+	var peers []string
+	for range 2 {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST "+cluster.ScanPath, func(w http.ResponseWriter, r *http.Request) {
+			time.Sleep(20 * time.Millisecond) // keeps windows in flight when Close lands
+			worker.ServeHTTP(w, r)
+		})
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		peers = append(peers, ts.URL)
+	}
+	// The cases run in this goroutine, not subtests, so the count compares
+	// like with like.
+	base := runtime.NumGoroutine()
+	settle := func(after string) {
+		t.Helper()
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n > base {
+			t.Fatalf("%d goroutines after %s, %d before", n, after, base)
+		}
+	}
+	fed := func() *core.TraceJob {
+		t.Helper()
+		job, err := core.NewTraceJob(opts, peers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := job.Feed(raw); err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	finish := func(job *core.TraceJob) *core.Result {
+		t.Helper()
+		res, err := job.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OOM || !res.Chunked || res.Final.Format(nil) != want {
+			t.Fatalf("coordinated report differs from the single-node chunked one (oom %v, chunked %v)", res.OOM, res.Chunked)
+		}
+		return res
+	}
+
+	finish(fed())
+	settle("Finish")
+
+	job := fed()
+	first := finish(job)
+	if second := finish(job); second != first {
+		t.Error("second Finish built a new Result")
+	}
+	job.Close()
+	job.Close()
+	settle("Finish twice and Close twice")
+
+	job = fed()
+	job.Close()
+	settle("Close without Finish")
+	job.Close()
+	settle("a second Close")
+	if _, err := job.Finish(); err == nil {
+		t.Error("Finish after Close succeeded")
+	}
+	if _, err := job.Feed(raw); err == nil {
+		t.Error("Feed after Close succeeded")
 	}
 }

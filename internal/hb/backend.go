@@ -65,12 +65,10 @@ func DenseReachBytes(n int) int64 {
 }
 
 // FullBuildExceedsBudget reports whether an unchunked Build over tr with
-// cfg would be refused by the up-front admission check — i.e. whether a
-// pipeline with chunking enabled will take the windowed path. It runs the
-// same resolveBackend logic Build runs before constructing any edges
-// (O(1) for dense, one O(n) chain count otherwise), so callers
-// that need to know the window shape in advance — the serve layer keys
-// whole-report cache entries on it — get exactly Build's decision.
+// cfg would be refused by the up-front admission check — whether a pipeline
+// with chunking enabled will window (core.TraceJob.WindowSize). It runs
+// Build's own resolveBackend (O(1) for dense, one O(n) chain count
+// otherwise), so it is exactly Build's decision.
 func FullBuildExceedsBudget(tr *trace.Trace, cfg Config) bool {
 	g := &Graph{Tr: tr, cfg: cfg}
 	return g.resolveBackend() != nil

@@ -168,9 +168,17 @@ func subjectCacheKey(bench string, seed int64, o JobOptions) string {
 
 // traceCacheKey is the content address of a trace job: the SHA-256 of the
 // uploaded bytes (computed while streaming the upload) plus canonical
-// options.
-func traceCacheKey(bodySHA []byte, o JobOptions) string {
+// options. A job that windows (core.TraceJob.WindowSize > 0) is keyed under
+// its own prefix with its window length as chunk size: a coordinated job
+// and a single-node job whose budget forces windows report the same bytes
+// over the same options, so they share one entry, while an unchunked report
+// can legitimately differ.
+func traceCacheKey(bodySHA []byte, o JobOptions, window int) string {
+	kind := "trace"
+	if window > 0 {
+		kind, o.ChunkSize = "trace-chunked", window
+	}
 	h := sha256.New()
-	fmt.Fprintf(h, "trace|%x|%s", bodySHA, optionsKey(o))
+	fmt.Fprintf(h, "%s|%x|%s", kind, bodySHA, optionsKey(o))
 	return hex.EncodeToString(h.Sum(nil))
 }

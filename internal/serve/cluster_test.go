@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"dcatch/internal/bench"
 	"dcatch/internal/cluster"
+	"dcatch/internal/hb"
 	"dcatch/internal/trace"
 )
 
@@ -205,6 +207,64 @@ func TestClusterSingleNodeCacheUnified(t *testing.T) {
 			t.Error("single-node-served report differs from the cluster one")
 		}
 	})
+}
+
+// TestClusterDefaultChunkCacheParity pins where a coordinated job's default
+// window length is resolved: before its cache key. A coordinated upload
+// without chunk_size windows at cluster.DefaultChunkSize, so it must share
+// one whole-report entry with a single-node upload that names that
+// chunk_size explicitly and whose budget forces windows — in both
+// directions.
+func TestClusterDefaultChunkCacheParity(t *testing.T) {
+	tr := bench.SyntheticTraceBounded(cluster.DefaultChunkSize+10_000, 7)
+	budget, err := bench.IncrMemBudget(tr, cluster.DefaultChunkSize, hb.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := tr.Encode()
+	coordinated := JobOptions{MemBudget: budget}
+	single := JobOptions{MemBudget: budget, ChunkSize: cluster.DefaultChunkSize}
+	run := func(t *testing.T, c *Client, o JobOptions) (*JobStatus, []byte) {
+		t.Helper()
+		st, err := c.SubmitTrace(bytes.NewReader(raw), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = waitDone(t, c, st.ID)
+		if st.State != StateDone || st.OOM {
+			t.Fatalf("job finished %s (oom %v): %s", st.State, st.OOM, st.Error)
+		}
+		rep, err := c.Report(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, rep
+	}
+	for _, dir := range []struct {
+		name          string
+		first, second Config
+		o1, o2        JobOptions
+	}{
+		{"SingleNodePopulatesCluster", Config{}, Config{Peers: newWorkerPool(t, 1)}, single, coordinated},
+		{"ClusterPopulatesSingleNode", Config{Peers: newWorkerPool(t, 1)}, Config{}, coordinated, single},
+	} {
+		t.Run(dir.name, func(t *testing.T) {
+			sA, cA := newTestServer(t, dir.first)
+			st1, rep1 := run(t, cA, dir.o1)
+			if st1.CacheHit {
+				t.Fatal("first run cannot be a cache hit")
+			}
+			sB, cB := newTestServer(t, dir.second)
+			sB.mgr.cache = sA.mgr.cache
+			st2, rep2 := run(t, cB, dir.o2)
+			if !st2.CacheHit {
+				t.Error("second run missed the first run's entry")
+			}
+			if !bytes.Equal(rep1, rep2) {
+				t.Error("cache-served report differs from the first run's")
+			}
+		})
+	}
 }
 
 // TestClusterShutdownDrains: SIGTERM-style shutdown with a cluster job in

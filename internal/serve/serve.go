@@ -36,7 +36,6 @@ import (
 	"dcatch/internal/bench"
 	"dcatch/internal/cluster"
 	"dcatch/internal/core"
-	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
 	"dcatch/internal/stream"
@@ -66,11 +65,9 @@ type Config struct {
 	// service-level data. Reports are byte-identical either way.
 	NoJobTelemetry bool
 	// Peers lists cluster worker base URLs ("http://host:port"). Non-empty
-	// switches trace jobs to coordinator mode: the upload is partitioned by
-	// chunk window, windows are scanned by the peers (with local re-runs on
-	// failure), and the merged report is byte-identical to the single-node
-	// chunked path. A job without chunk_size gets cluster.DefaultChunkSize
-	// records per window. Subject jobs are unaffected.
+	// makes trace jobs coordinated core.TraceJobs, whose windows (chunk_size
+	// records, default cluster.DefaultChunkSize) the peers scan; reports are
+	// the single-node chunked path's bytes. Subject jobs are unaffected.
 	Peers []string
 	// Worker exposes the window-scan RPC (POST /v1/cluster/scan), backed by
 	// the same admission gate and drainer as local jobs.
@@ -253,6 +250,25 @@ func (s *Server) routes() {
 	s.mux = mux
 }
 
+// admitScan charges a remote window scan against the server's admission
+// budget — the worker-mode analog of runJob's memGate acquire — so a
+// worker's concurrent remote windows and its own local jobs share one
+// memory discipline. The context bounds the wait; on timeout the RPC is
+// answered 429 and the coordinator backs off.
+func (s *Server) admitScan(ctx context.Context, need int64) (func(), error) {
+	if need <= 0 {
+		need = s.cfg.DefaultJobBytes
+	}
+	if s.cfg.MemBudget > 0 && need > s.cfg.MemBudget {
+		need = s.cfg.MemBudget
+	}
+	if err := s.mgr.mem.acquire(ctx, need); err != nil {
+		return nil, err
+	}
+	s.rec.Count("serve.admitted.bytes", need)
+	return func() { s.mgr.mem.release(need) }, nil
+}
+
 // writeJSON emits one JSON response with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -347,23 +363,18 @@ const uploadSegmentBytes = 256 << 10
 // the cap still count into serve.upload_segments.
 const maxSegmentSpans = 64
 
-// submitTrace ingests a binary trace straight off the request body: analysis
-// starts at the first segment instead of after the upload completes. Each
-// read is hashed (the content address covers the whole body, trailing bytes
-// included) and fed to a core.TraceJob, whose online provisional pass runs
-// the newly completed records — so when the body ends, the per-record work
-// is already done and provisional candidates are on the job's event stream.
-// The authoritative finish runs in the job's run closure under the usual
-// queue/admission discipline and is byte-identical to core.AnalyzeTrace on
-// the decoded bytes. Options ride in query parameters: parallel, reach,
-// mem_budget, chunk_size, max_group.
+// submitTrace ingests a binary trace straight off the request body into a
+// core.TraceJob, coordinated across Config.Peers when set: each read is
+// hashed (the content address covers the whole body, trailing bytes
+// included) and fed, so when the body ends the per-record work is done,
+// provisional candidates are on the job's event stream, and a coordinated
+// job's filled windows are dispatched. The authoritative finish runs in the
+// job's run closure under the usual queue/admission discipline. Options ride
+// in query parameters: parallel, reach, mem_budget, chunk_size, max_group.
 func (s *Server) submitTrace(body io.Reader, r *http.Request) (*job, error) {
 	jopt, err := traceQueryOptions(r)
 	if err != nil {
 		return nil, err
-	}
-	if len(s.cfg.Peers) > 0 {
-		return s.submitTraceCluster(body, jopt)
 	}
 	opts, err := coreOptions(jopt)
 	if err != nil {
@@ -375,7 +386,7 @@ func (s *Server) submitTrace(body io.Reader, r *http.Request) (*job, error) {
 
 	var firstCand bool
 	var readBytes int64
-	tj := core.NewTraceJob(opts, func(ev stream.Event) {
+	tj, err := core.NewTraceJob(opts, s.cfg.Peers, func(ev stream.Event) {
 		switch ev.Kind {
 		case stream.EventCandidate:
 			tel.rec.Count("stream.provisional_candidates", 1)
@@ -388,6 +399,9 @@ func (s *Server) submitTrace(body io.Reader, r *http.Request) (*job, error) {
 			tel.rec.Count("stream.retractions", 1)
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	// The live frontier gauge tracks ingests in flight; whatever this upload
 	// contributed is withdrawn when the handler returns (the frontier is
@@ -404,6 +418,7 @@ func (s *Server) submitTrace(body io.Reader, r *http.Request) (*job, error) {
 		return len(tj.Trace().Recs), err
 	}, tj.Seal)
 	if err != nil {
+		tj.Close()
 		return nil, err
 	}
 	run := func() (*jobResult, error) {
@@ -414,27 +429,27 @@ func (s *Server) submitTrace(body io.Reader, r *http.Request) (*job, error) {
 		stats := res.Stats
 		return &jobResult{report: []byte(RenderTrace(res)), summary: res.Summary(), stats: &stats, oom: res.OOM}, nil
 	}
-	key := traceCacheKey(sum, jopt)
-	if opts.ChunkSize > 0 && hb.FullBuildExceedsBudget(tr, opts.HB) {
-		// This job will take the windowed path, whose report is
-		// byte-identical to a coordinated cluster run over the same bytes
-		// and options — share one whole-report cache entry across both.
-		key = chunkedTraceCacheKey(sum, jopt)
-	}
+	key := traceCacheKey(sum, jopt, tj.WindowSize())
 	j, err := s.mgr.submit(KindTrace, tr.Program, key, jopt.MemBudget, tel, run)
 	if err != nil {
+		tj.Close()
 		return nil, err
 	}
+	// Released on every terminal path: on a cache hit or a cancel while
+	// queued run never executes, and a coordinated job's senders would park.
+	go func() {
+		<-j.done
+		tj.Close()
+	}()
 	s.reg.Register(tel.rec)
 	return j, nil
 }
 
-// readUpload is the one body-reading loop of trace uploads: each read of up
-// to uploadSegmentBytes is hashed, handed to feed — which decodes it, passes
-// on whatever it completed, and returns the records decoded so far — and
-// timed as a serve.segment span under serve.decode. At end of body seal
-// validates the stream and yields the complete trace. Errors come back
-// wrapped for the HTTP layer (a body past MaxBodyBytes stays matchable).
+// readUpload is the body-reading loop of trace uploads: each read of up to
+// uploadSegmentBytes is hashed, handed to feed (which returns the records
+// decoded so far) and timed as a serve.segment span under serve.decode; at
+// end of body seal yields the complete trace. Errors come back wrapped for
+// the HTTP layer (a body past MaxBodyBytes stays matchable).
 func readUpload(body io.Reader, rec *obs.Recorder, feed func(seg []byte) (records int, err error), seal func() (*trace.Trace, error)) (tr *trace.Trace, bodySHA []byte, err error) {
 	h := sha256.New()
 	dspan := rec.Span("serve.decode")

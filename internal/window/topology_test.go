@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"dcatch/internal/bench"
 	"dcatch/internal/cluster"
@@ -68,7 +67,6 @@ func TestTopologiesMatchReference(t *testing.T) {
 		return func(t *testing.T, cache *scancache.Cache) string {
 			coord, err := cluster.NewCoordinator(cluster.Config{
 				Peers: []string{peer}, ChunkSize: chunk, HB: hcfg, Cache: cache,
-				Retries: 1, RetryBackoff: time.Millisecond, Probation: time.Hour,
 			})
 			if err != nil {
 				t.Fatal(err)
