@@ -30,7 +30,6 @@ import (
 	"slices"
 	"strings"
 	"time"
-	"unicode"
 
 	"dcatch/internal/cluster"
 	"dcatch/internal/core"
@@ -97,7 +96,12 @@ func main() {
 			}
 			opts.ScanCache = sc
 		}
-		peerList := strings.FieldsFunc(*peers, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+		var peerList []string
+		for _, p := range strings.Split(*peers, ",") {
+			if p = strings.TrimSpace(p); p != "" {
+				peerList = append(peerList, p)
+			}
+		}
 		if len(peerList) > 0 {
 			// A coordinated job reports its windows' placement and any
 			// peer fallback on stderr.

@@ -114,8 +114,14 @@ func (j *TraceJob) Expected() (n uint64, ok bool) { return j.dec.Expected() }
 // Done reports whether every declared record has been decoded.
 func (j *TraceJob) Done() bool { return j.dec.Done() }
 
-// FrontierBytes returns the online pass's current clock footprint.
-func (j *TraceJob) FrontierBytes() int64 { return j.an.FrontierBytes() }
+// FrontierBytes returns the online pass's current clock footprint: zero in a
+// coordinated job, which has no online pass.
+func (j *TraceJob) FrontierBytes() int64 {
+	if j.an == nil {
+		return 0
+	}
+	return j.an.FrontierBytes()
+}
 
 // Seal ends ingest: it fails if the stream stopped mid-header or short of
 // its declared record count, and otherwise returns the complete trace.

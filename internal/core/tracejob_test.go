@@ -15,6 +15,7 @@ import (
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
+	"dcatch/internal/stream"
 	"dcatch/internal/trace"
 )
 
@@ -22,9 +23,10 @@ import (
 // uploads promise: a TraceJob fed the encoded bytes in small segments ends
 // in the Result AnalyzeTrace computes on the decoded trace — under a binding
 // budget with the chunked fallback and a scan cache, the options a second
-// hand-built stream.Options is quickest to forget. Each side runs cold then
-// warm against its own cache; report, Chunked, Stats and the cache's
-// hit/miss counters must agree at both steps.
+// hand-built stream.Options is quickest to forget. The job runs with the
+// provisional engine on (an onEvent, as -follow and uploads pass) and off.
+// Each side runs cold then warm against its own cache; report, Chunked,
+// Stats and the cache's hit/miss counters must agree at both steps.
 func TestTraceJobMatchesAnalyzeTrace(t *testing.T) {
 	tr := bench.SyntheticTraceBounded(3000, 11)
 	const chunk = 500
@@ -45,20 +47,22 @@ func TestTraceJobMatchesAnalyzeTrace(t *testing.T) {
 		}
 		return core.AnalyzeTrace(dec, o)
 	}
-	streamed := func(o core.Options) (*core.Result, error) {
-		job, err := core.NewTraceJob(o, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		for off := 0; off < len(raw); off += 200 {
-			if _, err := job.Feed(raw[off:min(off+200, len(raw))]); err != nil {
+	streamed := func(onEvent func(stream.Event)) func(core.Options) (*core.Result, error) {
+		return func(o core.Options) (*core.Result, error) {
+			job, err := core.NewTraceJob(o, nil, onEvent)
+			if err != nil {
 				return nil, err
 			}
+			for off := 0; off < len(raw); off += 200 {
+				if _, err := job.Feed(raw[off:min(off+200, len(raw))]); err != nil {
+					return nil, err
+				}
+			}
+			if !job.Done() {
+				t.Fatal("job not done after the last segment")
+			}
+			return job.Finish()
 		}
-		if !job.Done() {
-			t.Fatal("job not done after the last segment")
-		}
-		return job.Finish()
 	}
 
 	type outcome struct {
@@ -92,17 +96,30 @@ func TestTraceJobMatchesAnalyzeTrace(t *testing.T) {
 		return steps
 	}
 
-	want, got := run(batch), run(streamed)
+	want := run(batch)
 	if !want[0].chunked || want[0].oom || want[0].misses == 0 || want[1].hits != want[0].misses {
 		t.Fatalf("oracle did not take the cached chunked path: cold %+v, warm hits %d", want[0].stats, want[1].hits)
 	}
-	for i, step := range []string{"cold", "warm"} {
-		if got[i] != want[i] {
-			t.Errorf("%s: TraceJob diverged from AnalyzeTrace:\n got chunked=%v oom=%v hits=%d misses=%d stats=%+v\nwant chunked=%v oom=%v hits=%d misses=%d stats=%+v\nreports equal: %v",
-				step, got[i].chunked, got[i].oom, got[i].hits, got[i].misses, got[i].stats,
-				want[i].chunked, want[i].oom, want[i].hits, want[i].misses, want[i].stats,
-				got[i].report == want[i].report)
+	var events int
+	for _, mode := range []struct {
+		name    string
+		onEvent func(stream.Event)
+	}{
+		{"provisional", func(stream.Event) { events++ }},
+		{"no provisional", nil},
+	} {
+		got := run(streamed(mode.onEvent))
+		for i, step := range []string{"cold", "warm"} {
+			if got[i] != want[i] {
+				t.Errorf("%s, %s: TraceJob diverged from AnalyzeTrace:\n got chunked=%v oom=%v hits=%d misses=%d stats=%+v\nwant chunked=%v oom=%v hits=%d misses=%d stats=%+v\nreports equal: %v",
+					mode.name, step, got[i].chunked, got[i].oom, got[i].hits, got[i].misses, got[i].stats,
+					want[i].chunked, want[i].oom, want[i].hits, want[i].misses, want[i].stats,
+					got[i].report == want[i].report)
+			}
 		}
+	}
+	if events == 0 {
+		t.Error("the provisional engine emitted no event: the provisional run did not exercise it")
 	}
 }
 

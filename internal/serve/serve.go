@@ -435,12 +435,14 @@ func (s *Server) submitTrace(body io.Reader, r *http.Request) (*job, error) {
 		tj.Close()
 		return nil, err
 	}
-	// Released on every terminal path: on a cache hit or a cancel while
-	// queued run never executes, and a coordinated job's senders would park.
-	go func() {
-		<-j.done
-		tj.Close()
-	}()
+	if len(s.cfg.Peers) > 0 {
+		// Released on every terminal path: on a cache hit or a cancel while
+		// queued run never executes, and the coordinator's senders would park.
+		go func() {
+			<-j.done
+			tj.Close()
+		}()
+	}
 	s.reg.Register(tel.rec)
 	return j, nil
 }

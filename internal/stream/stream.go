@@ -239,10 +239,10 @@ func (a *Analyzer) AppendTrace(tr *trace.Trace) {
 	a.noteLive()
 }
 
-// FrontierBytes returns the online sweep's current clock footprint (the
-// stream.frontier_bytes gauge): zero without the engine or the analyzer.
+// FrontierBytes returns the online sweep's current clock footprint — the
+// stream.frontier_bytes gauge. Zero without the provisional engine.
 func (a *Analyzer) FrontierBytes() int64 {
-	if a == nil || a.prov == nil {
+	if a.prov == nil {
 		return 0
 	}
 	return a.prov.frontierBytes()
