@@ -62,18 +62,15 @@ func main() {
 	}
 	misplaced := false
 	flag.Visit(func(f *flag.Flag) {
-		need := ""
+		need, ok := "-analyze or -follow", *analyze || *follow
 		switch f.Name {
 		case "chunk", "mem-budget", "peers", "scancache-dir", "scancache-mem", "scancache-disk":
-			if !*analyze && !*follow {
-				need = "-analyze or -follow"
-			}
 		case "poll", "idle-timeout":
-			if !*follow {
-				need = "-follow"
-			}
+			need, ok = "-follow", *follow
+		default:
+			return
 		}
-		if need != "" {
+		if !ok {
 			misplaced = true
 			fmt.Fprintf(os.Stderr, "dcatch-trace: -%s needs %s\n", f.Name, need)
 		}
@@ -83,8 +80,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *analyze || *follow {
-		var opts core.Options
-		opts.ChunkSize = *chunk
+		opts := core.Options{ChunkSize: *chunk}
 		opts.HB.MemBudget = *memBudget
 		if *scDir != "" || *scMem > 0 {
 			sc, err := scancache.New(scancache.Config{

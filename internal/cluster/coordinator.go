@@ -170,10 +170,7 @@ func (p *peer) probeFailed(initial time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.probing = false
-	p.probeWait *= 2
-	if max := 16 * initial; p.probeWait > max {
-		p.probeWait = max
-	}
+	p.probeWait = min(2*p.probeWait, 16*initial)
 	p.probeAt = time.Now().Add(p.probeWait)
 }
 
