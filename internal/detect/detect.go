@@ -183,6 +183,16 @@ type Options struct {
 
 const defaultMaxGroup = 1500
 
+// GroupCap returns the per-location access cap detection applies: MaxGroup,
+// or the default when MaxGroup is 0 (or negative). The provisional engine
+// caps its tracked accesses with the same number.
+func (o Options) GroupCap() int {
+	if o.MaxGroup > 0 {
+		return o.MaxGroup
+	}
+	return defaultMaxGroup
+}
+
 // foundPair accumulates one callstack pair during a scan. firstObj is the
 // index (into the sorted object list) of the object that provides the
 // pair's representative, and rep packs the representative's dynamic record
@@ -215,8 +225,8 @@ func (s *pairSlab) alloc() *foundPair {
 	return &s.buf[len(s.buf)-1]
 }
 
-// internTable interns the callstack identity of every memory access: ids
-// maps a record's trace index to its stack ID, strs maps the ID back to its
+// internTable maps interned stack IDs back to their renderings: ids maps a
+// scanned access's trace index to its stack ID, strs maps the ID back to its
 // StackKey rendering. IDs are assigned in lexicographic rank order, so
 // comparing two IDs compares the strings — the dedup key for a candidate
 // pair is one packed integer (see packStackIDs) instead of two strings,
@@ -226,40 +236,6 @@ func (s *pairSlab) alloc() *foundPair {
 type internTable struct {
 	ids  []int32
 	strs []string
-}
-
-// buildInternTable interns the stack of every memory access by binary key
-// (trace.StackIDs), then ranks the distinct keys by their renderings: one
-// map probe per access, one rendering per distinct stack, none per
-// enumerated pair. It walks the records in trace order, which keeps the
-// pass sequential in memory; accesses of locations the scan skips get ids
-// too, which leaves the relative order of the scanned ones unchanged.
-func buildInternTable(recs []trace.Rec) *internTable {
-	tab := &internTable{ids: make([]int32, len(recs))}
-	var stacks trace.StackIDs
-	for i := range recs {
-		if recs[i].IsMem() {
-			tab.ids[i] = stacks.ID(&recs[i])
-		}
-	}
-	// Remap the encounter-order IDs onto lexicographic ranks.
-	order := make([]int32, stacks.Len())
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return stacks.Key(order[a]) < stacks.Key(order[b]) })
-	rank := make([]int32, len(order))
-	tab.strs = make([]string, len(order))
-	for r, id := range order {
-		rank[id] = int32(r)
-		tab.strs[r] = stacks.Key(id)
-	}
-	for i := range recs {
-		if recs[i].IsMem() {
-			tab.ids[i] = rank[tab.ids[i]]
-		}
-	}
-	return tab
 }
 
 // packStackIDs packs a pair of stack IDs into the canonical (ascending,
@@ -296,26 +272,14 @@ func Find(g *hb.Graph, opts Options) *Report {
 	return reportFromMap(found, opts.Obs)
 }
 
-// findMap runs the chain-clock sweep (epoch.go) and returns the
-// callstack-pair dedup map. Find sorts it straight into a Report;
-// FindChunked merges the per-window maps first, so windows never materialize
-// intermediate reports.
+// findMap runs the access prepass (prepass.go) and the chain-clock sweep
+// (epoch.go) and returns the callstack-pair dedup map. Find sorts it straight
+// into a Report; FindChunked merges the per-window maps first, so windows
+// never materialize intermediate reports.
 func findMap(g *hb.Graph, opts Options) (map[uint64]*foundPair, *internTable) {
 	sp := opts.Obs.Child("detect.find")
 	defer sp.End()
 	sp.Attr("reach_backend", g.Backend().String())
-	maxGroup := opts.MaxGroup
-	if maxGroup <= 0 {
-		maxGroup = defaultMaxGroup
-	}
-	// Group memory accesses by location.
-	groups := map[string][]int{}
-	for i := range g.Tr.Recs {
-		r := &g.Tr.Recs[i]
-		if r.IsMem() {
-			groups[r.Obj] = append(groups[r.Obj], i)
-		}
-	}
 	var pull map[int64]bool
 	if opts.SuppressPull {
 		pull = map[int64]bool{}
@@ -323,32 +287,11 @@ func findMap(g *hb.Graph, opts Options) (map[uint64]*foundPair, *internTable) {
 			pull[packStatic(pp.ReadStatic, pp.WriteStatic)] = true
 		}
 	}
-
-	// Sorted list of the locations worth scanning: at least one write and
-	// at least two accesses.
-	objs := make([]string, 0, len(groups))
-	for o, idxs := range groups {
-		if len(idxs) < 2 {
-			continue
-		}
-		hasWrite := false
-		for _, i := range idxs {
-			if g.Tr.Recs[i].IsWrite() {
-				hasWrite = true
-				break
-			}
-		}
-		if hasWrite {
-			objs = append(objs, o)
-		}
-	}
-	sort.Strings(objs)
-	tab := buildInternTable(g.Tr.Recs)
-
-	found := scanEpochAll(g, objs, groups, maxGroup, pull, tab, sp)
-	sp.Attr("locations", len(objs))
+	ax, tab := indexAccesses(g.Tr.Recs)
+	found := scanEpochAll(g, ax, opts.GroupCap(), pull, tab, sp)
+	sp.Attr("locations", len(ax.objs))
 	sp.Attr("candidates", len(found))
-	sp.Count("detect.locations_scanned", int64(len(objs)))
+	sp.Count("detect.locations_scanned", int64(len(ax.objs)))
 	sp.Count("detect.candidates", int64(len(found)))
 	return found, tab
 }
@@ -406,53 +349,6 @@ func reportFromMap[K comparable](found map[K]*foundPair, parent *obs.Span) *Repo
 	}
 	parent.Count("detect.dynamic_pairs", dynamic)
 	return rep
-}
-
-// subsample keeps a bounded, deterministic selection of a hot location's
-// accesses: the first and last access of every (thread, ctx) context are
-// always kept (a context's boundary accesses are where cross-context races
-// live), then padding is added evenly from the remaining accesses until max
-// is reached. Only the padding is ever trimmed; if the mandatory boundary
-// accesses alone exceed max, all of them are still returned (the result is
-// bounded by 2x the context count).
-func subsample(tr *trace.Trace, idxs []int, max int) []int {
-	type ck struct {
-		th  int32
-		ctx int32
-	}
-	firstLast := map[ck][2]int{}
-	for _, i := range idxs {
-		r := &tr.Recs[i]
-		k := ck{r.Thread, r.Ctx}
-		fl, ok := firstLast[k]
-		if !ok {
-			firstLast[k] = [2]int{i, i}
-		} else {
-			fl[1] = i
-			firstLast[k] = fl
-		}
-	}
-	keep := map[int]bool{}
-	for _, fl := range firstLast {
-		keep[fl[0]] = true
-		keep[fl[1]] = true
-	}
-	if budget := max - len(keep); budget > 0 {
-		stride := len(idxs)/budget + 1
-		for x := 0; x < len(idxs) && budget > 0; x += stride {
-			if !keep[idxs[x]] {
-				keep[idxs[x]] = true
-				budget--
-			}
-		}
-	}
-	out := make([]int, 0, len(keep))
-	for _, i := range idxs {
-		if keep[i] {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Format renders the report for CLI output.

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -289,23 +290,20 @@ func TestSubsampleKeepsContextEndpoints(t *testing.T) {
 			mem(c, th, th, trace.KMemWrite, "n/hot", 100+th)
 		}
 	}
-	tr := c.Trace()
-	idxs := make([]int, len(tr.Recs))
-	for i := range idxs {
-		idxs[i] = i
-	}
+	accs := hotAccesses(t, c.Trace())
 	const max = 30
-	out := subsample(tr, idxs, max)
+	var s subsampler
+	out := s.pick(accs, max)
 	if len(out) > max {
 		t.Fatalf("subsample returned %d > max %d", len(out), max)
 	}
 	kept := map[int]bool{}
-	for _, i := range out {
-		kept[i] = true
+	for _, a := range out {
+		kept[a.index()] = true
 	}
 	for th := 0; th < contexts; th++ {
 		first := th                       // first round-robin row
-		last := len(idxs) - contexts + th // last round-robin row
+		last := len(accs) - contexts + th // last round-robin row
 		if !kept[first] {
 			t.Errorf("context %d first access %d dropped", th, first)
 		}
@@ -325,19 +323,48 @@ func TestSubsampleManyContextsKeepsAllEndpoints(t *testing.T) {
 			mem(c, th, th, trace.KMemWrite, "n/hot", 100+th)
 		}
 	}
-	tr := c.Trace()
-	idxs := make([]int, len(tr.Recs))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	out := subsample(tr, idxs, 20) // 2*40 mandatory > 20
+	accs := hotAccesses(t, c.Trace())
+	var s subsampler
+	out := s.pick(accs, 20) // 2*40 mandatory > 20
 	kept := map[int]bool{}
-	for _, i := range out {
-		kept[i] = true
+	for _, a := range out {
+		kept[a.index()] = true
 	}
 	for th := 0; th < contexts; th++ {
-		if !kept[th] || !kept[len(idxs)-contexts+th] {
+		if !kept[th] || !kept[len(accs)-contexts+th] {
 			t.Fatalf("context %d endpoint dropped under tight max", th)
 		}
+	}
+}
+
+// hotAccesses returns the prepass's access list of the one location of a
+// trace that holds only accesses to it.
+func hotAccesses(t *testing.T, tr *trace.Trace) []access {
+	t.Helper()
+	ax, _ := indexAccesses(tr.Recs)
+	if len(ax.lists) != 1 || len(ax.lists[0]) != len(tr.Recs) {
+		t.Fatalf("prepass found %d locations, want 1 holding all %d records", len(ax.lists), len(tr.Recs))
+	}
+	return ax.lists[0]
+}
+
+// TestSubsampledAccessesDropped pins detect.subsampled_accesses_dropped on
+// the hot-location fixture: under the default cap the one hot location
+// loses a fixed number of accesses (the stride padding fills well short of
+// the cap), and with a cap above its size nothing is subsampled or dropped.
+func TestSubsampledAccessesDropped(t *testing.T) {
+	g, err := hb.Build(hotLocationTrace(rand.New(rand.NewSource(1005))), hb.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ctr := runFind(g, Options{})
+	if ctr["detect.subsampled_locations"] != 1 || ctr["detect.subsampled_accesses_dropped"] != 752 {
+		t.Fatalf("default cap: subsampled %d locations, dropped %d accesses; want 1, 752",
+			ctr["detect.subsampled_locations"], ctr["detect.subsampled_accesses_dropped"])
+	}
+	_, ctr = runFind(g, Options{MaxGroup: 1 << 20})
+	if ctr["detect.subsampled_locations"] != 0 || ctr["detect.subsampled_accesses_dropped"] != 0 {
+		t.Fatalf("uncapped: subsampled %d locations, dropped %d accesses; want 0, 0",
+			ctr["detect.subsampled_locations"], ctr["detect.subsampled_accesses_dropped"])
 	}
 }

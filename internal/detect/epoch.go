@@ -19,11 +19,11 @@ import (
 // queries the reachability index (Kini et al., PAPERS.md). Windowed analysis
 // shards it by window; within one graph it is a single pass.
 
-// epochAcc is one already-swept access of a location within one chain.
+// epochAcc is one already-swept access of a location within one chain: its
+// prepass access (trace index, write bit, context id) and its chain position.
 type epochAcc struct {
-	pos   int32 // chain position (compared against the sweep clock)
-	rec   int32 // trace index
-	write bool
+	access
+	pos int32 // chain position (compared against the sweep clock)
 }
 
 // epochObjState tracks one scanned location during the sweep: its accesses
@@ -39,9 +39,9 @@ type epochObjState struct {
 // one chain-clock sweep: per location (subsampled past maxGroup), every
 // conflicting pair from different (thread, ctx) contexts that neither clock
 // orders and pull suppression does not match.
-func scanEpochAll(g *hb.Graph, objs []string, groups map[string][]int, maxGroup int, pull map[int64]bool, tab *internTable, sp *obs.Span) map[uint64]*foundPair {
+func scanEpochAll(g *hb.Graph, ax accessIndex, maxGroup int, pull map[int64]bool, tab *internTable, sp *obs.Span) map[uint64]*foundPair {
 	found := map[uint64]*foundPair{}
-	recs := g.Tr.Recs
+	objs := ax.objs
 	n := g.N()
 	if n == 0 || len(objs) == 0 {
 		return found
@@ -65,15 +65,19 @@ func scanEpochAll(g *hb.Graph, objs []string, groups map[string][]int, maxGroup 
 	}
 	width := int32(0)
 	slotOf := map[int32]int32{}
-	for oi, obj := range objs {
-		idxs := groups[obj]
-		if len(idxs) > maxGroup {
-			idxs = subsample(g.Tr, idxs, maxGroup)
-			sp.Count("detect.subsampled_locations", 1)
+	var sub subsampler
+	var subsampled, dropped int64
+	for oi, accs := range ax.lists {
+		if len(accs) > maxGroup {
+			kept := sub.pick(accs, maxGroup)
+			subsampled++
+			dropped += int64(len(accs) - len(kept))
+			accs = kept
 		}
 		st := &states[oi]
 		clear(slotOf)
-		for _, i := range idxs {
+		for _, a := range accs {
+			i := a.index()
 			c := dec.Of[i]
 			s, ok := slotOf[c]
 			if !ok {
@@ -86,13 +90,15 @@ func scanEpochAll(g *hb.Graph, objs []string, groups map[string][]int, maxGroup 
 				st.chainID = append(st.chainID, proj[c])
 				st.lists = append(st.lists, nil)
 			}
-			st.lists[s] = append(st.lists[s], epochAcc{
-				pos: dec.Pos[i], rec: int32(i), write: recs[i].IsWrite(),
-			})
+			st.lists[s] = append(st.lists[s], epochAcc{access: a, pos: dec.Pos[i]})
 			accObj[i] = int32(oi) + 1
 			accSlot[i] = s
 		}
 		st.passed = make([]int32, len(st.lists))
+	}
+	if subsampled > 0 {
+		sp.Count("detect.subsampled_locations", subsampled)
+		sp.Count("detect.subsampled_accesses_dropped", dropped)
 	}
 
 	stats := g.ChainClockSweep(dec, proj, int(width), func(v int, clock vclock.ChainClock) {
@@ -102,8 +108,7 @@ func scanEpochAll(g *hb.Graph, objs []string, groups map[string][]int, maxGroup 
 		}
 		st := &states[oi]
 		sv := accSlot[v]
-		rv := &recs[v]
-		vWrite := st.lists[sv][st.passed[sv]].write
+		va := st.lists[sv][st.passed[sv]].access
 		obj := objs[oi]
 		for s := range st.lists {
 			if int32(s) == sv {
@@ -118,15 +123,12 @@ func scanEpochAll(g *hb.Graph, objs []string, groups map[string][]int, maxGroup 
 			bound := clock[st.chainID[s]]
 			prior := st.lists[s][:st.passed[s]]
 			for k := len(prior) - 1; k >= 0 && prior[k].pos > bound; k-- {
-				u := prior[k]
-				if !vWrite && !u.write {
+				u := prior[k].access
+				// Both sign bits clear: read-read. Equal ids: one context.
+				if u.rec|va.rec >= 0 || u.ctx == va.ctx {
 					continue
 				}
-				ru := &recs[u.rec]
-				if ru.Thread == rv.Thread && ru.Ctx == rv.Ctx {
-					continue
-				}
-				emitEpoch(tab, obj, ru, rv, int(u.rec), v, int(oi), pull, found, slab)
+				emitEpoch(tab, g.Tr.Recs, obj, u.index(), v, int(oi), pull, found, slab)
 			}
 		}
 		st.passed[sv]++
@@ -144,8 +146,8 @@ func scanEpochAll(g *hb.Graph, objs []string, groups map[string][]int, maxGroup 
 // representative must converge to the minimum (object index, record pair) —
 // the occurrence an object-by-object all-pairs walk meets first — regardless
 // of arrival order.
-func emitEpoch(tab *internTable, obj string, ri, rj *trace.Rec, i, j int, objIdx int, pull map[int64]bool, found map[uint64]*foundPair, slab *pairSlab) {
-	if pull != nil && pull[packStatic(ri.StaticID, rj.StaticID)] {
+func emitEpoch(tab *internTable, recs []trace.Rec, obj string, i, j int, objIdx int, pull map[int64]bool, found map[uint64]*foundPair, slab *pairSlab) {
+	if pull != nil && pull[packStatic(recs[i].StaticID, recs[j].StaticID)] {
 		return
 	}
 	idI, idJ := tab.ids[i], tab.ids[j]
@@ -153,7 +155,7 @@ func emitEpoch(tab *internTable, obj string, ri, rj *trace.Rec, i, j int, objIdx
 	ex, ok := found[key]
 	if !ok {
 		fp := slab.alloc()
-		fp.pair = pairFromIDs(tab, obj, ri, rj, i, j, idI, idJ)
+		fp.pair = pairFromIDs(tab, obj, &recs[i], &recs[j], i, j, idI, idJ)
 		fp.pair.Dynamic = 1
 		fp.firstObj = objIdx
 		fp.rep = packRep(i, j)
@@ -163,7 +165,7 @@ func emitEpoch(tab *internTable, obj string, ri, rj *trace.Rec, i, j int, objIdx
 	ex.pair.Dynamic++
 	if rep := packRep(i, j); objIdx < ex.firstObj || (objIdx == ex.firstObj && rep < ex.rep) {
 		dyn := ex.pair.Dynamic
-		ex.pair = pairFromIDs(tab, obj, ri, rj, i, j, idI, idJ)
+		ex.pair = pairFromIDs(tab, obj, &recs[i], &recs[j], i, j, idI, idJ)
 		ex.pair.Dynamic = dyn
 		ex.firstObj = objIdx
 		ex.rep = rep

@@ -12,10 +12,12 @@ import (
 
 // TestEpochMatchesOraclesRandom is the differential gate for the chain-clock
 // sweep: across random traces, a handler-heavy one with more than 4096
-// chains and two decoded ones (see sharedStackTrace), every rule-ablation
-// config, both reachability backends, a subsampled MaxGroup and pull
+// chains, two decoded ones (see sharedStackTrace) and one with a location
+// past the default cap (hotLocationTrace), every rule-ablation config, both
+// reachability backends, the default and a small MaxGroup and pull
 // suppression, Find's report must equal the quadratic oracle's pair for
-// pair — identity, representative records, object and Dynamic count.
+// pair — identity, representative records, object and Dynamic count — and
+// its subsampling counters the oracle's.
 func TestEpochMatchesOraclesRandom(t *testing.T) {
 	ablations := []struct {
 		name string
@@ -41,7 +43,8 @@ func TestEpochMatchesOraclesRandom(t *testing.T) {
 	inputs = append(inputs,
 		input{"handlers", handlerHeavyTrace(rand.New(rand.NewSource(1300)), 4200), 4097},
 		input{"decoded", roundTrip(t, randomDetectTrace(rand.New(rand.NewSource(1003)), 250)), 0},
-		input{"shared stack", roundTrip(t, sharedStackTrace(rand.New(rand.NewSource(1004)), 250)), 0})
+		input{"shared stack", roundTrip(t, sharedStackTrace(rand.New(rand.NewSource(1004)), 250)), 0},
+		input{"hot", hotLocationTrace(rand.New(rand.NewSource(1005))), 0})
 
 	for _, in := range inputs {
 		for _, ab := range ablations {
@@ -59,7 +62,7 @@ func TestEpochMatchesOraclesRandom(t *testing.T) {
 				for _, maxGroup := range []int{0, 20} {
 					label := fmt.Sprintf("%s %s/%s maxGroup=%d", in.name, ab.name, be, maxGroup)
 					opts := Options{MaxGroup: maxGroup}
-					want, wantSub := quadraticReport(g, opts)
+					want, wantSub, wantDropped := quadraticReport(g, opts)
 					got, ctr := runFind(g, opts)
 					if len(want.Pairs) == 0 {
 						t.Fatalf("%s: oracle found no candidates; test is vacuous", label)
@@ -67,6 +70,9 @@ func TestEpochMatchesOraclesRandom(t *testing.T) {
 					diffReports(t, label, got, want)
 					if ctr["detect.subsampled_locations"] != wantSub {
 						t.Fatalf("%s: subsampled %d locations, oracle %d", label, ctr["detect.subsampled_locations"], wantSub)
+					}
+					if ctr["detect.subsampled_accesses_dropped"] != wantDropped {
+						t.Fatalf("%s: dropped %d accesses, oracle %d", label, ctr["detect.subsampled_accesses_dropped"], wantDropped)
 					}
 					if ctr["detect.epoch.joins"]+ctr["detect.epoch.fastpath_hits"] == 0 {
 						t.Fatalf("%s: sweep counters empty", label)
@@ -82,7 +88,7 @@ func TestEpochMatchesOraclesRandom(t *testing.T) {
 					g.PullPairs = append(discovered[:len(discovered):len(discovered)],
 						hb.PullPair{ReadStatic: want.Pairs[0].AStatic, WriteStatic: want.Pairs[0].BStatic})
 					opts.SuppressPull = true
-					wantPull, _ := quadraticReport(g, opts)
+					wantPull, _, _ := quadraticReport(g, opts)
 					gotPull, _ := runFind(g, opts)
 					g.PullPairs = discovered
 					if len(wantPull.Pairs) >= len(want.Pairs) {

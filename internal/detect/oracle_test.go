@@ -16,12 +16,14 @@ import (
 // reachability index one ConcurrentOrdered query per conflicting
 // cross-context pair of every location, dedups on callstack strings and
 // orders with a comparison sort — sharing nothing with the sweep's clocks,
-// interned keys, representative rule or radix sort (only subsample, which has
-// tests of its own).
+// interned keys, representative rule, radix sort, access prepass or
+// subsampler (oracleSubsample is a frozen record-based copy).
 
 // quadraticReport scans g the quadratic way. It also returns how many
-// locations were subsampled, for comparison with detect.subsampled_locations.
-func quadraticReport(g *hb.Graph, opts Options) (*Report, int64) {
+// locations were subsampled and how many accesses that dropped, for
+// comparison with detect.subsampled_locations and
+// detect.subsampled_accesses_dropped.
+func quadraticReport(g *hb.Graph, opts Options) (rep *Report, subsampled, dropped int64) {
 	maxGroup := opts.MaxGroup
 	if maxGroup <= 0 {
 		maxGroup = defaultMaxGroup
@@ -55,18 +57,63 @@ func quadraticReport(g *hb.Graph, opts Options) (*Report, int64) {
 		}
 	}
 	found := map[CallstackKey]*Pair{}
-	var subsampled int64
 	// Objects in sorted order, pairs in ascending (i, j): the first
 	// occurrence of a callstack pair is its canonical representative.
 	for _, o := range objs {
 		idxs := groups[o]
 		if len(idxs) > maxGroup {
-			idxs = subsample(g.Tr, idxs, maxGroup)
+			kept := oracleSubsample(g.Tr, idxs, maxGroup)
 			subsampled++
+			dropped += int64(len(idxs) - len(kept))
+			idxs = kept
 		}
 		scanObjectQuadratic(g, o, idxs, stacks, pull, found)
 	}
-	return sortedReport(found), subsampled
+	return sortedReport(found), subsampled, dropped
+}
+
+// oracleSubsample is the record-based subsampling the prepass replaced,
+// frozen as the reference: the first and last access of every (thread, ctx)
+// context, read off the records, then padding at an even stride over the
+// location's list positions until max is reached.
+func oracleSubsample(tr *trace.Trace, idxs []int, max int) []int {
+	type ck struct {
+		th  int32
+		ctx int32
+	}
+	firstLast := map[ck][2]int{}
+	for _, i := range idxs {
+		r := &tr.Recs[i]
+		k := ck{r.Thread, r.Ctx}
+		fl, ok := firstLast[k]
+		if !ok {
+			firstLast[k] = [2]int{i, i}
+		} else {
+			fl[1] = i
+			firstLast[k] = fl
+		}
+	}
+	keep := map[int]bool{}
+	for _, fl := range firstLast {
+		keep[fl[0]] = true
+		keep[fl[1]] = true
+	}
+	if budget := max - len(keep); budget > 0 {
+		stride := len(idxs)/budget + 1
+		for x := 0; x < len(idxs) && budget > 0; x += stride {
+			if !keep[idxs[x]] {
+				keep[idxs[x]] = true
+				budget--
+			}
+		}
+	}
+	out := make([]int, 0, len(keep))
+	for _, i := range idxs {
+		if keep[i] {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // scanObjectQuadratic runs the all-pairs scan over one location's access
@@ -109,7 +156,7 @@ func scanObjectQuadratic(g *hb.Graph, obj string, idxs []int, stacks []string, p
 func quadraticChunkedReport(chunks []hb.Chunk, opts Options) *Report {
 	merged := map[CallstackKey]*Pair{}
 	for _, c := range chunks {
-		rep, _ := quadraticReport(c.Graph, opts)
+		rep, _, _ := quadraticReport(c.Graph, opts)
 		for i := range rep.Pairs {
 			p := rep.Pairs[i]
 			if ex := merged[p.CallstackKey()]; ex != nil {
@@ -328,6 +375,42 @@ func handlerHeavyTrace(rng *rand.Rand, handlers int) *trace.Trace {
 			exit.Kind, exit.Op, exit.StaticID = trace.KLoopExit, 300, 300
 			c.Emit(exit)
 			flag(worker, trace.KMemWrite, 202, 0)
+		}
+	}
+	return c.Trace()
+}
+
+// hotLocationTrace puts one location, n/hot, past the default MaxGroup cap
+// of 1500 accesses. Four worker threads hit it from their regular contexts;
+// about one step in twenty opens an RPC whose one-off handler context, run
+// on one of two shared handler threads, touches it exactly once — contexts
+// with a single access (first = last), distinct contexts on one thread, and
+// enough of them (about a hundred) that a cap of 20 is below two per context. Cold
+// records between the accesses keep trace indices and list positions apart.
+func hotLocationTrace(rng *rand.Rand) *trace.Trace {
+	c := trace.NewCollector("hot")
+	hot := func(th, ctx int32, kind trace.CtxKind) {
+		r := trace.Rec{Node: "n", Thread: th, Ctx: ctx, CtxKind: kind, Kind: trace.KMemRead, Obj: "n/hot",
+			StaticID: int32(rng.Intn(12)), Stack: []int32{int32(rng.Intn(3))}}
+		if rng.Intn(3) == 0 {
+			r.Kind = trace.KMemWrite
+		}
+		c.Emit(r)
+	}
+	op := uint64(1)
+	for k := 0; k < 1700; k++ {
+		th := int32(1 + rng.Intn(4))
+		switch rng.Intn(20) {
+		case 0:
+			c.Emit(trace.Rec{Node: "n", Thread: th, Ctx: th, CtxKind: trace.CtxRegular, Kind: trace.KRPCCreate, Op: op, StaticID: 100})
+			hth, ctx := int32(10+rng.Intn(2)), int32(5000+op)
+			c.Emit(trace.Rec{Node: "n", Thread: hth, Ctx: ctx, CtxKind: trace.CtxRPC, Kind: trace.KRPCBegin, Op: op, StaticID: 101})
+			hot(hth, ctx, trace.CtxRPC)
+			op++
+		case 1:
+			c.Emit(trace.Rec{Node: "n", Thread: th, Ctx: th, CtxKind: trace.CtxRegular, Kind: trace.KMemWrite, Obj: "n/cold", StaticID: 50})
+		default:
+			hot(th, th, trace.CtxRegular)
 		}
 	}
 	return c.Trace()

@@ -67,17 +67,13 @@ type provisional struct {
 }
 
 func newProvisional(a *Analyzer) *provisional {
-	maxGroup := a.opts.Detect.MaxGroup
-	if maxGroup <= 0 {
-		maxGroup = 1500 // detect's defaultMaxGroup
-	}
 	return &provisional{
 		a:        a,
 		d:        hb.NewDeriver(a.opts.HB),
 		rs:       hb.NewResumableSweep(),
 		srcClock: map[int32]vclock.ChainClock{},
 		objs:     map[string]*provObj{},
-		maxGroup: maxGroup,
+		maxGroup: a.opts.Detect.GroupCap(),
 		emitted:  map[uint64]*detect.Pair{},
 	}
 }
