@@ -14,9 +14,9 @@ import (
 	"strings"
 	"testing"
 
-	"dcatch/internal/bench"
 	"dcatch/internal/cluster"
 	"dcatch/internal/hb"
+	"dcatch/internal/testtrace"
 )
 
 // runEnv, when set in a test binary's environment, makes the binary run
@@ -56,9 +56,9 @@ func runCmd(t *testing.T, args ...string) (stdout, stderr string, code int) {
 // options, with every window scanned by one of two in-process workers, and
 // say so on stderr.
 func TestFollowPeersSharded(t *testing.T) {
-	tr := bench.SyntheticTraceBounded(3000, 11)
+	tr := testtrace.SyntheticTraceBounded(3000, 11)
 	const chunk = 500
-	budget, err := bench.IncrMemBudget(tr, chunk, hb.Config{})
+	budget, err := testtrace.IncrMemBudget(tr, chunk, hb.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFollowPeersSharded(t *testing.T) {
 // than dropped while the breakdown prints.
 func TestAnalysisFlagsNeedMode(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.bin")
-	if err := os.WriteFile(path, bench.SyntheticTraceBounded(100, 1).Encode(), 0o644); err != nil {
+	if err := os.WriteFile(path, testtrace.SyntheticTraceBounded(100, 1).Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, args := range [][]string{

@@ -16,11 +16,7 @@
 //     return value; these drive the focused second run and Rule-Mpull.
 package analysis
 
-import (
-	"sort"
-
-	"dcatch/internal/ir"
-)
+import "dcatch/internal/ir"
 
 // Config tunes failure-instruction identification — paper §4.1: "This list
 // is configurable, allowing future DCatch extension to detect DCbugs with
@@ -288,21 +284,6 @@ func directFailure(st ir.Stmt) bool {
 		return s.Must
 	}
 	return false
-}
-
-// FailureStmtIDs returns the static IDs of fn's failure instructions
-// (sorted), primarily for tests and reports.
-func (a *Analysis) FailureStmtIDs(fn string) []int {
-	fi := a.funcs[fn]
-	if fi == nil {
-		return nil
-	}
-	ids := make([]int, 0, len(fi.failures))
-	for _, st := range fi.failures {
-		ids = append(ids, st.Meta().ID)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // --- taint closures ---------------------------------------------------------

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"sort"
 	"testing"
 
 	"dcatch/internal/detect"
@@ -407,4 +408,19 @@ func TestCallerHeapImpact(t *testing.T) {
 	if !New(p).HasImpact(writeID, []int32{callSite}) {
 		t.Fatal("caller heap impact missed")
 	}
+}
+
+// FailureStmtIDs returns the static IDs of fn's failure instructions
+// (sorted).
+func (a *Analysis) FailureStmtIDs(fn string) []int {
+	fi := a.funcs[fn]
+	if fi == nil {
+		return nil
+	}
+	ids := make([]int, 0, len(fi.failures))
+	for _, st := range fi.failures {
+		ids = append(ids, st.Meta().ID)
+	}
+	sort.Ints(ids)
+	return ids
 }

@@ -5,6 +5,7 @@ import (
 
 	"dcatch/internal/detect"
 	"dcatch/internal/hb"
+	"dcatch/internal/testtrace"
 )
 
 // This file is the report-level half of the backend differential suite (the
@@ -18,7 +19,7 @@ import (
 func TestBoundedTraceChainCount(t *testing.T) {
 	counts := map[int]int{}
 	for _, n := range []int{10_000, 40_000} {
-		g, err := hb.Build(SyntheticTraceBounded(n, 7), hb.Config{ReachBackend: hb.BackendChain})
+		g, err := hb.Build(testtrace.SyntheticTraceBounded(n, 7), hb.Config{ReachBackend: hb.BackendChain})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,9 +37,9 @@ func TestBoundedTraceChainCount(t *testing.T) {
 // backends.
 func reportParity(t *testing.T, name string, recs int, bounded bool) {
 	t.Helper()
-	tr := SyntheticTrace(recs, 1)
+	tr := testtrace.SyntheticTrace(recs, 1)
 	if bounded {
-		tr = SyntheticTraceBounded(recs, 2)
+		tr = testtrace.SyntheticTraceBounded(recs, 2)
 	}
 	var reference string
 	for _, be := range []hb.Backend{hb.BackendDense, hb.BackendChain} {

@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/stream"
+	"dcatch/internal/testtrace"
 	"dcatch/internal/trace"
 )
 
@@ -62,7 +65,7 @@ func goldenTraces(t *testing.T) []namedTrace {
 				goldenTracesList = append(goldenTracesList, namedTrace{name, res.Trace})
 			}
 		}
-		goldenTracesList = append(goldenTracesList, namedTrace{"SyntheticTraceBounded(20000,1)", SyntheticTraceBounded(20000, 1)})
+		goldenTracesList = append(goldenTracesList, namedTrace{"SyntheticTraceBounded(20000,1)", testtrace.SyntheticTraceBounded(20000, 1)})
 	})
 	if goldenTracesErr != nil {
 		t.Fatal(goldenTracesErr)
@@ -141,7 +144,7 @@ func TestDerivedGraphsGolden(t *testing.T) {
 			fmt.Fprintf(&b, "vertices %d chains %d decomposition %s\n", g.N(), dec.Chains(), decompositionDigest(dec))
 			fmt.Fprintf(&b, "edges %d rounds %d\n", g.Edges(), g.Rounds)
 			ctr := rec.Counters()
-			for _, name := range rec.CounterNames() {
+			for _, name := range slices.Sorted(maps.Keys(ctr)) {
 				if strings.HasPrefix(name, "hb.edges.") {
 					fmt.Fprintf(&b, "%s %d\n", name, ctr[name])
 				}

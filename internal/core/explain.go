@@ -57,10 +57,6 @@ func (r *Result) explainList() []explained {
 	return out
 }
 
-// ExplainTotal returns the number of explainable pair indices: reported
-// pairs plus pruned trace-analysis candidates.
-func (r *Result) ExplainTotal() int { return len(r.explainList()) }
-
 // Explain renders the provenance of candidate pair idx: for a reported pair,
 // the concurrency evidence (no happens-before path in either direction, with
 // the nearest common causal ancestors); for a pruned pair, which stage

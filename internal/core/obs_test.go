@@ -222,3 +222,7 @@ func TestExplainChunked(t *testing.T) {
 		t.Errorf("chunked Explain(0) should note missing HB evidence or a prune reason:\n%s", out)
 	}
 }
+
+// ExplainTotal returns the number of explainable pair indices: reported
+// pairs plus pruned trace-analysis candidates.
+func (r *Result) ExplainTotal() int { return len(r.explainList()) }

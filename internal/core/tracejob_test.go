@@ -9,13 +9,13 @@ import (
 	"testing"
 	"time"
 
-	"dcatch/internal/bench"
 	"dcatch/internal/cluster"
 	"dcatch/internal/core"
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
 	"dcatch/internal/stream"
+	"dcatch/internal/testtrace"
 	"dcatch/internal/trace"
 )
 
@@ -28,12 +28,12 @@ import (
 // Each side runs cold then warm against its own cache; report, Chunked,
 // Stats and the cache's hit/miss counters must agree at both steps.
 func TestTraceJobMatchesAnalyzeTrace(t *testing.T) {
-	tr := bench.SyntheticTraceBounded(3000, 11)
+	tr := testtrace.SyntheticTraceBounded(3000, 11)
 	const chunk = 500
 	var opts core.Options
 	opts.HB.ReachBackend = hb.BackendChain
 	opts.ChunkSize = chunk
-	budget, err := bench.IncrMemBudget(tr, chunk, opts.HB)
+	budget, err := testtrace.IncrMemBudget(tr, chunk, opts.HB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +128,9 @@ func TestTraceJobMatchesAnalyzeTrace(t *testing.T) {
 // (hb.reach.materialized stays 0), and a point query on the full job's graph
 // afterwards builds it exactly once, however many goroutines ask.
 func TestTraceJobsNeverBuildIndex(t *testing.T) {
-	tr := bench.SyntheticTraceBounded(3000, 12)
+	tr := testtrace.SyntheticTraceBounded(3000, 12)
 	const chunk = 500
-	budget, err := bench.IncrMemBudget(tr, chunk, hb.Config{})
+	budget, err := testtrace.IncrMemBudget(tr, chunk, hb.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestTraceJobsNeverBuildIndex(t *testing.T) {
 func TestTraceJobFinishOnce(t *testing.T) {
 	rec := obs.New()
 	job, _ := core.NewTraceJob(core.Options{Obs: rec}, nil, nil)
-	if _, err := job.Feed(bench.SyntheticTraceBounded(500, 13).Encode()); err != nil {
+	if _, err := job.Feed(testtrace.SyntheticTraceBounded(500, 13).Encode()); err != nil {
 		t.Fatal(err)
 	}
 	first, err := job.Finish()
@@ -199,7 +199,7 @@ func TestTraceJobFinishOnce(t *testing.T) {
 // TestTraceJobFeedAfterSeal pins that bytes fed to a sealed job are refused,
 // not silently dropped.
 func TestTraceJobFeedAfterSeal(t *testing.T) {
-	raw := bench.SyntheticTraceBounded(500, 13).Encode()
+	raw := testtrace.SyntheticTraceBounded(500, 13).Encode()
 	job, _ := core.NewTraceJob(core.Options{}, nil, nil)
 	if _, err := job.Feed(raw); err != nil {
 		t.Fatal(err)
@@ -218,9 +218,9 @@ func TestTraceJobFeedAfterSeal(t *testing.T) {
 // in flight), and with each called twice. Its report is the single-node
 // chunked run's over the same options.
 func TestCoordinatedTraceJobReleasesGoroutines(t *testing.T) {
-	tr := bench.SyntheticTraceBounded(3000, 11)
+	tr := testtrace.SyntheticTraceBounded(3000, 11)
 	const chunk = 500
-	budget, err := bench.IncrMemBudget(tr, chunk, hb.Config{})
+	budget, err := testtrace.IncrMemBudget(tr, chunk, hb.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

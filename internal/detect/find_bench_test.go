@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"testing"
 
-	"dcatch/internal/bench"
 	"dcatch/internal/detect"
 	"dcatch/internal/hb"
+	"dcatch/internal/testtrace"
 	"dcatch/internal/trace"
 )
 
@@ -23,7 +23,7 @@ import (
 func BenchmarkFind(b *testing.B) {
 	for _, n := range []int{200_000, 500_000} {
 		b.Run(fmt.Sprintf("bounded-%dk", n/1000), func(b *testing.B) {
-			tr, err := trace.Decode(bytes.NewReader(bench.SyntheticTraceBounded(n, 1).Encode()))
+			tr, err := trace.Decode(bytes.NewReader(testtrace.SyntheticTraceBounded(n, 1).Encode()))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -74,19 +74,6 @@ func (m *ChunkMerger) merge(fm map[uint64]*foundPair, tab *internTable, start in
 	}
 }
 
-// Candidates returns the number of distinct callstack pairs merged so far.
-func (m *ChunkMerger) Candidates() int { return len(m.merged) }
-
-// Windows returns the number of windows merged so far.
-func (m *ChunkMerger) Windows() int { return m.windows }
-
-// Pairs snapshots the merged pairs in canonical report order without
-// consuming the merger — the streaming analyzer's per-flush provisional
-// view. The returned report shares no mutable state with the merger.
-func (m *ChunkMerger) Pairs() *Report {
-	return reportFromMap(m.merged, nil)
-}
-
 // Report closes the merger and renders the canonical report; the merger
 // must not be used after.
 func (m *ChunkMerger) Report() *Report {

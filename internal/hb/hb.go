@@ -596,11 +596,6 @@ func (g *Graph) HappensBefore(i, j int) bool {
 	return g.ancestor(i, j)
 }
 
-// Concurrent reports whether neither record happens before the other.
-func (g *Graph) Concurrent(i, j int) bool {
-	return i != j && !g.HappensBefore(i, j) && !g.HappensBefore(j, i)
-}
-
 // CommonAncestors returns up to limit vertices that happen before both i
 // and j, nearest first (highest trace index first). For a concurrent pair
 // these are the closest points where the two access histories were still

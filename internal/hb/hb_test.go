@@ -471,3 +471,8 @@ func TestPath(t *testing.T) {
 	_ = cr
 	_ = bg
 }
+
+// Concurrent reports whether neither record happens before the other.
+func (g *Graph) Concurrent(i, j int) bool {
+	return i != j && !g.HappensBefore(i, j) && !g.HappensBefore(j, i)
+}

@@ -37,9 +37,6 @@ type ResumableSweep struct {
 // Advance.
 func NewResumableSweep() *ResumableSweep { return &ResumableSweep{} }
 
-// Chains returns the number of chains seen so far.
-func (s *ResumableSweep) Chains() int { return len(s.frontier) }
-
 // grow extends clock c to at least n entries, new entries Unreached, and
 // returns it (tracking the byte delta).
 func (s *ResumableSweep) grow(c vclock.ChainClock, n int) vclock.ChainClock {

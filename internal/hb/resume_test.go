@@ -75,3 +75,6 @@ func TestResumableAt(t *testing.T) {
 		t.Fatal("At(nil) must be Unreached")
 	}
 }
+
+// Chains returns the number of chains seen so far.
+func (s *ResumableSweep) Chains() int { return len(s.frontier) }

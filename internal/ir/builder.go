@@ -177,12 +177,6 @@ func (bb *BlockBuilder) ZKSet(path, data Expr, ok string) {
 	bb.push(&ZKSet{Path: path, Data: data, Ok: ok})
 }
 
-// ZKMustSet appends a znode update that throws ZKFatal if the path is
-// missing.
-func (bb *BlockBuilder) ZKMustSet(path, data Expr) {
-	bb.push(&ZKSet{Path: path, Data: data, Must: true})
-}
-
 // ZKDelete appends a znode deletion; ok may be "".
 func (bb *BlockBuilder) ZKDelete(path Expr, ok string) {
 	bb.push(&ZKDelete{Path: path, Ok: ok})

@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Expr is a side-effect-free IR expression. Expressions never touch the
 // shared heap: every heap access is an explicit Read or Write statement so
@@ -97,17 +94,8 @@ func Self() Expr { return SelfNode{} }
 // Eq builds l == r.
 func Eq(l, r Expr) Expr { return Bin{OpEq, l, r} }
 
-// Ne builds l != r.
-func Ne(l, r Expr) Expr { return Bin{OpNe, l, r} }
-
 // Lt builds l < r.
 func Lt(l, r Expr) Expr { return Bin{OpLt, l, r} }
-
-// Le builds l <= r.
-func Le(l, r Expr) Expr { return Bin{OpLe, l, r} }
-
-// Gt builds l > r.
-func Gt(l, r Expr) Expr { return Bin{OpGt, l, r} }
 
 // Ge builds l >= r.
 func Ge(l, r Expr) Expr { return Bin{OpGe, l, r} }
@@ -115,14 +103,8 @@ func Ge(l, r Expr) Expr { return Bin{OpGe, l, r} }
 // Add builds l + r (integer addition or string concatenation).
 func Add(l, r Expr) Expr { return Bin{OpAdd, l, r} }
 
-// Sub builds l - r.
-func Sub(l, r Expr) Expr { return Bin{OpSub, l, r} }
-
 // And builds l && r.
 func And(l, r Expr) Expr { return Bin{OpAnd, l, r} }
-
-// Or builds l || r.
-func Or(l, r Expr) Expr { return Bin{OpOr, l, r} }
 
 // NotE builds !e.
 func NotE(e Expr) Expr { return Not{e} }
@@ -153,12 +135,4 @@ func ExprLocals(e Expr) map[string]bool {
 		e.Locals(set)
 	}
 	return set
-}
-
-func localsString(set map[string]bool) string {
-	var names []string
-	for n := range set {
-		names = append(names, n)
-	}
-	return strings.Join(names, ",")
 }

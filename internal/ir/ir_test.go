@@ -48,7 +48,7 @@ func TestValueEqIgnoresProv(t *testing.T) {
 }
 
 func TestExprLocals(t *testing.T) {
-	e := And(Eq(L("a"), I(1)), Or(NotE(L("b")), IsNull(L("c"))))
+	e := And(Eq(L("a"), I(1)), Bin{OpOr, NotE(L("b")), IsNull(L("c"))})
 	set := ExprLocals(e)
 	for _, n := range []string{"a", "b", "c"} {
 		if !set[n] {
@@ -135,8 +135,8 @@ func TestNestedStmtsGetIDs(t *testing.T) {
 	if found == nil {
 		t.Fatal("nested LogError not reachable via FindStmt")
 	}
-	if p.FuncOf(found.Meta().ID).Name != "main" {
-		t.Fatal("FuncOf wrong for nested stmt")
+	if found.Meta().Fn != "main" {
+		t.Fatal("Fn wrong for nested stmt")
 	}
 }
 
@@ -375,4 +375,12 @@ func itoa(x int) string {
 		x /= 10
 	}
 	return string(buf[i:])
+}
+
+// Walk applies visit to every statement of the program.
+func (p *Program) Walk(visit func(fn *Func, st Stmt)) {
+	for _, name := range p.FuncNames() {
+		fn := p.Funcs[name]
+		WalkFunc(fn, func(st Stmt) { visit(fn, st) })
+	}
 }

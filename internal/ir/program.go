@@ -53,8 +53,7 @@ type Program struct {
 	Name  string
 	Funcs map[string]*Func
 
-	stmts     []Stmt   // index = static ID
-	stmtFn    []string // static ID -> enclosing function name
+	stmts     []Stmt // index = static ID
 	finalized bool
 }
 
@@ -91,7 +90,6 @@ func (p *Program) Finalize() error {
 				m.Pos = fmt.Sprintf("%s#%d", name, seq)
 				seq++
 				p.stmts = append(p.stmts, st)
-				p.stmtFn = append(p.stmtFn, name)
 				if err := p.checkStmt(st); err != nil {
 					errs = append(errs, err)
 				}
@@ -156,14 +154,6 @@ func (p *Program) Stmt(id int) Stmt {
 	return p.stmts[id]
 }
 
-// FuncOf returns the function containing static ID, or nil.
-func (p *Program) FuncOf(id int) *Func {
-	if id < 0 || id >= len(p.stmtFn) {
-		return nil
-	}
-	return p.Funcs[p.stmtFn[id]]
-}
-
 // Pos returns the human-readable position of static ID, or "?" if unknown.
 func (p *Program) Pos(id int) string {
 	if st := p.Stmt(id); st != nil {
@@ -195,14 +185,6 @@ func WalkFunc(fn *Func, visit func(Stmt)) {
 		}
 	}
 	walk(fn.Body)
-}
-
-// Walk applies visit to every statement of the program.
-func (p *Program) Walk(visit func(fn *Func, st Stmt)) {
-	for _, name := range p.FuncNames() {
-		fn := p.Funcs[name]
-		WalkFunc(fn, func(st Stmt) { visit(fn, st) })
-	}
 }
 
 // FindStmt returns the first statement of fn satisfying pred, or nil. It is

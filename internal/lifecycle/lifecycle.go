@@ -63,13 +63,6 @@ func (d *Drainer) Exit() {
 	}
 }
 
-// Closing reports whether Close has been called.
-func (d *Drainer) Closing() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.closed
-}
-
 // InFlight returns the current number of admitted, un-exited units.
 func (d *Drainer) InFlight() int {
 	d.mu.Lock()

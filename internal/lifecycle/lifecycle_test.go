@@ -119,3 +119,10 @@ func TestRepeatedClose(t *testing.T) {
 		}
 	}
 }
+
+// Closing reports whether Close has been called.
+func (d *Drainer) Closing() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.closed
+}

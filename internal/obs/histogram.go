@@ -124,29 +124,10 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Quantile estimates the q-th quantile (0 <= q <= 1) as the upper bound of
-// the bucket where the cumulative count crosses q, clamped to the observed
-// min/max so exact extremes survive bucketing. Returns 0 on an empty
-// histogram.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
+// quantileLocked estimates the q-th quantile (0 <= q <= 1) as the upper
+// bound of the bucket where the cumulative count crosses q, clamped to the
+// observed min/max so exact extremes survive bucketing; 0 on an empty
+// histogram. h.mu must be held.
 func (h *Histogram) quantileLocked(q float64) int64 {
 	if h.count == 0 {
 		return 0

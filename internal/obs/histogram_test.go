@@ -140,3 +140,23 @@ func TestRecorderObserve(t *testing.T) {
 		t.Fatalf("histogram data = %+v", d)
 	}
 }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
+}
+
+// Quantile is quantileLocked under the lock.
+func (h *Histogram) Quantile(q float64) int64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.quantileLocked(q)
+}

@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
-	"sort"
 	"sync"
 	"time"
 )
@@ -195,21 +194,6 @@ func (r *Recorder) Counters() map[string]int64 {
 	return out
 }
 
-// CounterNames returns the sorted counter names, for tests and reports.
-func (r *Recorder) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // MemHighWater returns the largest heap-in-use figure observed at any
 // measured span boundary, in bytes.
 func (r *Recorder) MemHighWater() uint64 {
@@ -304,14 +288,6 @@ func (s *Span) CountMax(name string, n int64) {
 		return
 	}
 	s.rec.CountMax(name, n)
-}
-
-// Logf delegates to the owning recorder's progress log.
-func (s *Span) Logf(format string, args ...any) {
-	if s == nil {
-		return
-	}
-	s.rec.Logf(format, args...)
 }
 
 // End closes the span, fixing its wall time and (for measured spans) its

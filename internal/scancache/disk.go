@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"dcatch/internal/detect"
 	"dcatch/internal/obs"
 )
 
@@ -118,21 +117,6 @@ func decodeEnvelope(data []byte) (Entry, error) {
 		MemBytes: int64(mem),
 		Records:  int(recs),
 	}, nil
-}
-
-// DecodeEntry parses and fully validates an on-disk envelope: the checksum
-// plus a hardened decode of the DCWS payload. Exported for the fuzz
-// harness: any input must either round-trip or error — never panic, never
-// yield a payload the decoder rejects.
-func DecodeEntry(data []byte) (Entry, error) {
-	ent, err := decodeEnvelope(data)
-	if err != nil {
-		return Entry{}, err
-	}
-	if _, err := detect.DecodeWindowScan(ent.Payload); err != nil {
-		return Entry{}, fmt.Errorf("scancache: payload: %w", err)
-	}
-	return ent, nil
 }
 
 // diskTier is the persistent spill: one file per entry under

@@ -374,3 +374,18 @@ func FuzzDecodeEntry(f *testing.F) {
 		}
 	})
 }
+
+// DecodeEntry parses and fully validates an on-disk envelope: the checksum
+// plus a hardened decode of the DCWS payload. FuzzDecodeEntry holds it to
+// its contract: any input must either round-trip or error — never panic,
+// never yield a payload the decoder rejects.
+func DecodeEntry(data []byte) (Entry, error) {
+	ent, err := decodeEnvelope(data)
+	if err != nil {
+		return Entry{}, err
+	}
+	if _, err := detect.DecodeWindowScan(ent.Payload); err != nil {
+		return Entry{}, fmt.Errorf("scancache: payload: %w", err)
+	}
+	return ent, nil
+}

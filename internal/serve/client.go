@@ -232,37 +232,3 @@ func (c *Client) StreamEvents(ctx context.Context, id string, fn func(obs.Event)
 	}
 	return nil
 }
-
-// Cancel requests cancellation of a job.
-func (c *Client) Cancel(id string) (*JobStatus, error) {
-	req, err := http.NewRequest(http.MethodDelete, c.Base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("serve: cancel: %w", err)
-	}
-	return decodeStatus(resp)
-}
-
-// List fetches every job's status.
-func (c *Client) List() ([]JobStatus, error) {
-	resp, err := c.httpClient().Get(c.Base + "/v1/jobs")
-	if err != nil {
-		return nil, fmt.Errorf("serve: list: %w", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading list: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, &StatusError{Code: resp.StatusCode, Message: string(body)}
-	}
-	var out []JobStatus
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("serve: bad list body: %w", err)
-	}
-	return out, nil
-}

@@ -10,9 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"dcatch/internal/bench"
 	"dcatch/internal/cluster"
 	"dcatch/internal/hb"
+	"dcatch/internal/testtrace"
 	"dcatch/internal/trace"
 )
 
@@ -216,8 +216,8 @@ func TestClusterSingleNodeCacheUnified(t *testing.T) {
 // chunk_size explicitly and whose budget forces windows — in both
 // directions.
 func TestClusterDefaultChunkCacheParity(t *testing.T) {
-	tr := bench.SyntheticTraceBounded(cluster.DefaultChunkSize+10_000, 7)
-	budget, err := bench.IncrMemBudget(tr, cluster.DefaultChunkSize, hb.Config{})
+	tr := testtrace.SyntheticTraceBounded(cluster.DefaultChunkSize+10_000, 7)
+	budget, err := testtrace.IncrMemBudget(tr, cluster.DefaultChunkSize, hb.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

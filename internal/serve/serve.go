@@ -161,14 +161,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Recorder returns the service's observability recorder (counters such as
-// serve.jobs.submitted, serve.cache.hits, serve.rejected.queue_full).
-func (s *Server) Recorder() *obs.Recorder { return s.rec }
-
-// Registry returns the service's metrics registry: the base recorder plus
-// every accepted job's recorder, exported on GET /metrics.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // registerGauges wires the manager's live load-discipline state into the
 // registry as sampled-at-scrape gauges.
 func (s *Server) registerGauges() {
@@ -619,19 +611,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	snap["status"] = "ok"
 	writeJSON(w, http.StatusOK, snap)
-}
-
-// WaitTerminal blocks until the job leaves the queue/run states or the
-// context expires; used by in-process callers and tests.
-func (s *Server) WaitTerminal(ctx context.Context, id string) (JobStatus, error) {
-	j, ok := s.mgr.get(id)
-	if !ok {
-		return JobStatus{}, fmt.Errorf("serve: unknown job %s", id)
-	}
-	select {
-	case <-j.done:
-		return j.status(), nil
-	case <-ctx.Done():
-		return j.status(), ctx.Err()
-	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
+	"dcatch/internal/testtrace"
 	"dcatch/internal/trace"
 	"dcatch/internal/trigger"
 )
@@ -218,12 +220,12 @@ func TestTraceRoundTrip(t *testing.T) {
 // uncached local analysis of the edited trace does; the hits show on
 // /metrics.
 func TestTraceIncrementalScanCache(t *testing.T) {
-	base := bench.SyntheticTraceBounded(3000, 9)
+	base := testtrace.SyntheticTraceBounded(3000, 9)
 	const chunk = 500
 	var opts core.Options
 	opts.HB.ReachBackend = hb.BackendChain
 	opts.ChunkSize = chunk
-	budget, err := bench.IncrMemBudget(base, chunk, opts.HB)
+	budget, err := testtrace.IncrMemBudget(base, chunk, opts.HB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +493,7 @@ func TestCacheHit(t *testing.T) {
 		t.Errorf("same upload with another parallel=: state=%s cache_hit=%v, want a cache hit", st5.State, st5.CacheHit)
 	}
 
-	counters := s.Recorder().Counters()
+	counters := s.rec.Counters()
 	if counters["serve.cache.hits"] != 3 {
 		t.Errorf("serve.cache.hits = %d, want 3", counters["serve.cache.hits"])
 	}
@@ -542,7 +544,7 @@ func TestQueueFull429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 response missing Retry-After header")
 	}
-	if got := s.Recorder().Counters()["serve.rejected.queue_full"]; got != 1 {
+	if got := s.rec.Counters()["serve.rejected.queue_full"]; got != 1 {
 		t.Errorf("serve.rejected.queue_full = %d, want 1", got)
 	}
 
@@ -901,11 +903,31 @@ func TestListOrder(t *testing.T) {
 	}
 	waitDone(t, c, st1.ID)
 	waitDone(t, c, st2.ID)
-	list, err := c.List()
+	resp, err := http.Get(c.Base + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	var list []JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/jobs: %s: %v", resp.Status, err)
+	}
 	if len(list) != 2 || list[0].ID != st1.ID || list[1].ID != st2.ID {
 		t.Errorf("list order = %+v, want [%s %s]", list, st1.ID, st2.ID)
+	}
+}
+
+// WaitTerminal blocks until the job leaves the queue/run states or the
+// context expires.
+func (s *Server) WaitTerminal(ctx context.Context, id string) (JobStatus, error) {
+	j, ok := s.mgr.get(id)
+	if !ok {
+		return JobStatus{}, fmt.Errorf("serve: unknown job %s", id)
+	}
+	select {
+	case <-j.done:
+		return j.status(), nil
+	case <-ctx.Done():
+		return j.status(), ctx.Err()
 	}
 }

@@ -260,8 +260,17 @@ func TestEventStreamEndsOnCancel(t *testing.T) {
 		streamed <- events
 	}()
 	time.Sleep(50 * time.Millisecond) // let the stream attach
-	if _, err := c.Cancel(st.ID); err != nil {
+	req, err := http.NewRequest(http.MethodDelete, c.Base+"/v1/jobs/"+st.ID, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE /v1/jobs/%s: %s", st.ID, resp.Status)
 	}
 	select {
 	case events := <-streamed:

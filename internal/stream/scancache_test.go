@@ -7,12 +7,12 @@ import (
 	"path/filepath"
 	"testing"
 
-	"dcatch/internal/bench"
 	"dcatch/internal/detect"
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
 	"dcatch/internal/stream"
+	"dcatch/internal/testtrace"
 	"dcatch/internal/trace"
 )
 
@@ -64,7 +64,7 @@ func mutateSpan(tr *trace.Trace, pct int) *trace.Trace {
 // with a mutated mid-trace span then rescans only the windows the span
 // touches, and still equals its own uncached oracle.
 func TestCacheDifferentialByteIdentity(t *testing.T) {
-	tr := bench.SyntheticTraceBounded(3000, 5)
+	tr := testtrace.SyntheticTraceBounded(3000, 5)
 	const chunk = 500
 	mut := mutateSpan(tr, 5)
 	windows := int64(len(hb.ChunkWindows(len(tr.Recs), chunk, 0)))
@@ -72,7 +72,7 @@ func TestCacheDifferentialByteIdentity(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s-par%d", backend, par), func(t *testing.T) {
 				hcfg := hb.Config{ReachBackend: backend, Parallelism: par}
-				budget, err := bench.IncrMemBudget(tr, chunk, hcfg)
+				budget, err := testtrace.IncrMemBudget(tr, chunk, hcfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,7 +115,7 @@ func TestCacheDifferentialByteIdentity(t *testing.T) {
 // reproduce the uncached eager report exactly, and a second analyzer over
 // the same persistent directory must serve every window from the cache.
 func TestCacheEagerByteIdentity(t *testing.T) {
-	tr := bench.SyntheticTraceBounded(3000, 6)
+	tr := testtrace.SyntheticTraceBounded(3000, 6)
 	hcfg := hb.Config{ReachBackend: hb.BackendChain}
 	want := runWindowed(t, tr, hcfg, detect.Options{}, 500, true, nil)
 
@@ -136,10 +136,10 @@ func TestCacheEagerByteIdentity(t *testing.T) {
 // cache file: the checksum must reject each entry (miss, file removed), the
 // rerun must rescan everything, and the report must stay byte-identical.
 func TestCacheCorruptionDifferential(t *testing.T) {
-	tr := bench.SyntheticTraceBounded(2000, 7)
+	tr := testtrace.SyntheticTraceBounded(2000, 7)
 	const chunk = 500
 	hcfg := hb.Config{ReachBackend: hb.BackendChain}
-	budget, err := bench.IncrMemBudget(tr, chunk, hcfg)
+	budget, err := testtrace.IncrMemBudget(tr, chunk, hcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

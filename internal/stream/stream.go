@@ -169,11 +169,6 @@ func New(opts Options) *Analyzer {
 // Records returns how many records have been ingested or appended.
 func (a *Analyzer) Records() int { return a.count }
 
-// Trace returns the analyzer's adopted trace. Only non-eager mode retains
-// records (eager mode holds metadata alone); callers must treat the trace as
-// read-only.
-func (a *Analyzer) Trace() *trace.Trace { return a.tr }
-
 // SetSpans points the heavy phases' instrumentation at sp: the hb.build and
 // detect spans opened at Finish nest under it. Ingest-then-finish callers
 // (dcatch-serve) open the analysis span only when the finish actually runs —

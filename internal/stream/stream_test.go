@@ -6,11 +6,11 @@ import (
 	"reflect"
 	"testing"
 
-	"dcatch/internal/bench"
 	"dcatch/internal/detect"
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/stream"
+	"dcatch/internal/testtrace"
 	"dcatch/internal/trace"
 )
 
@@ -57,7 +57,7 @@ func TestStreamFinishMatchesBatch(t *testing.T) {
 		{1500, hb.BackendChain, 8, 256},
 	}
 	for ci, c := range cases {
-		tr := bench.SyntheticTrace(c.n, int64(ci+1))
+		tr := testtrace.SyntheticTrace(c.n, int64(ci+1))
 		hcfg := hb.Config{ReachBackend: c.backend}
 		dopt := detect.Options{MaxGroup: c.maxGroup}
 
@@ -92,7 +92,7 @@ func TestStreamFinishMatchesBatch(t *testing.T) {
 // first — one record per segment, then half of it — and handing the trace
 // over afterwards: same provisional events in the same order, same report.
 func TestStreamAppendTraceAdoption(t *testing.T) {
-	tr := bench.SyntheticTrace(800, 3)
+	tr := testtrace.SyntheticTrace(800, 3)
 	run := func(ingest func(an *stream.Analyzer)) (string, []stream.Event) {
 		var events []stream.Event
 		an := stream.New(stream.Options{
@@ -129,7 +129,7 @@ func TestStreamAppendTraceAdoption(t *testing.T) {
 // enough that the group cap never trims), and the provisional set minus the
 // retractions must equal the final callstack-pair set exactly.
 func TestStreamProvisionalCoversFinal(t *testing.T) {
-	tr := bench.SyntheticTrace(2000, 11)
+	tr := testtrace.SyntheticTrace(2000, 11)
 	var candidates, retracted []*detect.Pair
 	firstAt := -1
 	an := stream.New(stream.Options{
@@ -196,7 +196,7 @@ func TestStreamProvisionalCoversFinal(t *testing.T) {
 func TestStreamEagerMatchesBatchChunked(t *testing.T) {
 	for _, backend := range []hb.Backend{hb.BackendDense, hb.BackendChain} {
 		for _, chunk := range []int{256, 500, 2000, 5000} {
-			tr := bench.SyntheticTrace(2000, 5)
+			tr := testtrace.SyntheticTrace(2000, 5)
 			hcfg := hb.Config{ReachBackend: backend}
 			dopt := detect.Options{}
 
@@ -230,7 +230,7 @@ func TestStreamEagerMatchesBatchChunked(t *testing.T) {
 // Eager live memory must stay far below the full-trace footprint: the whole
 // point of analyzing windows on arrival.
 func TestStreamEagerBoundsLiveMemory(t *testing.T) {
-	tr := bench.SyntheticTraceBounded(20000, 4)
+	tr := testtrace.SyntheticTraceBounded(20000, 4)
 	an := stream.New(stream.Options{
 		HB: hb.Config{ReachBackend: hb.BackendChain}, ChunkSize: 2000, Eager: true,
 	})
@@ -259,7 +259,7 @@ func hbFullFootprint(t *testing.T, tr *trace.Trace) int64 {
 // hb.BuildChunked + detect.FindChunked, sequentially and through the bounded
 // parallel pipeline.
 func TestStreamFallbackMatchesBatchChunked(t *testing.T) {
-	tr := bench.SyntheticTrace(2000, 7)
+	tr := testtrace.SyntheticTrace(2000, 7)
 	const budget = 100_000 // full dense closure ~512KB fails; 256-record windows fit
 	for _, par := range []int{1, 4} {
 		hcfg := hb.Config{ReachBackend: hb.BackendDense, MemBudget: budget, Parallelism: par}
@@ -376,7 +376,7 @@ func countSpans(spans []obs.SpanData, name string) int {
 // Eager mode propagates a window budget failure as a chunked OOM with the
 // same error text the batch path produces.
 func TestStreamEagerWindowOOM(t *testing.T) {
-	tr := bench.SyntheticTrace(600, 2)
+	tr := testtrace.SyntheticTrace(600, 2)
 	an := stream.New(stream.Options{
 		HB:        hb.Config{ReachBackend: hb.BackendDense, MemBudget: 1000},
 		ChunkSize: 256, Eager: true,
@@ -398,7 +398,7 @@ func TestStreamEagerWindowOOM(t *testing.T) {
 }
 
 func ExampleAnalyzer() {
-	tr := bench.SyntheticTrace(400, 1)
+	tr := testtrace.SyntheticTrace(400, 1)
 	an := stream.New(stream.Options{HB: hb.Config{ReachBackend: hb.BackendChain}})
 	an.AppendTrace(tr)
 	res := an.Finish()

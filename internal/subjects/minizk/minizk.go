@@ -178,11 +178,6 @@ func WorkloadZK1144() *rt.Workload {
 	return workload("minizk-1144", Config{SafeElection: true, SafeEpoch: false})
 }
 
-// WorkloadSafe has neither race; used by tests as a no-bug control.
-func WorkloadSafe() *rt.Workload {
-	return workload("minizk-safe", Config{SafeElection: true, SafeEpoch: true})
-}
-
 // BenchZK1270 is the election-notification benchmark.
 func BenchZK1270() *subjects.Benchmark {
 	w := WorkloadZK1270()

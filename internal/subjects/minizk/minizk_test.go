@@ -119,3 +119,8 @@ func TestTriggerVerdicts(t *testing.T) {
 		}
 	}
 }
+
+// WorkloadSafe has neither race: the no-bug control.
+func WorkloadSafe() *rt.Workload {
+	return workload("minizk-safe", Config{SafeElection: true, SafeEpoch: true})
+}

@@ -1,4 +1,8 @@
-package bench
+// Package testtrace generates the synthetic traces that tests across the
+// module analyze. Only _test.go files may import it. The benchmark's
+// workloads use frozen copies (benchmark/gen.go), so editing this package
+// cannot move a benchmark number.
+package testtrace
 
 import (
 	"fmt"
@@ -7,11 +11,6 @@ import (
 	"dcatch/internal/hb"
 	"dcatch/internal/trace"
 )
-
-// The synthetic generators and IncrMemBudget are test fixtures: trace, stream,
-// window, core and serve tests build their inputs here. The ledger's
-// workloads use frozen copies (benchmark/gen.go), so editing this file cannot
-// move a benchmark number.
 
 // SyntheticTrace generates a deterministic, causally consistent trace of n
 // records for analysis-pipeline benchmarking: a 4-node cluster where worker

@@ -388,9 +388,6 @@ func reserve(recs []Rec, nrec, remaining int) []Rec {
 // Feed calls that may append.
 func (d *StreamDecoder) Trace() *Trace { return d.t }
 
-// Records returns the number of fully decoded records.
-func (d *StreamDecoder) Records() int { return len(d.t.Recs) }
-
 // Expected returns the declared record count; ok is false until the header
 // (through the count field) has been decoded.
 func (d *StreamDecoder) Expected() (n uint64, ok bool) {
@@ -406,14 +403,6 @@ func (d *StreamDecoder) HeaderDone() bool { return d.phase >= phaseRecords }
 
 // Done reports whether every declared record has been decoded.
 func (d *StreamDecoder) Done() bool { return d.phase == phaseDone }
-
-// Consumed returns the number of input bytes consumed so far (excluding the
-// retained partial-unit tail).
-func (d *StreamDecoder) Consumed() int64 { return d.consumed }
-
-// BufferedBytes returns the retained unconsumed tail length — the decoder's
-// only input-proportional state besides the trace itself.
-func (d *StreamDecoder) BufferedBytes() int { return len(d.buf) }
 
 // Finish validates completion and returns the decoded trace: an error means
 // the stream ended mid-header or before the declared record count.

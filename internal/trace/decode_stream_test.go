@@ -216,3 +216,14 @@ func TestStreamDecoderDropsTrailingBytes(t *testing.T) {
 	}
 	tracesEqual(t, got, src)
 }
+
+// Records returns the number of fully decoded records.
+func (d *StreamDecoder) Records() int { return len(d.t.Recs) }
+
+// Consumed returns the number of input bytes consumed so far (excluding the
+// retained partial-unit tail).
+func (d *StreamDecoder) Consumed() int64 { return d.consumed }
+
+// BufferedBytes returns the retained unconsumed tail length — the decoder's
+// only input-proportional state besides the trace itself.
+func (d *StreamDecoder) BufferedBytes() int { return len(d.buf) }

@@ -12,6 +12,7 @@ import (
 
 	"dcatch/internal/bench"
 	"dcatch/internal/core"
+	"dcatch/internal/testtrace"
 	"dcatch/internal/trace"
 )
 
@@ -19,8 +20,8 @@ import (
 // building it, on the subjects' own traces and both synthetic shapes.
 func TestEncodedSizeMatchesEncode(t *testing.T) {
 	traces := map[string]*trace.Trace{
-		"synthetic":         bench.SyntheticTrace(3000, 1),
-		"synthetic-bounded": bench.SyntheticTraceBounded(3000, 1),
+		"synthetic":         testtrace.SyntheticTrace(3000, 1),
+		"synthetic-bounded": testtrace.SyntheticTraceBounded(3000, 1),
 	}
 	for _, b := range bench.Benchmarks() {
 		res, err := core.Detect(b.Workload, core.Options{Seed: b.Seed, MaxSteps: b.MaxSteps})
@@ -38,7 +39,7 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 	// The count must not cost what the encoding costs: nothing is written,
 	// so EncodedSize allocates its string table (index map plus table slice,
 	// both proportional to the distinct strings) and nothing per record.
-	tr := bench.SyntheticTraceBounded(50_000, 2)
+	tr := testtrace.SyntheticTraceBounded(50_000, 2)
 	distinct := tableSize(tr)
 	allocated := func() uint64 {
 		var ms runtime.MemStats

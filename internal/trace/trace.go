@@ -293,15 +293,3 @@ func (s Stats) Counters() map[string]int64 {
 		"trace.records.other":  int64(s.Other),
 	}
 }
-
-// PerThread splits record indices by thread, preserving order; the paper's
-// tracer writes one file per thread, and tests use this view to validate
-// per-thread ordering invariants.
-func (t *Trace) PerThread() map[int32][]int {
-	m := map[int32][]int{}
-	for i := range t.Recs {
-		th := t.Recs[i].Thread
-		m[th] = append(m[th], i)
-	}
-	return m
-}

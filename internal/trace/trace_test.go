@@ -322,3 +322,15 @@ func TestWindowChunkEdges(t *testing.T) {
 		t.Fatal("overlap record differs between adjacent windows")
 	}
 }
+
+// PerThread splits record indices by thread, preserving order; the paper's
+// tracer writes one file per thread, and this view validates per-thread
+// ordering invariants.
+func (t *Trace) PerThread() map[int32][]int {
+	m := map[int32][]int{}
+	for i := range t.Recs {
+		th := t.Recs[i].Thread
+		m[th] = append(m[th], i)
+	}
+	return m
+}

@@ -115,7 +115,7 @@ func (w *world) step(ev, p int) error {
 // finds every parked party still answerable.
 func TestMachineExhaustive(t *testing.T) {
 	for n := 2; n <= 3; n++ {
-		orders, _ := Permutations(n)
+		orders := permutations(n)
 		for _, order := range orders {
 			start := world{m: newMachine(order), clients: make([]client, n)}
 			seen := map[string]bool{start.key(): true}
@@ -163,5 +163,46 @@ func TestReleaseAllocs(t *testing.T) {
 	holding := []int32{2}
 	if n := testing.AllocsPerRun(100, func() { c.Release(holding, false) }); n != 0 {
 		t.Fatalf("Release while the holder runs: %v allocs, want 0", n)
+	}
+}
+
+// permutations returns every permutation of 0..n-1.
+func permutations(n int) [][]int {
+	var out [][]int
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	var rec func(k int)
+	rec = func(k int) {
+		if k == n {
+			out = append(out, append([]int(nil), perm...))
+			return
+		}
+		for i := k; i < n; i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			rec(k + 1)
+			perm[k], perm[i] = perm[i], perm[k]
+		}
+	}
+	rec(0)
+	return out
+}
+
+func TestPermutations(t *testing.T) {
+	if p2 := permutations(2); len(p2) != 2 {
+		t.Fatalf("permutations(2) = %v", p2)
+	}
+	p3 := permutations(3)
+	if len(p3) != 6 {
+		t.Fatalf("permutations(3): %d perms", len(p3))
+	}
+	seen := map[string]bool{}
+	for _, p := range p3 {
+		key := fmt.Sprint(p)
+		if seen[key] {
+			t.Fatalf("duplicate permutation %v", p)
+		}
+		seen[key] = true
 	}
 }

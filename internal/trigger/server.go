@@ -15,9 +15,9 @@ import (
 
 // Server is the paper's message-controller server (§5.1) as a stand-alone
 // TCP service, so the timing-manipulation infrastructure can also be used
-// as an independent testing framework: processes under test link the tiny
-// client API (Request/Confirm), and the server drives the same grant
-// machine as Controller over the line protocol
+// as an independent testing framework: a process under test sends one line
+// before and one after the operation whose timing is manipulated, and the
+// server drives the same grant machine as Controller over the line protocol
 //
 //	client → server: REQUEST <party>   (answered GRANT when its turn comes)
 //	client → server: CONFIRM <party>   (answered OK)
@@ -275,42 +275,3 @@ func (s *Server) grant(conn net.Conn) {
 		s.arm(conn)
 	}
 }
-
-// Client is the client-side API the system under test calls around the
-// operation whose timing is being manipulated (§5.1).
-type Client struct {
-	conn net.Conn
-	rd   *bufio.Reader
-}
-
-// Dial connects a party to the controller.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("trigger: dial: %w", err)
-	}
-	return &Client{conn: conn, rd: bufio.NewReader(conn)}, nil
-}
-
-// Request asks permission to proceed and blocks until granted.
-func (c *Client) Request(party string) error { return c.roundTrip("REQUEST", party, "GRANT") }
-
-// Confirm reports that the operation completed.
-func (c *Client) Confirm(party string) error { return c.roundTrip("CONFIRM", party, "OK") }
-
-func (c *Client) roundTrip(cmd, party, want string) error {
-	if _, err := fmt.Fprintf(c.conn, "%s %s\n", cmd, party); err != nil {
-		return err
-	}
-	line, err := c.rd.ReadString('\n')
-	if err != nil {
-		return err
-	}
-	if got := strings.TrimSpace(line); got != want {
-		return fmt.Errorf("trigger: unexpected response %q", got)
-	}
-	return nil
-}
-
-// Close disconnects the client.
-func (c *Client) Close() error { return c.conn.Close() }

@@ -101,17 +101,6 @@ func Validate(w *rt.Workload, pair detect.Pair, tr *trace.Trace, g *hb.Graph, op
 	return v
 }
 
-// ExploreAll restarts the workload once per ordering permutation of the
-// given points (paper §5.1: "until all ordering permutations among all the
-// request parties are explored") and returns every attempt.
-func ExploreAll(w *rt.Workload, points []Point, opts Options) ([]Attempt, error) {
-	orders, err := Permutations(len(points))
-	if err != nil {
-		return nil, err
-	}
-	return explore(w, points, orders, opts), nil
-}
-
 // explore runs the workload once per grant order. A runtime error ends its
 // attempt as a hang.
 func explore(w *rt.Workload, points []Point, orders [][]int, opts Options) []Attempt {
@@ -134,33 +123,6 @@ func explore(w *rt.Workload, points []Point, orders [][]int, opts Options) []Att
 		})
 	}
 	return attempts
-}
-
-// Permutations returns every permutation of 0..n-1. n is capped at 6 (720
-// restarts) to keep explorations bounded.
-func Permutations(n int) ([][]int, error) {
-	if n < 1 || n > 6 {
-		return nil, fmt.Errorf("trigger: permutation exploration supports 1..6 parties, got %d", n)
-	}
-	var out [][]int
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			out = append(out, append([]int(nil), perm...))
-			return
-		}
-		for i := k; i < n; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			rec(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-	}
-	rec(0)
-	return out, nil
 }
 
 func classify(attempts []Attempt) Verdict {

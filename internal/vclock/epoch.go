@@ -40,19 +40,11 @@ func (e Epoch) Pos() int32 { return int32(uint32(e)) }
 // String renders the epoch as chain@pos for debugging.
 func (e Epoch) String() string { return fmt.Sprintf("%d@%d", e.Chain(), e.Pos()) }
 
-// ChainClock is a dense clock over a fixed chain decomposition. The zero
-// length clock is valid for a zero-chain decomposition; use NewChainClock
-// otherwise. All operations are O(1) per entry touched; Observe — the
-// same-chain fast path of the epoch detector — touches exactly one.
+// ChainClock is a dense clock over a fixed chain decomposition, one entry
+// per chain, Unreached until observed. All operations are O(1) per entry
+// touched; Observe — the same-chain fast path of the epoch detector —
+// touches exactly one.
 type ChainClock []int32
-
-// NewChainClock returns a clock over chains chains with every entry
-// Unreached.
-func NewChainClock(chains int) ChainClock {
-	c := make(ChainClock, chains)
-	c.Reset()
-	return c
-}
 
 // Reset sets every entry back to Unreached (for clock reuse via free pools).
 func (c ChainClock) Reset() {
@@ -81,25 +73,9 @@ func (c ChainClock) Dominates(e Epoch) bool {
 	return c[e.Chain()] >= e.Pos()
 }
 
-// Join folds clock o into c (elementwise max) and returns the number of
-// entries that advanced. Joining is monotone and idempotent: re-joining an
-// unchanged o — as the Eserial fixed point does when late edges re-deliver a
-// source clock — advances nothing and changes nothing.
-func (c ChainClock) Join(o ChainClock) int {
-	advanced := 0
-	for i, v := range o {
-		if v > c[i] {
-			c[i] = v
-			advanced++
-		}
-	}
-	return advanced
-}
-
 // Absorb folds clock o into c (elementwise max) without reporting what
-// advanced — the branch-free join of the sweep's hot loop. Equivalent to
-// Join with the count discarded, but compiles to conditional moves instead
-// of a data-dependent branch per entry.
+// advanced — the branch-free join of the sweep's hot loop: conditional
+// moves instead of a data-dependent branch per entry.
 func (c ChainClock) Absorb(o ChainClock) {
 	if len(o) == 0 {
 		return

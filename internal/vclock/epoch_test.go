@@ -152,3 +152,24 @@ func TestChainClockAbsorbMatchesJoin(t *testing.T) {
 		}
 	}
 }
+
+// NewChainClock returns a clock over chains chains with every entry
+// Unreached.
+func NewChainClock(chains int) ChainClock {
+	c := make(ChainClock, chains)
+	c.Reset()
+	return c
+}
+
+// Join folds clock o into c (elementwise max) and returns the number of
+// entries that advanced: the branching reference Absorb must match.
+func (c ChainClock) Join(o ChainClock) int {
+	advanced := 0
+	for i, v := range o {
+		if v > c[i] {
+			c[i] = v
+			advanced++
+		}
+	}
+	return advanced
+}

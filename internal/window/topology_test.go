@@ -5,13 +5,13 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"dcatch/internal/bench"
 	"dcatch/internal/cluster"
 	"dcatch/internal/detect"
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
 	"dcatch/internal/stream"
+	"dcatch/internal/testtrace"
 )
 
 // TestTopologiesMatchReference runs one trace through every topology built
@@ -21,10 +21,10 @@ import (
 // byte for byte. The topologies also share one cache key space: a cache
 // populated by any one of them answers every window of each of the others.
 func TestTopologiesMatchReference(t *testing.T) {
-	tr := bench.SyntheticTraceBounded(3000, 5)
+	tr := testtrace.SyntheticTraceBounded(3000, 5)
 	const chunk = 500
 	hcfg := hb.Config{ReachBackend: hb.BackendChain}
-	budget, err := bench.IncrMemBudget(tr, chunk, hcfg)
+	budget, err := testtrace.IncrMemBudget(tr, chunk, hcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,11 @@ import (
 	"reflect"
 	"testing"
 
-	"dcatch/internal/bench"
 	"dcatch/internal/detect"
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/scancache"
+	"dcatch/internal/testtrace"
 	"dcatch/internal/trace"
 	"dcatch/internal/window"
 )
@@ -33,7 +33,7 @@ func oraclePayload(t *testing.T, view *trace.Trace, hcfg hb.Config, dopts detect
 // TestEngineAgainstOracle drives one window through every cache state the
 // engine distinguishes and compares each answer with the oracle.
 func TestEngineAgainstOracle(t *testing.T) {
-	tr := bench.SyntheticTraceBounded(1500, 3)
+	tr := testtrace.SyntheticTraceBounded(1500, 3)
 	const lo, hi = 400, 1000
 	view := tr.Window(lo, hi)
 	snapshot := func() []trace.Rec {

@@ -10,7 +10,6 @@
 package zk
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -131,12 +130,6 @@ func (s *Store) Get(path string) (data string, ok bool) {
 	return zn.data, true
 }
 
-// Exists reports whether the path is present.
-func (s *Store) Exists(path string) bool {
-	_, ok := s.nodes[path]
-	return ok
-}
-
 // Watch registers a persistent prefix watch for watcher node, handled by
 // the named event-handler function.
 func (s *Store) Watch(prefix, watcher, handler string) {
@@ -168,23 +161,4 @@ func (s *Store) ExpireSession(owner string) []Notification {
 		}
 	}
 	return kept
-}
-
-// Dump renders the tree for diagnostics.
-func (s *Store) Dump() string {
-	paths := make([]string, 0, len(s.nodes))
-	for p := range s.nodes {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	var b strings.Builder
-	for _, p := range paths {
-		zn := s.nodes[p]
-		eph := ""
-		if zn.ephemeral {
-			eph = fmt.Sprintf(" (ephemeral, owner %s)", zn.owner)
-		}
-		fmt.Fprintf(&b, "%s = %q%s\n", p, zn.data, eph)
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package zk
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -104,19 +103,6 @@ func TestExpiryDropsOwnNotifications(t *testing.T) {
 	}
 }
 
-func TestDump(t *testing.T) {
-	s := NewStore()
-	s.Create("/b", "2", "n", false)
-	s.Create("/a", "1", "rs1", true)
-	d := s.Dump()
-	if !strings.Contains(d, `/a = "1" (ephemeral, owner rs1)`) || !strings.Contains(d, `/b = "2"`) {
-		t.Fatalf("dump wrong:\n%s", d)
-	}
-	if strings.Index(d, "/a") > strings.Index(d, "/b") {
-		t.Fatal("dump not sorted")
-	}
-}
-
 // Property: zxids are strictly monotonic across successful mutations.
 func TestQuickZxidMonotonic(t *testing.T) {
 	f := func(ops []uint8) bool {
@@ -149,4 +135,10 @@ func TestQuickZxidMonotonic(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Exists reports whether the path is present.
+func (s *Store) Exists(path string) bool {
+	_, ok := s.nodes[path]
+	return ok
 }
