@@ -17,7 +17,9 @@ import (
 func main() {
 	// A coordinator RPCs a worker to initialize a config entry, while a
 	// janitor thread on the worker deletes stale config concurrently —
-	// an order violation: if the delete wins, a later lookup crashes.
+	// an order violation: if the delete wins, a later lookup crashes. In
+	// the monitored run the janitor wakes after the lookup, so that run is
+	// correct (detection refuses a failing one) and the bug is latent.
 	b := ir.NewProgram("quickstart")
 
 	cm := b.Func("coordinator.main")
@@ -38,7 +40,7 @@ func main() {
 	get.Return(ir.L("val"))
 
 	jan := b.Func("worker.janitor")
-	jan.Sleep(10)
+	jan.Sleep(40)
 	jan.Remove("config", ir.S("timeout")) // races with putConfig/getConfig
 	jan.Send(ir.S("coordinator"), "janitorDone")
 

@@ -81,8 +81,8 @@ type Stats struct {
 
 	HBVertices, HBEdges int
 	HBMemBytes          int64
-	// ReachBackend names the reachability representation the HB closure
-	// materialized ("dense" or "chain"), as resolved from Options.HB.
+	// ReachBackend names the reachability footprint model admission
+	// charged ("dense" or "chain"), as resolved from Options.HB.
 	ReachBackend string
 	PullPairs    int
 
@@ -123,7 +123,23 @@ type Result struct {
 // reuses it so controlled replays follow the traced schedule.
 func (r *Result) Seed() int64 { return r.seed }
 
-// Detect runs the full DCatch pipeline on a workload.
+// incorrectRunError is Detect's refusal of a monitored run that failed or
+// hung. DCatch predicts bugs from one correct execution (§1.3); a trace
+// cut short by a failure is not that input, so it is not analyzed.
+type incorrectRunError struct {
+	run  string // "baseline", "traced" or "focused"
+	seed int64
+	res  *rt.Result
+}
+
+func (e *incorrectRunError) Error() string {
+	return fmt.Sprintf("core: the %s run at seed %d is not a correct execution, refusing to analyze it: %s",
+		e.run, e.seed, e.res.Summary())
+}
+
+// Detect runs the full DCatch pipeline on a workload. It returns an
+// *incorrectRunError, naming the run's Summary, when the baseline, traced or
+// focused run fails or hangs.
 func Detect(w *rt.Workload, opts Options) (*Result, error) {
 	res := &Result{Workload: w, seed: opts.Seed}
 	rec := opts.Obs
@@ -136,6 +152,10 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 	if err != nil {
 		sp.End()
 		return nil, fmt.Errorf("core: baseline run: %w", err)
+	}
+	if base.Failed() {
+		sp.End()
+		return nil, &incorrectRunError{"baseline", opts.Seed, base}
 	}
 	res.Stats.BaseTime = time.Since(t0)
 	res.Stats.BaseSteps = base.Steps
@@ -162,6 +182,10 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 		sp.End()
 		return nil, fmt.Errorf("core: traced run: %w", err)
 	}
+	if run.Failed() {
+		sp.End()
+		return nil, &incorrectRunError{"traced", opts.Seed, run}
+	}
 	res.Stats.TracingTime = time.Since(t0)
 	res.Run = run
 	res.Trace = col.Trace()
@@ -178,13 +202,18 @@ func Detect(w *rt.Workload, opts Options) (*Result, error) {
 	if len(loopReads) > 0 {
 		loops, reads := analysis.PullProbe(loopReads)
 		col2 := trace.NewCollector(w.Name)
-		if _, err := rt.Run(w, rt.Options{
+		probe, err := rt.Run(w, rt.Options{
 			Seed: opts.Seed, MaxSteps: opts.MaxSteps,
 			Collector: col2, TraceMem: true, MemScope: scope,
 			PullLoops: loops, PullReads: reads,
-		}); err != nil {
+		})
+		if err != nil {
 			sp.End()
 			return nil, fmt.Errorf("core: focused run: %w", err)
+		}
+		if probe.Failed() {
+			sp.End()
+			return nil, &incorrectRunError{"focused", opts.Seed, probe}
 		}
 		res.Trace = col2.Trace()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"dcatch/internal/ir"
 	"dcatch/internal/obs"
 	"dcatch/internal/rt"
+	"dcatch/internal/subjects/minizk"
 	"dcatch/internal/trigger"
 )
 
@@ -257,5 +259,24 @@ func TestIntersectKeepsCollidingStacksDistinct(t *testing.T) {
 	}
 	if got.Pairs[0].AStack != "x" || got.Pairs[0].BStack != "y||z" {
 		t.Fatalf("intersect kept the wrong pair: %+v", got.Pairs[0])
+	}
+}
+
+// TestDetectRefusesHungRun pins the correct-run premise (§1.3): ZK-1144's
+// schedule at seed 28 runs out its 150 000-step budget, so Detect refuses
+// it with an *incorrectRunError naming the run's summary instead of
+// analyzing the hung run's trace. The registered seed's run is correct.
+func TestDetectRefusesHungRun(t *testing.T) {
+	b := minizk.BenchZK1144()
+	res, err := Detect(b.Workload, Options{Seed: 28, MaxSteps: b.MaxSteps})
+	var bad *incorrectRunError
+	if !errors.As(err, &bad) || res != nil {
+		t.Fatalf("seed 28: Detect = (%v, %v), want an incorrect-run refusal", res, err)
+	}
+	if bad.run != "baseline" || !bad.res.Hang || !strings.Contains(err.Error(), bad.res.Summary()) {
+		t.Fatalf("seed 28: refusal %q (run %s, hang %v) does not name the hung run's summary", err, bad.run, bad.res.Hang)
+	}
+	if _, err := Detect(b.Workload, Options{Seed: b.Seed, MaxSteps: b.MaxSteps}); err != nil {
+		t.Fatalf("registered seed %d: %v", b.Seed, err)
 	}
 }

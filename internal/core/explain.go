@@ -129,7 +129,7 @@ func (r *Result) explainReported(b *strings.Builder, p *detect.Pair) {
 	if i > j {
 		i, j = j, i
 	}
-	if r.Graph.HappensBefore(i, j) || r.Graph.HappensBefore(j, i) {
+	if r.Graph.HappensBefore(i, j) {
 		// The representative records of this callstack pair are ordered in
 		// the final (Rule-Mpull augmented) graph, but another dynamic
 		// occurrence was not — the report keys on callstacks.

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -120,51 +119,6 @@ func TestTraceJobMatchesAnalyzeTrace(t *testing.T) {
 	}
 	if events == 0 {
 		t.Error("the provisional engine emitted no event: the provisional run did not exercise it")
-	}
-}
-
-// TestTraceJobsNeverBuildIndex pins that trace analysis — full graph or
-// windows — only sweeps its graphs: no job builds the reachability index
-// (hb.reach.materialized stays 0), and a point query on the full job's graph
-// afterwards builds it exactly once, however many goroutines ask.
-func TestTraceJobsNeverBuildIndex(t *testing.T) {
-	tr := testtrace.SyntheticTraceBounded(3000, 12)
-	const chunk = 500
-	budget, err := testtrace.IncrMemBudget(tr, chunk, hb.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunked := range []bool{false, true} {
-		rec := obs.New()
-		opts := core.Options{Obs: rec}
-		if chunked {
-			opts.ChunkSize, opts.HB.MemBudget = chunk, budget
-		}
-		res, err := core.AnalyzeTrace(tr, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.OOM || res.Chunked != chunked {
-			t.Fatalf("chunked=%v: job took the wrong path (chunked %v, oom %v)", chunked, res.Chunked, res.OOM)
-		}
-		if v, ok := rec.Counters()["hb.reach.materialized"]; !ok || v != 0 {
-			t.Fatalf("chunked=%v: hb.reach.materialized = %d (present %v), want 0", chunked, v, ok)
-		}
-		if chunked {
-			continue
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res.Graph.HappensBefore(w, res.Graph.N()-1)
-			}()
-		}
-		wg.Wait()
-		if v := rec.Counters()["hb.reach.materialized"]; v != 1 {
-			t.Fatalf("hb.reach.materialized = %d after point queries, want 1", v)
-		}
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // location is concurrent with v exactly when v's clock does not dominate u's
 // epoch — clock[chain(u)] < pos(u), one integer compare — so each prior
 // chain's concurrent suffix falls out of walking its access list backwards
-// until the clock bound is met. Detection is O(n·C) end to end and never
-// queries the reachability index (Kini et al., PAPERS.md). Windowed analysis
+// until the clock bound is met. Detection is O(n·C) end to end and asks no
+// point query (Kini et al., PAPERS.md). Windowed analysis
 // shards it by window; within one graph it is a single pass.
 
 // epochAcc is one already-swept access of a location within one chain: its

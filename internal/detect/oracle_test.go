@@ -9,15 +9,39 @@ import (
 	"dcatch/internal/hb"
 	"dcatch/internal/obs"
 	"dcatch/internal/trace"
+	"dcatch/internal/vclock"
 )
 
 // The quadratic oracle: the original all-pairs scan, kept as the reference
-// the chain-clock sweep is compared against. It asks the graph's
-// reachability index one ConcurrentOrdered query per conflicting
-// cross-context pair of every location, dedups on callstack strings and
+// the chain-clock sweep is compared against. It builds its own reachability
+// index (reachIndex) and asks it one query per conflicting cross-context
+// pair of every location, dedups on callstack strings and
 // orders with a comparison sort — sharing nothing with the sweep's clocks,
 // interned keys, representative rule, radix sort, access prepass or
 // subsampler (oracleSubsample is a frozen record-based copy).
+
+// reachIndex is the all-pairs oracle's point-query index: a V×C matrix
+// whose row v is vertex v's chain clock from one full-width ChainClockSweep.
+type reachIndex struct {
+	dec hb.ChainDecomposition
+	clk []int32 // clk[v*C+c] = vertex v's clock entry for chain c
+}
+
+func newReachIndex(g *hb.Graph) *reachIndex {
+	dec := g.ChainDecomposition()
+	c := dec.Chains()
+	ix := &reachIndex{dec: dec, clk: make([]int32, g.N()*c)}
+	g.ChainClockSweep(dec, nil, 0, func(v int, clock vclock.ChainClock) {
+		copy(ix.clk[v*c:(v+1)*c], clock)
+	})
+	return ix
+}
+
+// reaches reports u ⇒ v for 0 <= u < v < N: v's clock has reached u's
+// position in u's chain.
+func (ix *reachIndex) reaches(u, v int) bool {
+	return ix.clk[v*ix.dec.Chains()+int(ix.dec.Of[u])] >= ix.dec.Pos[u]
+}
 
 // quadraticReport scans g the quadratic way. It also returns how many
 // locations were subsampled and how many accesses that dropped, for
@@ -57,6 +81,7 @@ func quadraticReport(g *hb.Graph, opts Options) (rep *Report, subsampled, droppe
 		}
 	}
 	found := map[CallstackKey]*Pair{}
+	ix := newReachIndex(g)
 	// Objects in sorted order, pairs in ascending (i, j): the first
 	// occurrence of a callstack pair is its canonical representative.
 	for _, o := range objs {
@@ -67,7 +92,7 @@ func quadraticReport(g *hb.Graph, opts Options) (rep *Report, subsampled, droppe
 			dropped += int64(len(idxs) - len(kept))
 			idxs = kept
 		}
-		scanObjectQuadratic(g, o, idxs, stacks, pull, found)
+		scanObjectQuadratic(g, ix, o, idxs, stacks, pull, found)
 	}
 	return sortedReport(found), subsampled, dropped
 }
@@ -118,7 +143,7 @@ func oracleSubsample(tr *trace.Trace, idxs []int, max int) []int {
 
 // scanObjectQuadratic runs the all-pairs scan over one location's access
 // records (ascending trace indices).
-func scanObjectQuadratic(g *hb.Graph, obj string, idxs []int, stacks []string, pull map[int64]bool, found map[CallstackKey]*Pair) {
+func scanObjectQuadratic(g *hb.Graph, ix *reachIndex, obj string, idxs []int, stacks []string, pull map[int64]bool, found map[CallstackKey]*Pair) {
 	recs := g.Tr.Recs
 	for x, i := range idxs {
 		ri := &recs[i]
@@ -131,7 +156,7 @@ func scanObjectQuadratic(g *hb.Graph, obj string, idxs []int, stacks []string, p
 			if ri.Thread == rj.Thread && ri.Ctx == rj.Ctx {
 				continue
 			}
-			if !g.ConcurrentOrdered(i, j) || pull[packStatic(ri.StaticID, rj.StaticID)] {
+			if ix.reaches(i, j) || pull[packStatic(ri.StaticID, rj.StaticID)] {
 				continue
 			}
 			p := Pair{Obj: obj, AStatic: ri.StaticID, BStatic: rj.StaticID,

@@ -7,22 +7,21 @@ import (
 )
 
 // Backend selects the reachability footprint model the up-front MemBudget
-// admission check charges. It does not pick an implementation: every graph
-// answers point queries from the one chain-clock index.
+// admission check charges. It does not pick an implementation, and neither
+// model is allocated: point queries are cones (Graph.Ancestors), built per
+// query.
 //
 // The dense model is the paper's §3.2.2 design, one bit array per vertex,
 // V²/8 bytes in total; it keeps the Table 8 OOM rows where the paper has
-// them, but it does not bound the index: a dense-admitted graph whose first
-// point query builds the clock matrix holds 4·V·C bytes, more than V²/8
-// whenever C > V/32. The chain model charges what the index actually holds:
-// a V×C int32 clock matrix plus the chain decomposition.
+// them. The chain model charges a V×C int32 chain-clock matrix plus the
+// chain decomposition, which exceeds V²/8 whenever C > V/32.
 type Backend uint8
 
 const (
 	// BackendDense charges the paper's per-vertex bit arrays (the default;
 	// the zero value keeps the Table 8 OOM behavior under MemBudget).
 	BackendDense Backend = iota
-	// BackendChain charges the chain-clock index.
+	// BackendChain charges a V×C chain-clock matrix.
 	BackendChain
 	// BackendAuto picks dense when its footprint fits MemBudget (or no
 	// budget is set), falling back to chain, and reports ErrOutOfMemory
@@ -75,8 +74,7 @@ func FullBuildExceedsBudget(tr *trace.Trace, cfg Config) bool {
 }
 
 // indexBytes is the chain model's footprint for n vertices over c chains:
-// the n×c int32 clock matrix plus the decomposition's Of, Pos and Len
-// arrays — exactly what the index holds once built.
+// an n×c int32 clock matrix plus the decomposition's Of, Pos and Len arrays.
 func indexBytes(n, c int) int64 {
 	return int64(n)*int64(c)*4 + int64(2*n+c)*4
 }

@@ -14,7 +14,7 @@ import (
 // family: Preg on regular threads, Pnreg via per-instance RPC/message/watch
 // handler contexts, Tfork/Tjoin, Mrpc, Msoc, Mpush, and Eenq/Eserial over a
 // mix of single- and multi-consumer event queues. Used by the differential
-// tests to cross-check the chain-clock index and sweeps against the oracles.
+// tests to cross-check the cones and sweeps against the oracles.
 func randomMTEP(rng *rand.Rand, n int) *trace.Trace {
 	c := trace.NewCollector("mtep")
 	c.SetQueueInfo("n/q0", 1)
@@ -125,22 +125,22 @@ func pullTrace() *trace.Trace {
 	return c.Trace()
 }
 
-// TestChainMatchesDenseRandom is the index's core differential property: on
-// random full-MTEP traces the chain-clock index answers every reachability
-// query exactly like the paper's dense bit arrays and naive vector clocks.
+// TestChainMatchesDenseRandom is the point queries' core differential
+// property: on random full-MTEP traces every cone answers exactly like a
+// chain-clock index, the paper's dense bit arrays and naive vector clocks.
 func TestChainMatchesDenseRandom(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g, err := Build(randomMTEP(rand.New(rand.NewSource(seed)), 300), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkIndex(t, fmt.Sprintf("seed %d", seed), g)
+		checkQueries(t, fmt.Sprintf("seed %d", seed), g)
 	}
 }
 
-// TestChainMatchesDenseAblations repeats the check under every Table 9 rule
-// configuration (ablations also degrade Pnreg contexts, reshaping the chain
-// decomposition itself).
+// TestChainMatchesDenseAblations repeats the check, every pair, under the
+// six Table 9 rule configurations (ablations also degrade Pnreg contexts,
+// reshaping the chain decomposition the index is built on).
 func TestChainMatchesDenseAblations(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		tr := randomMTEP(rand.New(rand.NewSource(100+seed)), 200)
@@ -149,12 +149,12 @@ func TestChainMatchesDenseAblations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkIndex(t, fmt.Sprintf("seed %d cfg %d", seed, ci), g)
+			checkQueries(t, fmt.Sprintf("seed %d cfg %d", seed, ci), g)
 		}
 	}
 }
 
-// TestChainMatchesDensePull checks Rule-Mpull edges reach the index.
+// TestChainMatchesDensePull checks Rule-Mpull edges reach the cones.
 func TestChainMatchesDensePull(t *testing.T) {
 	g, err := Build(pullTrace(), Config{LoopReads: map[int32][]int32{40: {21}}})
 	if err != nil {
@@ -163,11 +163,11 @@ func TestChainMatchesDensePull(t *testing.T) {
 	if len(g.PullPairs) != 1 || !g.HappensBefore(0, 2) {
 		t.Fatalf("test geometry broken: pull pairs %v", g.PullPairs)
 	}
-	checkIndex(t, "pull", g)
+	checkQueries(t, "pull", g)
 }
 
 // twoThreadTrace builds n records alternating between two regular threads —
-// two chains, so the chain index is far smaller than the dense bit matrix.
+// two chains, so the chain model charges far less than the dense bit matrix.
 func twoThreadTrace(n int) *trace.Trace {
 	c := trace.NewCollector("t")
 	for i := 0; i < n; i++ {
@@ -215,8 +215,8 @@ func TestChainMemBudgetParity(t *testing.T) {
 	}
 
 	// The budget-constrained graphs still answer every query exactly.
-	checkIndex(t, "mid-budget chain", chain)
-	checkIndex(t, "mid-budget auto", auto)
+	checkQueries(t, "mid-budget chain", chain)
+	checkQueries(t, "mid-budget auto", auto)
 
 	// Auto with room for dense (or no budget at all) stays dense.
 	for _, budget := range []int64{0, denseNeed * 2} {
@@ -284,8 +284,8 @@ func TestChainCommonAncestorsAndPath(t *testing.T) {
 	}
 }
 
-// TestConcurrentOrderedAgrees cross-checks the unchecked fast path against
-// Concurrent over every valid ordered pair.
+// TestConcurrentOrderedAgrees cross-checks a chain-clock index's unchecked
+// probe against the cones' Concurrent over every valid ordered pair.
 func TestConcurrentOrderedAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tr := randomTrace(rng, 120)
@@ -293,9 +293,10 @@ func TestConcurrentOrderedAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := newChainIndex(g)
 	for i := 0; i < g.N(); i++ {
 		for j := i + 1; j < g.N(); j++ {
-			if g.Concurrent(i, j) != g.ConcurrentOrdered(i, j) {
+			if g.Concurrent(i, j) != ix.concurrentOrdered(i, j) {
 				t.Fatalf("disagreement on (%d,%d)", i, j)
 			}
 		}

@@ -7,16 +7,15 @@ import (
 )
 
 // Chain-clock sweep — the edge-order clock propagation behind the one-pass
-// detector (internal/detect), Rule-Eserial's rounds and the point-query
-// index. The sweep walks the HB DAG once in trace (= topological) order and
-// hands each vertex its chain clock: per chain, the highest position among
-// the vertex's ancestors (itself included). Exactness rests on two facts
-// (DESIGN.md §10): Rule-Preg/Pnreg totally orders every chain, and every
-// edge points forward in trace time. The sweep answers for the graph as it
-// stands: Build runs one per Rule-Eserial round (serialSweep) against that
-// round's edges, and a sweep after Build — detection's, or the one that
-// fills the index (buildIndex) — sees every rule edge including the fixed
-// point's.
+// detector (internal/detect) and Rule-Eserial's rounds. The sweep walks the
+// HB DAG once in trace (= topological) order and hands each vertex its
+// chain clock: per chain, the highest position among the vertex's
+// ancestors (itself included). Exactness rests on two facts (DESIGN.md
+// §10): Rule-Preg/Pnreg totally orders every chain, and every edge points
+// forward in trace time. The sweep answers for the graph as it stands:
+// Build runs one per Rule-Eserial round (serialSweep) against that round's
+// edges, and a sweep after Build, such as detection's, sees every rule edge
+// including the fixed point's.
 
 // ChainDecomposition is a trace's program-order chain decomposition under
 // one graph's ablation config: the grouping whose consecutive records

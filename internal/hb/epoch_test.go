@@ -22,7 +22,7 @@ func sweepClocks(g *Graph) (ChainDecomposition, []vclock.ChainClock, SweepStats)
 
 // checkSweepMatchesReach asserts the sweep's domination test agrees with the
 // bit-array oracle on every ordered pair — the exactness property the epoch
-// detector and the point-query index rest on.
+// detector and Rule-Eserial's rounds rest on.
 func checkSweepMatchesReach(t *testing.T, label string, g *Graph) {
 	t.Helper()
 	dec, clocks, st := sweepClocks(g)

@@ -1,10 +1,11 @@
 // Package hb implements the DCatch happens-before model (paper §2) and its
 // trace analysis (§3.2): it turns a run trace into a DAG whose edges are the
 // MTEP rules. Detection walks that DAG once with a chain-clock sweep
-// (ChainClockSweep). Point queries ("are these two accesses concurrent?",
-// which the paper answers from per-vertex bit arrays) read a per-vertex
-// chain-clock index that one such sweep fills, built only when a caller
-// first asks one.
+// (ChainClockSweep). Point queries ("does this access happen before that
+// one?", which the paper answers from per-vertex bit arrays) are answered
+// from cones instead: every edge points forward in trace order, so the
+// ancestors of one record are one backward pass over the in-edges
+// (Ancestors), and the graph keeps no index for them.
 //
 // Rules implemented (paper §2):
 //
@@ -33,7 +34,6 @@ import (
 	"errors"
 	"slices"
 	"sort"
-	"sync"
 
 	"dcatch/internal/obs"
 	"dcatch/internal/trace"
@@ -43,7 +43,7 @@ import (
 // ErrOutOfMemory is returned by Build when the admitted reachability
 // footprint (MemBytes) would exceed Config.MemBudget — the paper's
 // trace-analysis OOM on unselectively traced runs (Table 8). The decision is
-// made up front, whether or not the index is ever built.
+// made up front, from the footprint model alone.
 var ErrOutOfMemory = errors.New("hb: reachability sets exceed memory budget")
 
 // Config controls graph construction. The ablation switches act through
@@ -65,8 +65,8 @@ type Config struct {
 
 	// MemBudget is the admission budget in bytes (0 = unlimited): Build
 	// refuses a graph whose MemBytes under ReachBackend's model exceeds it.
-	// Under the dense model it does not bound the index the first point
-	// query builds (4·V·C bytes, more than V²/8 whenever C > V/32).
+	// It charges a reachability structure no code allocates: point queries
+	// are cones, built per query in O(V) booleans.
 	MemBudget int64
 
 	// ReachBackend selects the footprint model MemBudget admission charges:
@@ -84,9 +84,9 @@ type Config struct {
 	Parallelism int
 
 	// Obs, when non-nil, is the parent span under which Build records its
-	// instrumentation: nested spans per construction phase, Eserial round
-	// and (on the first point query) index build, plus per-rule edge
-	// counters (hb.edges.*). Recording never influences the graph.
+	// instrumentation: nested spans per construction phase and Eserial
+	// round, plus per-rule edge counters (hb.edges.*). Recording never
+	// influences the graph.
 	Obs *obs.Span
 }
 
@@ -112,12 +112,6 @@ type Graph struct {
 	// immutable afterwards.
 	dec ChainDecomposition
 
-	// clk is the reachability index: clk[v*C+c] is vertex v's chain clock
-	// entry for chain c. The first point query (ancestor) fills it, never
-	// Build.
-	indexOnce sync.Once
-	clk       []int32
-
 	// PullPairs lists the pull-synchronization pairs discovered while
 	// applying Rule-Mpull.
 	PullPairs []PullPair
@@ -130,10 +124,8 @@ type Graph struct {
 }
 
 // Build constructs the HB graph: the admission check against MemBudget, the
-// rule edges, then Rule-Eserial's fixed point. It derives edges only; the
-// reachability index behind HappensBefore and the other point queries is
-// built on the first such query, so a caller that only sweeps the graph
-// (detect.Find) never pays for it.
+// rule edges, then Rule-Eserial's fixed point. It derives edges only, and
+// nothing in the graph changes afterwards.
 func Build(tr *trace.Trace, cfg Config) (*Graph, error) {
 	g := &Graph{Tr: tr, cfg: cfg}
 	if err := g.resolveBackend(); err != nil {
@@ -186,8 +178,7 @@ func (g *Graph) addRules() {
 }
 
 // recordBuildMetrics emits the whole-graph counters once construction is
-// complete. hb.reach.materialized starts at 0; the index builder adds 1 and
-// hb.reach.index_bytes if a point query ever builds the index.
+// complete.
 func (g *Graph) recordBuildMetrics() {
 	if g.sp == nil {
 		return
@@ -204,7 +195,6 @@ func (g *Graph) recordBuildMetrics() {
 	if g.backend == BackendChain {
 		g.sp.Count("hb.reach.chains", int64(g.Chains()))
 	}
-	g.sp.Count("hb.reach.materialized", 0)
 	g.sp.Count("hb.pull_pairs", int64(len(g.PullPairs)))
 }
 
@@ -229,9 +219,7 @@ func (g *Graph) Chains() int {
 
 // MemBytes returns the reachability footprint admitted against MemBudget:
 // DenseReachBytes under the dense model, indexBytes under the chain model.
-// The chain figure is exactly what the index holds once built; the dense
-// one is the paper's bit arrays, which are never allocated, and may be
-// smaller than the index (hb.reach.index_bytes reports what is held).
+// Neither structure is allocated; point queries build cones instead.
 func (g *Graph) MemBytes() int64 {
 	if g.backend == BackendChain {
 		return indexBytes(g.N(), g.ChainDecomposition().Chains())
@@ -363,23 +351,6 @@ func (g *Graph) addPullEdges() {
 		}
 	}
 	g.sp.Count("hb.edges.mpull", mpull)
-}
-
-// buildIndex is the lazy index builder, run once under indexOnce by the
-// first point query: one full-width chain-clock sweep, each vertex's clock
-// copied into its row of clk. The span is named hb.closure because the
-// benchmark's hb.closure_ms reads it.
-func (g *Graph) buildIndex() {
-	sp := g.sp.Child("hb.closure")
-	dec := g.ChainDecomposition()
-	c := dec.Chains()
-	g.clk = make([]int32, g.N()*c)
-	g.ChainClockSweep(dec, nil, 0, func(v int, clock vclock.ChainClock) {
-		copy(g.clk[v*c:(v+1)*c], clock)
-	})
-	sp.End()
-	g.sp.Count("hb.reach.materialized", 1)
-	g.sp.Count("hb.reach.index_bytes", int64(len(g.clk))*4)
 }
 
 // serialEvent is one fully recorded event of a single-consumer queue: the
@@ -576,30 +547,49 @@ func (g *Graph) eserial() {
 	}
 }
 
-// ancestor reports whether u happens before v for callers that guarantee
-// 0 <= u < v < N: v's clock has reached u's position in u's chain. It is
-// the one point query, O(1), building the index on first use.
-func (g *Graph) ancestor(u, v int) bool {
-	g.indexOnce.Do(g.buildIndex)
-	return g.clk[v*g.dec.Chains()+int(g.dec.Of[u])] >= g.dec.Pos[u]
+// Ancestors returns the backward cone of vertex v (0 <= v < N): cone[u]
+// reports whether u happens before v or is v, for every u <= v (no later
+// record can happen before v). Every edge points forward in trace order, so one pass from v
+// down to 0 marks the in-edges of each marked vertex. Cones are not
+// memoized: the graph keeps no query state, so queries need no lock.
+func (g *Graph) Ancestors(v int) []bool { return g.ancestors(v, 0) }
+
+// ancestors is Ancestors exact on [lo, v] only; entries below lo may miss.
+func (g *Graph) ancestors(v, lo int) []bool {
+	cone := make([]bool, v+1)
+	cone[v] = true
+	for w := v; w >= lo; w-- {
+		if cone[w] {
+			for _, u := range g.in[w] {
+				cone[u] = true
+			}
+		}
+	}
+	return cone
+}
+
+// descendants is the forward cone of i over [i, hi]: one pass in trace
+// order marks w when any of its in-edges comes from a marked vertex.
+func (g *Graph) descendants(i, hi int) []bool {
+	cone := make([]bool, hi+1)
+	cone[i] = true
+	for w := i + 1; w <= hi; w++ {
+		cone[w] = slices.ContainsFunc(g.in[w], func(u int32) bool { return cone[u] })
+	}
+	return cone
 }
 
 // HappensBefore reports whether record i happens before record j (indices
-// into Tr.Recs).
+// into Tr.Recs): one backward pass from j, stopping at i.
 func (g *Graph) HappensBefore(i, j int) bool {
-	if i == j || i < 0 || j < 0 || j >= g.N() || i >= g.N() {
-		return false
-	}
-	if i > j {
-		return false // causality never flows backwards in trace time
-	}
-	return g.ancestor(i, j)
+	return 0 <= i && i < j && j < g.N() && g.ancestors(j, i)[i]
 }
 
 // CommonAncestors returns up to limit vertices that happen before both i
-// and j, nearest first (highest trace index first). For a concurrent pair
-// these are the closest points where the two access histories were still
-// ordered — the evidence `dcatch -explain` prints alongside "no HB path".
+// and j, nearest first (highest trace index first), from the intersection
+// of their backward cones. For a concurrent pair these are the closest
+// points where the two access histories were still ordered — the evidence
+// `dcatch -explain` prints alongside "no HB path".
 func (g *Graph) CommonAncestors(i, j, limit int) []int {
 	n := g.N()
 	if limit <= 0 || i < 0 || j < 0 || i >= n || j >= n || i == j {
@@ -608,32 +598,27 @@ func (g *Graph) CommonAncestors(i, j, limit int) []int {
 	if i > j {
 		i, j = j, i
 	}
+	ci, cj := g.Ancestors(i), g.Ancestors(j)
 	var out []int
 	for k := i - 1; k >= 0 && len(out) < limit; k-- {
-		if g.ancestor(k, i) && g.ancestor(k, j) {
+		if ci[k] && cj[k] {
 			out = append(out, k)
 		}
 	}
 	return out
 }
 
-// ConcurrentOrdered is Concurrent for callers that guarantee 0 <= i < j < N:
-// j can never happen before i (causality flows forward in trace time), so
-// one unchecked index probe decides the query. The point query of
-// internal/detect's all-pairs test oracle, which iterates sorted record
-// indices.
-func (g *Graph) ConcurrentOrdered(i, j int) bool {
-	return !g.ancestor(i, j)
-}
-
 // Path returns the vertex indices of one happens-before chain from i to j
-// (inclusive), or nil if i does not happen before j. It walks in-edges
-// backwards from j, preferring the chain discovered first; examples use it
-// to display causality chains like paper Fig. 3.
+// (inclusive), or nil if i does not happen before j. It computes i's
+// forward cone over [i, j], then walks in-edges backwards from j breadth
+// first, through that cone only: the path is a shortest one, ties going to
+// the in-edge listed first. Examples use it to display causality chains
+// like paper Fig. 3.
 func (g *Graph) Path(i, j int) []int {
 	if !g.HappensBefore(i, j) {
 		return nil
 	}
+	fwd := g.descendants(i, j)
 	// Backward BFS from j until i.
 	prev := map[int]int{j: -1}
 	queue := []int{j}
@@ -648,7 +633,7 @@ func (g *Graph) Path(i, j int) []int {
 			return path
 		}
 		for _, u := range g.in[v] {
-			if _, seen := prev[int(u)]; !seen && (int(u) == i || g.HappensBefore(i, int(u))) {
+			if _, seen := prev[int(u)]; !seen && fwd[u] {
 				prev[int(u)] = v
 				queue = append(queue, int(u))
 			}

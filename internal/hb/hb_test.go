@@ -3,6 +3,7 @@ package hb
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dcatch/internal/trace"
@@ -399,7 +400,7 @@ func randomTrace(rng *rand.Rand, n int) *trace.Trace {
 	return c.Trace()
 }
 
-// Property: the chain-clock index agrees exactly with naive vector-clock
+// Property: point queries agree exactly with naive vector-clock
 // comparability (§3.2.2's rejected representation of the same HB relation).
 func TestReachabilityMatchesVectorClocks(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -470,6 +471,40 @@ func TestPath(t *testing.T) {
 	}
 	_ = cr
 	_ = bg
+}
+
+// TestPathShortestFirstInEdge pins Path's choice on a hand-built graph
+// with three routes from 1 to 6 and a shortcut into 6 from outside 1's
+// forward cone: the route through 3 is first among 6's in-edges but one
+// step longer, and the routes through 4 and 5 tie, so the in-edge listed
+// first wins.
+//
+//	1 → 2 → 3 → 6
+//	1 → 4 → 6
+//	1 → 5 → 6
+//	0 → 6
+func TestPathShortestFirstInEdge(t *testing.T) {
+	g := &Graph{Tr: &trace.Trace{Recs: make([]trace.Rec, 7)}, in: make([][]int32, 7)}
+	for _, e := range [][2]int{{5, 6}, {4, 6}, {3, 6}, {0, 6}, {2, 3}, {1, 2}, {1, 4}, {1, 5}} {
+		if !g.addEdge(e[0], e[1]) {
+			t.Fatalf("edge %v refused", e)
+		}
+	}
+	g.dedupEdges()
+	if got := g.Path(1, 6); !slices.Equal(got, []int{1, 4, 6}) {
+		t.Fatalf("Path(1,6) = %v, want [1 4 6]", got)
+	}
+	if got := g.Path(1, 3); !slices.Equal(got, []int{1, 2, 3}) {
+		t.Fatalf("Path(1,3) = %v, want [1 2 3]", got)
+	}
+	if got := g.Path(0, 6); !slices.Equal(got, []int{0, 6}) {
+		t.Fatalf("Path(0,6) = %v, want [0 6]", got)
+	}
+	for _, q := range [][2]int{{6, 1}, {1, 1}, {2, 4}, {0, 1}, {-1, 6}, {1, 7}} {
+		if p := g.Path(q[0], q[1]); p != nil {
+			t.Fatalf("Path(%d,%d) = %v for an unordered pair", q[0], q[1], p)
+		}
+	}
 }
 
 // Concurrent reports whether neither record happens before the other.

@@ -3,11 +3,14 @@ package hb
 import (
 	"math/rand"
 	"testing"
+
+	"dcatch/internal/vclock"
 )
 
-// Test oracles for the chain-clock index: the two reachability
+// Test oracles for the point queries (cones): the two reachability
 // representations DCatch §3.2.2 weighs against each other, each computed
-// straight from the graph's in-edges and independent of the sweep.
+// straight from the graph's in-edges and independent of the sweep, plus a
+// chain-clock index filled by one ChainClockSweep.
 
 // bitReach is the paper's representation: one bit array per vertex holding
 // the vertices that happen before it, filled in one pass in trace
@@ -83,17 +86,56 @@ func vectorClocks(g *Graph) []vectorClock {
 	return clocks
 }
 
-// checkIndex asserts the graph's point queries agree with both oracles on
-// every ordered pair.
-func checkIndex(t *testing.T, label string, g *Graph) {
+// chainIndex is a V×C chain-clock matrix: row v is vertex v's clock from
+// one full-width ChainClockSweep, so u ⇒ v iff v's clock has reached u's
+// position in u's chain. It is the all-pairs oracle detect's tests build
+// the same way (detect/oracle_test.go).
+type chainIndex struct {
+	dec ChainDecomposition
+	clk []int32 // clk[v*C+c] = vertex v's clock entry for chain c
+}
+
+func newChainIndex(g *Graph) *chainIndex {
+	dec := g.ChainDecomposition()
+	c := dec.Chains()
+	ix := &chainIndex{dec: dec, clk: make([]int32, g.N()*c)}
+	g.ChainClockSweep(dec, nil, 0, func(v int, clock vclock.ChainClock) {
+		copy(ix.clk[v*c:(v+1)*c], clock)
+	})
+	return ix
+}
+
+// reaches reports u ⇒ v for 0 <= u < v < N.
+func (ix *chainIndex) reaches(u, v int) bool {
+	return ix.clk[v*ix.dec.Chains()+int(ix.dec.Of[u])] >= ix.dec.Pos[u]
+}
+
+// concurrentOrdered is Concurrent for 0 <= i < j < N: j can never happen
+// before i, so one index probe decides the query.
+func (ix *chainIndex) concurrentOrdered(i, j int) bool { return !ix.reaches(i, j) }
+
+// checkQueries asserts the graph's cones and point queries agree with the
+// bit arrays, vector clocks and the chain-clock index on every ordered
+// pair.
+func checkQueries(t *testing.T, label string, g *Graph) {
 	t.Helper()
-	bits, clocks := newBitReach(g), vectorClocks(g)
+	bits, clocks, ix := newBitReach(g), vectorClocks(g), newChainIndex(g)
 	n := g.N()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
+	for j := 0; j < n; j++ {
+		cone := g.Ancestors(j)
+		if len(cone) != j+1 || !cone[j] {
+			t.Fatalf("%s: Ancestors(%d) has %d entries, self %v", label, j, len(cone), len(cone) > j && cone[j])
+		}
+		for i := 0; i < j; i++ {
 			want := bits.hb(i, j)
 			if vc := clocks[i].lessEq(clocks[j]); vc != want {
 				t.Fatalf("%s: oracles disagree on (%d,%d): bit arrays %v, vector clocks %v", label, i, j, want, vc)
+			}
+			if got := ix.reaches(i, j); got != want {
+				t.Fatalf("%s: chain index (%d,%d) = %v, bit arrays %v", label, i, j, got, want)
+			}
+			if cone[i] != want {
+				t.Fatalf("%s: Ancestors(%d)[%d] = %v, oracle %v", label, j, i, cone[i], want)
 			}
 			if got := g.HappensBefore(i, j); got != want {
 				t.Fatalf("%s: HappensBefore(%d,%d) = %v, oracle %v", label, i, j, got, want)
@@ -101,16 +143,24 @@ func checkIndex(t *testing.T, label string, g *Graph) {
 			if g.HappensBefore(j, i) {
 				t.Fatalf("%s: HappensBefore(%d,%d) against trace order", label, j, i)
 			}
-			if g.Concurrent(i, j) == want || g.ConcurrentOrdered(i, j) == want {
-				t.Fatalf("%s: Concurrent/ConcurrentOrdered(%d,%d) disagree with oracle %v", label, i, j, want)
+			if g.Concurrent(i, j) == want || ix.concurrentOrdered(i, j) == want {
+				t.Fatalf("%s: Concurrent/concurrentOrdered(%d,%d) disagree with oracle %v", label, i, j, want)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		fwd := g.descendants(i, n-1)
+		for j := i + 1; j < n; j++ {
+			if fwd[j] != bits.hb(i, j) {
+				t.Fatalf("%s: descendants(%d)[%d] = %v, oracle %v", label, i, j, fwd[j], bits.hb(i, j))
 			}
 		}
 	}
 }
 
 // The §3.2.2 comparison: one build plus the same spread of pair queries,
-// answered from the paper's bit arrays, from naive vector clocks, and from
-// this package's chain-clock index.
+// answered from the paper's bit arrays, from naive vector clocks, from a
+// chain-clock index, and from the product's cones.
 //
 //	go test -run '^$' -bench Reachability ./internal/hb
 
@@ -153,8 +203,16 @@ func BenchmarkReachabilityVectorClocks(b *testing.B) {
 	})
 }
 
-// BenchmarkReachabilityChainClocks measures the product's index: one
-// chain-clock sweep filling a V×C matrix, built on the first query.
+// BenchmarkReachabilityChainClocks measures a chain-clock index: one sweep
+// filling a V×C matrix, then one probe per query.
 func BenchmarkReachabilityChainClocks(b *testing.B) {
-	benchmarkReachability(b, func(g *Graph) func(x, y int) bool { return g.ConcurrentOrdered })
+	benchmarkReachability(b, func(g *Graph) func(x, y int) bool {
+		return newChainIndex(g).concurrentOrdered
+	})
+}
+
+// BenchmarkReachabilityCones measures the product's point queries: no
+// index, one backward cone per query.
+func BenchmarkReachabilityCones(b *testing.B) {
+	benchmarkReachability(b, func(g *Graph) func(x, y int) bool { return g.Concurrent })
 }

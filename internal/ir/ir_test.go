@@ -38,15 +38,6 @@ func TestValueBasics(t *testing.T) {
 	}
 }
 
-func TestValueEqIgnoresProv(t *testing.T) {
-	a := IntV(7)
-	b := IntV(7)
-	b.Prov = 99
-	if !a.Eq(b) {
-		t.Fatal("Eq should ignore provenance")
-	}
-}
-
 func TestExprLocals(t *testing.T) {
 	e := And(Eq(L("a"), I(1)), Bin{OpOr, NotE(L("b")), IsNull(L("c"))})
 	set := ExprLocals(e)

@@ -26,18 +26,16 @@ const (
 	KBool
 )
 
-// Value is a dynamically typed IR value. Prov carries runtime provenance:
-// the trace sequence number of the heap write whose value most recently
-// flowed into this value (zero when none). Provenance powers the focused
-// second run that resolves pull-based custom synchronization (paper §3.2.1:
-// "the new trace will tell us which write w* provides value for the last
-// instance of r").
+// Value is a dynamically typed IR value. It carries no provenance: the
+// focused second run that resolves pull-based custom synchronization
+// (paper §3.2.1: "the new trace will tell us which write w* provides value
+// for the last instance of r") records the providing write on each probed
+// read's trace record instead (trace.Rec.WriterSeq).
 type Value struct {
-	K    ValueKind
-	I    int64
-	S    string
-	B    bool
-	Prov uint64
+	K ValueKind
+	I int64
+	S string
+	B bool
 }
 
 // Null returns the null value.
@@ -70,7 +68,7 @@ func (v Value) Truthy() bool {
 	}
 }
 
-// Eq reports value equality (provenance is ignored).
+// Eq reports value equality.
 func (v Value) Eq(o Value) bool {
 	if v.K != o.K {
 		// Allow comparing anything against null.

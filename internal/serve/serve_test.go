@@ -155,25 +155,31 @@ func TestSubjectValidateRoundTrip(t *testing.T) {
 }
 
 // TestSubjectSeedMatchesLocal pins the wire name and meaning of a subject
-// job's seed: the body {"seed": 28} with validate runs ZK-1144 at schedule
-// seed 28 — detection and every controlled replay on that seed's trace —
-// byte for byte what dcatch -bench ZK-1144 -seed 28 -validate prints.
+// job's seed: the body {"seed": 8} with validate runs ZK-1144 at schedule
+// seed 8 — detection and every controlled replay on that seed's trace —
+// byte for byte what dcatch -bench ZK-1144 -seed 8 -validate prints (at
+// seed 8 loop-sync analysis prunes the followerData pair the registered
+// seed reports). At seed 28 the run hangs, and the job fails with
+// Detect's refusal instead of a report.
 func TestSubjectSeedMatchesLocal(t *testing.T) {
 	_, c := newTestServer(t, Config{})
-	want := localSubjectReport(t, "ZK-1144", 28, JobOptions{Validate: true})
+	want := localSubjectReport(t, "ZK-1144", 8, JobOptions{Validate: true})
 	if want == localSubjectReport(t, "ZK-1144", 0, JobOptions{Validate: true}) {
-		t.Fatal("seed 28 renders the registered seed's report; the test cannot tell them apart")
+		t.Fatal("seed 8 renders the registered seed's report; the test cannot tell them apart")
 	}
-	resp, err := http.Post(c.Base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"bench":"ZK-1144","seed":28,"options":{"validate":true}}`))
-	if err != nil {
-		t.Fatal(err)
+	submit := func(body string) *JobStatus {
+		t.Helper()
+		resp, err := http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := decodeStatus(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return waitDone(t, c, st.ID)
 	}
-	st, err := decodeStatus(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = waitDone(t, c, st.ID)
+	st := submit(`{"bench":"ZK-1144","seed":8,"options":{"validate":true}}`)
 	if st.State != StateDone {
 		t.Fatalf("job finished %s: %s", st.State, st.Error)
 	}
@@ -182,7 +188,13 @@ func TestSubjectSeedMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(got) != want {
-		t.Errorf("seed-28 report differs from the local run:\n-- served --\n%s\n-- local --\n%s", got, want)
+		t.Errorf("seed-8 report differs from the local run:\n-- served --\n%s\n-- local --\n%s", got, want)
+	}
+
+	st = submit(`{"bench":"ZK-1144","seed":28,"options":{"validate":true}}`)
+	if st.State != StateFailed || !strings.Contains(st.Error, "the baseline run at seed 28 is not a correct execution") ||
+		!strings.Contains(st.Error, "HANG after 150000 steps") {
+		t.Fatalf("seed-28 job finished %s (%q), want failed with the incorrect-run refusal", st.State, st.Error)
 	}
 }
 

@@ -46,9 +46,11 @@ func TestExportedSurface(t *testing.T) {
 
 // TestGateReportsDeadAndStale runs the scanner on a small module with a
 // dead exported function, a dead function and a dead type that only refer
-// to themselves, an exported method that only an interface reaches, an
-// allowlisted function and two stale allowlist lines: one names a function
-// a product file calls, one a function that is gone.
+// to themselves, a function only the dead function calls (found on the
+// scan's second round), a function only the allowlisted one calls (kept),
+// an exported method that only an interface reaches, an allowlisted
+// function and two stale allowlist lines: one names a function a product
+// file calls, one a function that is gone.
 func TestGateReportsDeadAndStale(t *testing.T) {
 	got, err := scan("testdata/fixture", "testdata/fixture/allowlist.txt")
 	if err != nil {
@@ -58,6 +60,7 @@ func TestGateReportsDeadAndStale(t *testing.T) {
 		"allowlist line 3: a.Gone is stale: no such exported identifier",
 		"allowlist line 4: a.Live is stale: it has a product caller or satisfies an interface",
 		"a.Dead: exported, but no non-test file under cmd, internal or examples uses it",
+		"a.OnlyDead: exported, but no non-test file under cmd, internal or examples uses it",
 		"a.Orphan: exported, but no non-test file under cmd, internal or examples uses it",
 		"a.Recursive: exported, but no non-test file under cmd, internal or examples uses it",
 	}
@@ -78,6 +81,8 @@ type listedPackage struct {
 // imports read from compiler export data (go list -export), and returns one
 // line per exported identifier under internal/ that nothing uses and the
 // allowlist does not excuse, and one per malformed or stale allowlist line.
+// A use inside the declaration of an unexcused dead identifier does not
+// count, so the scan repeats until a round finds no new dead identifier.
 func scan(root, allowlistPath string) ([]string, error) {
 	cmd := exec.Command("go", "list", "-export", "-deps",
 		"-json=ImportPath,Dir,Export,GoFiles,Standard", "./...")
@@ -97,7 +102,6 @@ func scan(root, allowlistPath string) ([]string, error) {
 		fset:       token.NewFileSet(),
 		pkgs:       map[string]string{},
 		declared:   map[string]types.Object{},
-		used:       map[string]bool{},
 		self:       map[string][]span{},
 		interfaces: map[string][]*types.Interface{},
 		seen:       map[*types.Package]bool{},
@@ -142,15 +146,27 @@ func scan(root, allowlistPath string) ([]string, error) {
 		}
 	}
 
-	dead := map[string]bool{}
-	for key, obj := range s.declared {
-		if !s.used[key] && !s.satisfiesInterface(obj) {
-			dead[key] = true
-		}
-	}
-	problems, allowed, err := s.readAllowlist(allowlistPath, dead)
+	lines, problems, err := readAllowlist(allowlistPath)
 	if err != nil {
 		return nil, err
+	}
+	listed := map[string]bool{}
+	for _, l := range lines {
+		listed[l.key] = true
+	}
+	dead := s.deadFixedPoint(listed)
+	allowed := map[string]bool{}
+	for _, l := range lines {
+		switch {
+		case allowed[l.key]:
+			problems = append(problems, fmt.Sprintf("allowlist line %d: %s is listed twice", l.n, l.key))
+		case s.declared[l.key] == nil:
+			problems = append(problems, fmt.Sprintf("allowlist line %d: %s is stale: no such exported identifier", l.n, l.key))
+		case !dead[l.key]:
+			problems = append(problems, fmt.Sprintf("allowlist line %d: %s is stale: it has a product caller or satisfies an interface", l.n, l.key))
+		default:
+			allowed[l.key] = true
+		}
 	}
 	var unexcused []string
 	for key := range dead {
@@ -162,9 +178,59 @@ func scan(root, allowlistPath string) ([]string, error) {
 	return append(problems, unexcused...), nil
 }
 
-// span is a source range inside which a use of an identifier is its own
-// declaration referring to itself.
+// deadFixedPoint returns the exported identifiers that no counted use
+// reaches and no interface exempts. A use counts unless it lies in the
+// identifier's own declaration or in the declaration of an identifier
+// already found dead and not listed in the allowlist (what the allowlist
+// keeps, it keeps with everything it uses). Each round can only add dead
+// identifiers, so the loop ends.
+func (s *scanner) deadFixedPoint(listed map[string]bool) map[string]bool {
+	dead := map[string]bool{}
+	for {
+		var ignored []span
+		for key := range dead {
+			if !listed[key] {
+				ignored = append(ignored, s.self[key]...)
+			}
+		}
+		used := map[string]bool{}
+		for _, u := range s.uses {
+			if !used[u.key] && !s.inSelf(u.key, u.pos) && !within(ignored, u.pos) {
+				used[u.key] = true
+			}
+		}
+		grew := false
+		for key, obj := range s.declared {
+			if !dead[key] && !used[key] && !s.satisfiesInterface(obj) {
+				dead[key] = true
+				grew = true
+			}
+		}
+		if !grew {
+			return dead
+		}
+	}
+}
+
+// span is a source range: an identifier's own declaration, inside which a
+// use of it is the declaration referring to itself.
 type span struct{ from, to token.Pos }
+
+func within(spans []span, pos token.Pos) bool {
+	for _, sp := range spans {
+		if sp.from <= pos && pos < sp.to {
+			return true
+		}
+	}
+	return false
+}
+
+// use is one reference to an identifier under internal/ from a non-test
+// file.
+type use struct {
+	key string
+	pos token.Pos
+}
 
 type scanner struct {
 	fset *token.FileSet
@@ -174,7 +240,7 @@ type scanner struct {
 	// declared maps the key of each exported identifier under internal/
 	// ("pkg.Name", or "pkg.Type.Method" for a method) to its object.
 	declared map[string]types.Object
-	used     map[string]bool
+	uses     []use
 	// self holds, per key, a function's own declaration, or a type's own
 	// spec and the receivers of its methods.
 	self map[string][]span
@@ -246,8 +312,8 @@ func (s *scanner) check(p listedPackage, imp types.Importer) error {
 		s.declare(pkg, files, info)
 	}
 	for id, obj := range info.Uses {
-		if key := s.keyOf(obj); key != "" && !s.inSelf(key, id.Pos()) {
-			s.used[key] = true
+		if key := s.keyOf(obj); key != "" {
+			s.uses = append(s.uses, use{key, id.Pos()})
 		}
 	}
 	return nil
@@ -314,14 +380,7 @@ func receiver(f *types.Func) *types.Named {
 	return named
 }
 
-func (s *scanner) inSelf(key string, pos token.Pos) bool {
-	for _, sp := range s.self[key] {
-		if sp.from <= pos && pos < sp.to {
-			return true
-		}
-	}
-	return false
-}
+func (s *scanner) inSelf(key string, pos token.Pos) bool { return within(s.self[key], pos) }
 
 func (s *scanner) addInterface(t types.Type) {
 	iface, ok := t.Underlying().(*types.Interface)
@@ -399,36 +458,34 @@ func signature(sig *types.Signature) string {
 
 var allowLine = regexp.MustCompile(`^(\S+) \| item (\d+) \| (\S.*)$`)
 
+// allowEntry is one allowlist line: its line number and identifier.
+type allowEntry struct {
+	n   int
+	key string
+}
+
 // readAllowlist parses the allowlist, one "identifier | item N | reason"
-// per line, '#' comments and blank lines skipped. It reports malformed and
-// duplicate lines, and stale ones: an identifier that is gone, or that is
-// no longer dead.
-func (s *scanner) readAllowlist(path string, dead map[string]bool) ([]string, map[string]bool, error) {
+// per line, '#' comments and blank lines skipped, and reports malformed
+// lines. scan reports duplicate and stale ones: an identifier that is gone,
+// or that is no longer dead.
+func readAllowlist(path string) ([]allowEntry, []string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
+	var entries []allowEntry
 	var problems []string
-	allowed := map[string]bool{}
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		m := allowLine.FindStringSubmatch(line)
-		switch {
-		case m == nil:
+		if m := allowLine.FindStringSubmatch(line); m != nil {
+			entries = append(entries, allowEntry{n, m[1]})
+		} else {
 			problems = append(problems, fmt.Sprintf("allowlist line %d: want \"identifier | item N | reason\", got %q", n, line))
-		case allowed[m[1]]:
-			problems = append(problems, fmt.Sprintf("allowlist line %d: %s is listed twice", n, m[1]))
-		case s.declared[m[1]] == nil:
-			problems = append(problems, fmt.Sprintf("allowlist line %d: %s is stale: no such exported identifier", n, m[1]))
-		case !dead[m[1]]:
-			problems = append(problems, fmt.Sprintf("allowlist line %d: %s is stale: it has a product caller or satisfies an interface", n, m[1]))
-		default:
-			allowed[m[1]] = true
 		}
 	}
-	return problems, allowed, sc.Err()
+	return entries, problems, sc.Err()
 }

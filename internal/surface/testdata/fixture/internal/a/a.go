@@ -1,6 +1,7 @@
 // Package a is the surface gate's fixture: dead identifiers, among them
-// two that only refer to themselves, one method that only an interface
-// reaches, one allowlisted function and one live one.
+// two that only refer to themselves and one that only a dead one calls,
+// one method that only an interface reaches, one allowlisted function with
+// a callee it keeps alive, and one live function.
 package a
 
 // Namer is the interface that reaches T.Name.
@@ -16,10 +17,16 @@ func (T) Name() string { return "t" }
 func Live() Namer { return T{} }
 
 // Dead has no caller outside a test.
-func Dead() {}
+func Dead() { OnlyDead() }
+
+// OnlyDead's only caller is Dead, so it is dead too.
+func OnlyDead() {}
 
 // Allowed has no caller but is on the allowlist.
-func Allowed() {}
+func Allowed() { OnlyAllowed() }
+
+// OnlyAllowed's only caller is Allowed, which the allowlist keeps.
+func OnlyAllowed() {}
 
 // Recursive calls only itself.
 func Recursive(n int) int {

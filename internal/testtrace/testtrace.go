@@ -134,7 +134,7 @@ func SyntheticTrace(n int, seed int64) *trace.Trace {
 // same cluster shape and rule mix, but with a bounded program-order context
 // count. SyntheticTrace mints a fresh context per RPC/message/watch handler
 // instance, so its chain count grows linearly with the trace — realistic for
-// handler-heavy runs but the worst case for the chain reachability index.
+// handler-heavy runs but the worst case for the chain admission model.
 // Real long traces are dominated by a fixed set of worker loops; this
 // generator models that: cross-node closes land on the receiver's regular
 // thread context, and only a fixed budget of event-handler instances get

@@ -257,21 +257,20 @@ func heldLock(tr *trace.Trace, rec int) (lockID string, syncStatic int32) {
 }
 
 // crossNodePredecessor picks the latest record on a different node that
-// happens before rec and has a user-level statement to attach to.
+// happens before rec and has a user-level statement to attach to, reading
+// rec's backward cone once.
 func crossNodePredecessor(tr *trace.Trace, g *hb.Graph, rec int) int {
 	r := recAt(tr, rec)
-	if r == nil || g == nil {
+	if r == nil || g == nil || rec >= g.N() {
 		return -1
 	}
+	cone := g.Ancestors(rec)
 	for i := rec - 1; i >= 0; i-- {
 		c := &tr.Recs[i]
-		if c.Node == r.Node || c.StaticID < 0 {
+		if !cone[i] || c.Node == r.Node || c.StaticID < 0 {
 			continue
 		}
-		if dynamicInstances(tr, c.StaticID) > maxInstances {
-			continue
-		}
-		if g.HappensBefore(i, rec) {
+		if dynamicInstances(tr, c.StaticID) <= maxInstances {
 			return i
 		}
 	}
